@@ -1,8 +1,9 @@
 """Pure-Python trajectory kernel.
 
-This is the reference implementation: `_kernel.pyx` repeats it operation for
+This is the reference implementation: `_kernel.c` repeats it operation for
 operation (same arithmetic, same order) so both backends produce bit-identical
-results.  Keep the two in sync.
+results.  Keep the two in sync.  It is also the only Python copy of the
+log-space step: `qso.apply_volterra_log` is a one-step run.
 
 All state lives in log coordinates.  The step factor 1 + (Ax)_k is evaluated
 as sum_i (1 + a[k][i]) x_i, a sum of nonnegative terms; when that sum

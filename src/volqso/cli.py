@@ -354,8 +354,8 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
                          checkpoints=checkpoints, record_stride=stride)
         for s in starts
     ]
-    log.info("simulate: %d starts, %d steps, backend=%s",
-             len(starts), steps, kernel.BACKEND)
+    log.info("simulate: %d starts, %d steps, backend=%s (%s)",
+             len(starts), steps, kernel.BACKEND, kernel.BACKEND_REASON)
     results = run_ensemble(configs, observables, workers=workers)
 
     coord_names = {o.name for o in observables

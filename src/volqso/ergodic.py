@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -366,9 +367,12 @@ def run_trajectory(cfg: TrajectoryConfig, observables=None) -> TrajectoryResult:
 
 
 def run_ensemble(configs, observables=None, workers: int = 1):
-    """Run independent trajectories, optionally on worker threads; results
-    come back in input order regardless of scheduling."""
-    if workers <= 1 or len(configs) <= 1:
+    """Run independent trajectories, on up to `workers` threads (at most one
+    per CPU); results come back in input order regardless of scheduling.
+    Threads only pay off with the compiled kernel, which releases the GIL,
+    so the pure-Python kernel always runs serially."""
+    workers = min(workers, len(configs), os.cpu_count() or 1)
+    if workers <= 1 or kernel.BACKEND == "python":
         return [run_trajectory(cfg, observables) for cfg in configs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda c: run_trajectory(c, observables),

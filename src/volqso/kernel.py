@@ -1,54 +1,222 @@
 """Trajectory-kernel backend selection.
 
-The compiled extension (`volqso._kernel`, Cython) is used when it imported
-cleanly; otherwise the pure-Python mirror (`volqso._kernel_py`) takes over.
-Both produce bit-identical results.  Set VOLQSO_KERNEL=python|compiled to
-force a backend (forcing `compiled` raises if the extension is missing).
+Two backends produce bit-identical results: the pure-Python reference
+(`volqso._kernel_py`) and a port of it to plain C (`_kernel.c`).  The C file
+is compiled on first use with `$CC` (default: the compiler Python was built
+with) into the package's `__pycache__/`, under a name keyed on the sha256 of
+the source and flags, and loaded with ctypes; later imports load the cached
+library without starting a process.  Without a working compiler or a
+writable `__pycache__/` the pure-Python kernel takes over.
+
+BACKEND names the selected backend and BACKEND_REASON says why.  Set
+VOLQSO_KERNEL=python|compiled to force a backend (forcing `compiled` raises
+ImportError, with the reason, when the library cannot be built).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import itertools
 import os
+import shlex
+import shutil
+import struct
+import subprocess
+import sysconfig
+from array import array
+from pathlib import Path
 
 from . import _kernel_py
 
+_SOURCE = Path(__file__).with_name("_kernel.c")
+# -ffp-contract=off: the pure-Python kernel is the bit-for-bit reference;
+# fused multiply-adds would break kernel parity.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_LIBS = ("-lm",)
+_MAX_M = 4          # MAX_M in _kernel.c: the size of its per-step arrays
+_EVENT = struct.Struct("qqqdq")   # vq_event in _kernel.c
+
+class _Result(ctypes.Structure):
+    _fields_ = [("n_checkpoints", ctypes.c_longlong),
+                ("n_trace", ctypes.c_longlong),
+                ("n_events", ctypes.c_longlong),
+                ("events", ctypes.c_void_p),
+                ("error_kind", ctypes.c_longlong),
+                ("error_step", ctypes.c_longlong),
+                ("error_drift", ctypes.c_double),
+                ("min_logphi", ctypes.c_double),
+                ("max_abs_drift", ctypes.c_double)]
+
+
+def _build(lib: Path) -> str | None:
+    """Compile `_kernel.c` into `lib`; returns why it failed, or None."""
+    cc = (shlex.split(os.environ.get("CC", ""))
+          or shlex.split(sysconfig.get_config_var("CC") or "cc"))
+    if shutil.which(cc[0]) is None:
+        return f"compiler {cc[0]!r} not found"
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        lib.parent.mkdir(exist_ok=True)
+        proc = subprocess.run(
+            [*cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE), *_LIBS],
+            capture_output=True, text=True)
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines()
+            return "compile failed: " + (
+                lines[0] if lines else f"exit {proc.returncode}")
+        os.replace(tmp, lib)
+    except OSError as exc:
+        return f"cannot build {lib}: {exc}"
+    finally:
+        tmp.unlink(missing_ok=True)
+    return None
+
+
+@functools.cache
+def _compiled():
+    """(run function or None, reason); builds the library on first use."""
+    try:
+        key = hashlib.sha256(_SOURCE.read_bytes()
+                             + " ".join(_CFLAGS + _LIBS).encode())
+    except OSError as exc:
+        return None, f"cannot read {_SOURCE}: {exc}"
+    lib = _SOURCE.parent / "__pycache__" / f"_kernel-{key.hexdigest()[:16]}.so"
+    verb = "loaded"
+    if not lib.exists():
+        failure = _build(lib)
+        if failure is not None:
+            return None, failure
+        verb = "built"
+    try:
+        return _bind(ctypes.CDLL(str(lib))), f"{verb} {lib}"
+    except OSError as exc:
+        return None, f"cannot load {lib}: {exc}"
+
+
+def _rows(buf, lo: int, n_rows: int, width: int) -> list:
+    """`n_rows` rows of `width` doubles from array `buf`, from index `lo`."""
+    if n_rows == 0 or width == 0:
+        return [[] for _ in range(n_rows)]
+    view = memoryview(buf)[lo:lo + n_rows * width]
+    return view.cast("B").cast("d", (n_rows, width)).tolist()
+
+
+def _bind(lib):
+    """Wrap the C entry point in `_kernel_py.run`'s calling convention."""
+    ptr = ctypes.c_void_p
+    c_run = lib.vq_run
+    c_run.restype = ctypes.c_int
+    c_run.argtypes = [
+        ctypes.c_int, ptr, ptr, ctypes.c_longlong, ctypes.c_double,
+        ctypes.c_int, ptr, ctypes.c_int, ptr, ctypes.c_longlong, ptr,
+        ctypes.c_longlong, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+        ctypes.POINTER(_Result),
+    ]
+    c_free = lib.vq_free
+    c_free.restype = None
+    c_free.argtypes = [ptr]
+
+    def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
+            stride, want_phi):
+        """Same contract as volqso._kernel_py.run."""
+        rows = (*a, *mono_obs, logx0)
+        if not 1 <= m <= _MAX_M or len(a) != m or any(
+                len(row) != m for row in rows):
+            raise ValueError(f"matrix, exponent and start rows need m={m} "
+                             f"entries, with m in 1..{_MAX_M}")
+        if any(not 0 <= i < m for i in coord_obs):
+            raise ValueError(f"coordinate index outside 0..{m - 1}")
+        if steps < 0 or stride < 1:
+            raise ValueError(f"steps={steps}, stride={stride}")
+        if want_phi and m != 4:
+            raise ValueError("the shrinkage observable needs m == 4")
+        cp = list(checkpoints)
+        n_coord, n_mono, n_cp = len(coord_obs), len(mono_obs), len(cp)
+        n_obs = n_coord + n_mono
+        n_trace = steps // stride + 2
+        # One array per dtype for the inputs and one for the double outputs;
+        # the C function gets pointers to consecutive segments.  Plain
+        # arrays keep the fixed cost of a call low, which one-step calls
+        # (qso.apply_volterra_log) feel.
+        f_in = array("d", [v for row in rows for v in row])
+        i_in = array("q", [*coord_obs, *cp])
+        sizes = (n_cp * n_obs, n_trace * m, n_trace, n_trace * n_mono, m,
+                 2 * n_obs + n_mono)
+        lo = [0, *itertools.accumulate(sizes)]
+        f_out = array("d", [0.0]) * lo[-1]
+        tr_steps = array("q", [0]) * n_trace
+        fi, ii, fo = (b.buffer_info()[0] for b in (f_in, i_in, f_out))
+        res = _Result()
+        if c_run(m, fi, fi + 8 * m * (m + n_mono), steps, log_eps, n_coord,
+                 ii, n_mono, fi + 8 * m * m, n_cp, ii + 8 * n_coord, stride,
+                 bool(want_phi), tr_steps.buffer_info()[0],
+                 *(fo + 8 * b for b in lo[:-1]), ctypes.byref(res)):
+            raise MemoryError("trajectory kernel allocation failed")
+        events = []
+        if res.n_events:
+            try:
+                events = list(_EVENT.iter_unpack(ctypes.string_at(
+                    res.events, res.n_events * _EVENT.size)))
+            finally:
+                c_free(res.events)
+        error = None
+        if res.error_kind == 1:
+            error = ("degenerate", res.error_step)
+        elif res.error_kind == 2:
+            error = ("breakdown", res.error_step, res.error_drift)
+        n_done, tr = res.n_checkpoints, res.n_trace
+        return {
+            "checkpoints": cp[:n_done],
+            "cesaro": _rows(f_out, lo[0], n_done, n_obs),
+            "events": events,
+            "trace_steps": tr_steps[:tr].tolist(),
+            "trace_logx": _rows(f_out, lo[1], tr, m),
+            "trace_logphi": f_out[lo[2]:lo[2] + tr].tolist(),
+            "trace_mono": _rows(f_out, lo[3], tr, n_mono),
+            "min_logphi": res.min_logphi,
+            "final_logx": f_out[lo[4]:lo[4] + m].tolist(),
+            "max_abs_drift": res.max_abs_drift,
+            "error": error,
+        }
+
+    return run
+
 
 def available_backends() -> tuple[str, ...]:
-    try:
-        from . import _kernel  # noqa: F401
+    if _compiled()[0] is not None:
         return ("compiled", "python")
-    except ImportError:
-        return ("python",)
+    return ("python",)
 
 
 def get_kernel(name: str):
     if name == "python":
         return _kernel_py.run
     if name == "compiled":
-        try:
-            from . import _kernel
-        except ImportError as exc:
+        run_c, reason = _compiled()
+        if run_c is None:
             raise ImportError(
-                "compiled trajectory kernel is not built; reinstall with a "
-                "C compiler and Cython, or set VOLQSO_KERNEL=python"
-            ) from exc
-        return _kernel.run
+                f"compiled trajectory kernel unavailable: {reason}; install "
+                "a C compiler (or set CC), or set VOLQSO_KERNEL=python")
+        return run_c
     raise ValueError(f"unknown kernel backend {name!r}")
 
 
 def _select():
     choice = os.environ.get("VOLQSO_KERNEL", "auto").strip().lower()
     if choice in ("py", "python", "pure"):
-        return _kernel_py.run, "python"
+        return _kernel_py.run, "python", f"forced by VOLQSO_KERNEL={choice}"
     if choice in ("c", "compiled", "cython"):
-        return get_kernel("compiled"), "compiled"
+        return (get_kernel("compiled"), "compiled",
+                f"forced by VOLQSO_KERNEL={choice}; {_compiled()[1]}")
     if choice not in ("", "auto"):
         raise ValueError(
             f"VOLQSO_KERNEL={choice!r}; expected auto, python or compiled")
-    try:
-        return get_kernel("compiled"), "compiled"
-    except ImportError:
-        return _kernel_py.run, "python"
+    run_c, reason = _compiled()
+    if run_c is None:
+        return _kernel_py.run, "python", reason
+    return run_c, "compiled", reason
 
 
-run, BACKEND = _select()
+run, BACKEND, BACKEND_REASON = _select()

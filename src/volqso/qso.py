@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .errors import (
     DegenerateFactor,
     DimensionMismatch,
@@ -31,8 +32,6 @@ from .simplex import LogSimplexPoint, SimplexPoint, _renormalized
 TENSOR_SUM_TOL = 1e-12   # |sum_k p[i][j][k] - 1|
 VOLTERRA_TOL = 1e-15     # mass allowed outside parental types
 FACTOR_CLAMP = 1e-12     # rounding dust allowed below 0 in a step factor
-
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -222,82 +221,22 @@ def apply_volterra(a: SkewMatrix, x: SimplexPoint) -> SimplexPoint:
     return SimplexPoint(_renormalized(raw_volterra_image(a, x)))
 
 
-# The log-space step rewrites the factor 1 + (Ax)_k as
-# sum_i (1 + a[k][i]) x_i: a sum of nonnegative terms (|a| <= 1), immune to
-# the cancellation that makes 1 + dot(...) collapse to 0 when the true factor
-# is tiny.  When even that sum underflows, the same sum is taken in the log
-# domain.  _kernel_py/_kernel.pyx repeat this step verbatim; keep in sync.
-_UNDERFLOW_GUARD = 1e-280
-
-
-def _log_step(weights, logw, logx, m):
-    """One Volterra step on log coordinates; returns (new_logs, drift)."""
-    xs = [math.exp(v) for v in logx]
-    new = [0.0] * m
-    for k in range(m):
-        wk = weights[k]
-        s = 0.0
-        c = 0.0
-        for i in range(m):
-            t = wk[i] * xs[i]
-            tmp = s + t
-            if abs(s) >= abs(t):
-                c += (s - tmp) + t
-            else:
-                c += (t - tmp) + s
-            s = tmp
-        g = s + c
-        if g < _UNDERFLOW_GUARD:
-            lk = logw[k]
-            mx = -_INF
-            for i in range(m):
-                t = lk[i] + logx[i]
-                if t > mx:
-                    mx = t
-            if mx == -_INF:
-                lg = -_INF
-            else:
-                acc = 0.0
-                for i in range(m):
-                    t = lk[i] + logx[i]
-                    if t > -_INF:
-                        acc += math.exp(t - mx)
-                lg = mx + math.log(acc)
-        else:
-            lg = math.log(g)
-        new[k] = logx[k] + lg
-    mx = new[0]
-    for v in new[1:]:
-        if v > mx:
-            mx = v
-    if mx == -_INF or math.isnan(mx):
-        raise DegenerateFactor("all coordinates vanished in one step")
-    acc = 0.0
-    for v in new:
-        acc += math.exp(v - mx)
-    drift = mx + math.log(acc)
-    return [v - drift for v in new], drift
-
-
-def step_weights(a: SkewMatrix):
-    """(1 + a[k][i]) table and its logs (-inf where the weight is 0)."""
-    weights = tuple(tuple(1.0 + v for v in row) for row in a.rows)
-    logw = tuple(
-        tuple(math.log(w) if w > 0.0 else -_INF for w in row)
-        for row in weights
-    )
-    return weights, logw
-
-
 def apply_volterra_log(a: SkewMatrix, x: LogSimplexPoint) -> LogSimplexPoint:
     """One Volterra step on log coordinates; agrees with apply_volterra to
     relative 1e-10 whenever all coordinates are above 1e-100, and keeps exact
-    zeros (-inf) exactly."""
+    zeros (-inf) exactly.
+
+    This is a one-step trajectory-kernel run.  The kernel rewrites the factor
+    1 + (Ax)_k as sum_i (1 + a[k][i]) x_i: a sum of nonnegative terms
+    (|a| <= 1), immune to the cancellation that makes 1 + dot(...) collapse
+    to 0 when the true factor is tiny, taken in the log domain when even that
+    sum underflows."""
     if a.m != x.m:
         raise DimensionMismatch(f"matrix m={a.m}, point m={x.m}")
-    weights, logw = step_weights(a)
-    new, _ = _log_step(weights, logw, x.log_coords, a.m)
-    return LogSimplexPoint(tuple(new))
+    raw = kernel.run(a.m, a.rows, x.log_coords, 1, 0.0, [], [], [], 1, False)
+    if raw["error"] is not None:
+        raise DegenerateFactor(f"log step failed: {raw['error'][0]}")
+    return LogSimplexPoint(tuple(raw["final_logx"]))
 
 
 def skew3(a: float, b: float, c: float) -> SkewMatrix:

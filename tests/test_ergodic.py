@@ -1,7 +1,9 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from volqso import ergodic, kernel
 from volqso.classify import CanonicalParams
 from volqso.ergodic import (
     CesaroSeries,
@@ -120,6 +122,29 @@ class TestRunBasics:
         for r1, r2 in zip(seq, par):
             assert r1.final.log_coords == r2.final.log_coords
             assert r1.cesaro == r2.cesaro
+
+    @pytest.mark.parametrize("backend", ["compiled", "python"])
+    def test_ensemble_pool_capped_at_cpu_count(self, all_half, rng,
+                                               monkeypatch, backend):
+        # the recording pool runs at most 2 real threads whatever it is asked
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(ergodic, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ergodic.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(kernel, "BACKEND", backend)
+        configs = [TrajectoryConfig(all_half, s, 2000, record_stride=500)
+                   for s in interior_points(4, 6, rng)]
+        seq = run_ensemble(configs, workers=1)
+        assert sizes == []
+        par = run_ensemble(configs, workers=64)
+        assert par == seq
+        # threads only help a kernel that releases the GIL
+        assert sizes == ([3] if backend == "compiled" else [])
 
 
 class TestCesaroAccuracy:

@@ -1,0 +1,77 @@
+"""First-import build, cache reuse and quiet fallback of the compiled kernel.
+
+Each test imports a copy of the package in a fresh interpreter, so builds go
+to the copy's own __pycache__/ and never touch the package under test."""
+
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+import volqso
+
+PROBE = "import volqso.kernel as k; print(k.BACKEND); print(k.BACKEND_REASON)"
+DEFAULT_CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+
+
+@pytest.fixture
+def pkg_root(tmp_path):
+    shutil.copytree(Path(volqso.__file__).parent, tmp_path / "volqso",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path
+
+
+def probe(root, **env):
+    """Import the copy under `root` in a fresh interpreter; `env` entries
+    set (str) or unset (None) environment variables."""
+    full = dict(os.environ, PYTHONPATH=str(root))
+    full.pop("VOLQSO_KERNEL", None)
+    for key, value in env.items():
+        if value is None:
+            full.pop(key, None)
+        else:
+            full[key] = value
+    return subprocess.run([sys.executable, "-c", PROBE], env=full,
+                          capture_output=True, text=True, timeout=300)
+
+
+def libraries(root):
+    return sorted((root / "volqso" / "__pycache__").iterdir())
+
+
+@pytest.mark.skipif(
+    shutil.which(shlex.split(os.environ.get("CC") or DEFAULT_CC)[0]) is None,
+    reason="no C compiler")
+def test_first_import_builds_then_reuses(pkg_root):
+    first = probe(pkg_root)
+    assert first.returncode == 0, first.stderr
+    [lib] = [p for p in libraries(pkg_root) if p.suffix == ".so"]
+    assert first.stdout.splitlines() == ["compiled", f"built {lib}"]
+    mtime = lib.stat().st_mtime_ns
+
+    # a compiler that does not exist proves the cache hit never runs one
+    second = probe(pkg_root, CC=str(pkg_root / "no-such-cc"))
+    assert second.returncode == 0, second.stderr
+    assert second.stdout.splitlines() == ["compiled", f"loaded {lib}"]
+    assert lib.stat().st_mtime_ns == mtime
+    assert [p for p in libraries(pkg_root) if p.suffix != ".pyc"] == [lib]
+
+
+@pytest.mark.skipif(os.path.isabs(DEFAULT_CC),
+                    reason="default compiler is found without PATH")
+def test_no_compiler_falls_back_quietly(pkg_root):
+    reason = f"compiler {DEFAULT_CC!r} not found"
+    auto = probe(pkg_root, PATH="", CC=None)
+    assert auto.returncode == 0
+    assert auto.stderr == ""
+    assert auto.stdout.splitlines() == ["python", reason]
+
+    forced = probe(pkg_root, PATH="", CC=None, VOLQSO_KERNEL="compiled")
+    assert forced.returncode == 1
+    assert f"ImportError: compiled trajectory kernel unavailable: {reason}" \
+        in forced.stderr

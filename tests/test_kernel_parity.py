@@ -13,6 +13,13 @@ needs_compiled = pytest.mark.skipif(
     reason="compiled kernel not built",
 )
 
+ALL_HALF = [[0, .5, .5, -.5], [-.5, 0, .5, .5],
+            [-.5, -.5, 0, .5], [.5, -.5, -.5, 0]]
+# every canonical parameter 1: entries are +-1, so some step weights
+# 1 + a[k][i] are exactly 0 and their logs -inf
+CYCLIC_ONE = [[0, 1, 1, -1], [-1, 0, 1, 1],
+              [-1, -1, 0, 1], [1, -1, -1, 0]]
+
 
 def deep_equal(a, b) -> bool:
     """Exact equality, with NaN == NaN (bit-identity for our value set)."""
@@ -40,42 +47,65 @@ def logs_of(coords):
     return [math.log(c) if c > 0 else float("-inf") for c in coords]
 
 
+def no_error(rc):
+    assert rc["error"] is None
+
+
+def crosses_underflow(rc):
+    # |a| = 1: coordinates cross the linear-double underflow threshold and
+    # the log-domain factor fallback is exercised
+    assert rc["error"] is None
+    assert min(min(row) for row in rc["trace_logx"]) < -1000.0
+
+
+def keeps_zero_slot(rc):
+    assert rc["final_logx"][1] == float("-inf")
+
+
+def boundary_face_start(rc):
+    # the zero slot's logx = -inf meets a logw = -inf in the underflow
+    # branch: -inf + -inf must drop out of the log-domain sum
+    assert rc["error"] is None
+    assert rc["final_logx"][0] == float("-inf")
+    assert len(rc["trace_steps"]) == 3001
+
+
+CASES = {
+    "all_half_long_run": (
+        (4, ALL_HALF, logs_of([0.4, 0.3, 0.2, 0.1]), 50_000, math.log(0.05),
+         [0, 1, 2, 3], [[1 / 3, 0.0, 1 / 3, 1 / 3]],
+         [2 ** k for k in range(16)], 97, True),
+        no_error),
+    "unit_parameters_underflow_crossing": (
+        (3, [list(r) for r in skew3(1.0, 1.0, 1.0).rows],
+         logs_of([0.5, 0.3, 0.2]), 40_000, math.log(0.05), [0, 1, 2], [],
+         [2 ** k for k in range(15)], 211, False),
+        crosses_underflow),
+    "zero_matrix": (
+        (4, [[0.0] * 4 for _ in range(4)], logs_of([0.25] * 4), 1000,
+         math.log(0.05), [0, 1, 2, 3], [], [1, 10, 100, 1000], 100, True),
+        None),
+    "face_start_keeps_exact_zero": (
+        (4, ALL_HALF, logs_of([0.5, 0.0, 0.3, 0.2]), 5000, math.log(0.05),
+         [0, 1, 2, 3], [], [5000], 501, True),
+        keeps_zero_slot),
+    "cyclic_one_face_start_dense": (
+        (4, CYCLIC_ONE, logs_of([0.0, 0.5, 0.3, 0.2]), 3000,
+         math.log(0.05), [0, 1, 2, 3],
+         [[0.1, 0.25, 0.4, 0.05], [0.0, 0.3, 0.2, 0.45]],
+         [2 ** k for k in range(12)], 1, True),
+        boundary_face_start),
+}
+
+
 @needs_compiled
 class TestParity:
-    def test_all_half_long_run(self):
-        rows = [[0, .5, .5, -.5], [-.5, 0, .5, .5],
-                [-.5, -.5, 0, .5], [.5, -.5, -.5, 0]]
-        rc, rp = run_both(4, rows, logs_of([0.4, 0.3, 0.2, 0.1]), 50_000,
-                          math.log(0.05), [0, 1, 2, 3],
-                          [[1 / 3, 0.0, 1 / 3, 1 / 3]],
-                          [2 ** k for k in range(16)], 97, True)
-        assert rc["error"] is None
-        assert deep_equal(rc, rp)
-
-    def test_unit_parameters_underflow_crossing(self):
-        # |a| = 1: coordinates cross the linear-double underflow threshold
-        # and the log-domain factor fallback is exercised
-        rows = [list(r) for r in skew3(1.0, 1.0, 1.0).rows]
-        rc, rp = run_both(3, rows, logs_of([0.5, 0.3, 0.2]), 40_000,
-                          math.log(0.05), [0, 1, 2], [],
-                          [2 ** k for k in range(15)], 211, False)
-        assert rc["error"] is None
-        assert min(min(row) for row in rc["trace_logx"]) < -1000.0
-        assert deep_equal(rc, rp)
-
-    def test_zero_matrix(self):
-        rows = [[0.0] * 4 for _ in range(4)]
-        rc, rp = run_both(4, rows, logs_of([0.25] * 4), 1000,
-                          math.log(0.05), [0, 1, 2, 3], [],
-                          [1, 10, 100, 1000], 100, True)
-        assert deep_equal(rc, rp)
-
-    def test_face_start_keeps_exact_zero(self):
-        rows = [[0, .5, .5, -.5], [-.5, 0, .5, .5],
-                [-.5, -.5, 0, .5], [.5, -.5, -.5, 0]]
-        rc, rp = run_both(4, rows, logs_of([0.5, 0.0, 0.3, 0.2]), 5000,
-                          math.log(0.05), [0, 1, 2, 3], [], [5000], 501, True)
-        assert rc["final_logx"][1] == float("-inf")
+    @pytest.mark.parametrize("case", CASES)
+    def test_bit_identical(self, case):
+        args, check = CASES[case]
+        rc, rp = run_both(*args)
+        if check is not None:
+            check(rc)
         assert deep_equal(rc, rp)
 
     def test_random_matrices(self, rng):
@@ -91,9 +121,8 @@ class TestParity:
             assert deep_equal(rc, rp)
 
     def test_sojourn_events_identical(self, generic_start4):
-        rows = [[0, .5, .5, -.5], [-.5, 0, .5, .5],
-                [-.5, -.5, 0, .5], [.5, -.5, -.5, 0]]
-        rc, rp = run_both(4, rows, logs_of(generic_start4.coords), 100_000,
-                          math.log(0.05), [], [], [100_000], 10_000, True)
+        rc, rp = run_both(4, ALL_HALF, logs_of(generic_start4.coords),
+                          100_000, math.log(0.05), [], [], [100_000], 10_000,
+                          True)
         assert rc["events"] == rp["events"]
         assert len(rc["events"]) > 5
