@@ -8,8 +8,10 @@
 One experiment = one JSON config file (documented in docs/formats.md, with
 schemas in docs/schemas/).  Outputs are byte-deterministic for a given
 config: floats are written shortest-round-trip, field order is fixed, and no
-paths or timestamps are embedded.  Exit codes: 0 success, 2 validation
-error, 3 numerical diagnostic.  Set VOLQSO_LOG=debug|info|... for logging.
+paths or timestamps are embedded.  The whole config is type-checked, and
+every object it describes built, before any work, whatever the command.
+Exit codes: 0 success, 2 validation error (a malformed config value names
+its key), 3 numerical diagnostic.  Set VOLQSO_LOG=debug|info|... for logging.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import logging
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import kernel
-from .classify import CanonicalParams, classify, matrix_from_canonical
+from .classify import PARAM_NAMES, classify, matrix_from_canonical
 from .ergodic import (
     CoordinateObservable,
     MonomialObservable,
@@ -61,7 +64,7 @@ log = logging.getLogger("volqso")
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: the only code that reads the raw dict
 
 
 def _load_config(path) -> dict:
@@ -70,103 +73,176 @@ def _load_config(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # bad JSON or bad UTF-8
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config root must be a JSON object")
     return cfg
 
 
-def _matrix_from_config(cfg) -> SkewMatrix:
-    matrix = None
-    if "matrix" in cfg:
-        rows = cfg["matrix"]
-        try:
-            matrix = SkewMatrix(tuple(tuple(float(v) for v in row)
-                                      for row in rows))
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"bad matrix: {exc}") from exc
-    elif "canonical_params" in cfg:
-        node = cfg["canonical_params"]
-        if isinstance(node, dict):
-            try:
-                params = CanonicalParams(**{k: float(node[k]) for k in
-                                            ("a12", "a13", "a14",
-                                             "a23", "a24", "a34")})
-            except KeyError as exc:
-                raise ValidationError(
-                    f"canonical_params missing {exc}") from exc
-        else:
-            vals = [float(v) for v in node]
-            if len(vals) != 6:
-                raise ValidationError("canonical_params needs 6 values")
-            params = CanonicalParams(*vals)
-        matrix = matrix_from_canonical(params)
-    if matrix is None:
-        raise ValidationError("config needs 'matrix' or 'canonical_params'")
-    if "m" in cfg and int(cfg["m"]) != matrix.m:
+def _int(value, name: str) -> int:
+    """A schema integer: 1e6 passes, booleans and fractions do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _num(value, name: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+def _of(kind: type, value, name: str, alternative: str = ""):
+    if not isinstance(value, kind):
+        kind = {list: "an array", dict: "an object", str: "a string"}[kind]
         raise ValidationError(
-            f"declared m={cfg['m']} but the matrix has m={matrix.m}")
-    return matrix
+            f"{name} must be {alternative}{kind}, got {value!r}")
+    return value
 
 
-def _validate_tols(cfg) -> dict:
-    node = cfg.get("tolerances", {})
-    out = {}
-    if "validate_sum" in node:
-        out["sum_tol"] = float(node["validate_sum"])
-    if "negative_clamp" in node:
-        out["neg_tol"] = float(node["negative_clamp"])
-    return out
+def _nums(value, name: str) -> tuple[float, ...]:
+    return tuple(_num(v, f"{name}[{i}]")
+                 for i, v in enumerate(_of(list, value, name)))
 
 
-def _starts_from_config(cfg, m: int) -> list[SimplexPoint]:
-    node = cfg.get("starts")
-    if node is None:
-        raise ValidationError("config needs a 'starts' section")
-    tols = _validate_tols(cfg)
-    starts = [validate(p, **tols) for p in node.get("points", [])]
-    count = int(node.get("count", 0))
+def _point(value, name: str, m: int, tols: dict) -> SimplexPoint:
+    p = validate(_nums(value, name), **tols)
+    if p.m != m:
+        raise ValidationError(f"{name} has m={p.m}, the matrix has m={m}")
+    return p
+
+
+def _read(cfg: dict, key: str, reader, default=None, *args):
+    """reader(cfg[key], key, *args), or `default` if absent; any failure
+    names the key."""
+    if key not in cfg:
+        return default
+    try:
+        return reader(cfg[key], key, *args)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, KeyError, AttributeError,
+            OverflowError) as exc:
+        what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"{key}: {what}") from exc
+
+
+def _matrix(rows, name: str) -> SkewMatrix:
+    return SkewMatrix(tuple(_nums(row, f"{name}[{i}]")
+                            for i, row in enumerate(_of(list, rows, name))))
+
+
+def _canonical(node, name: str) -> SkewMatrix:
+    vals = (tuple(_num(node[k], f"{name}.{k}") for k in PARAM_NAMES)
+            if isinstance(node, dict) else _nums(node, name))
+    if len(vals) != 6:
+        raise ValidationError(f"{name} needs 6 values")
+    return matrix_from_canonical(vals)
+
+
+def _tolerances(node, name: str) -> dict:
+    node = _of(dict, node, name)
+    return {arg: _num(node[key], f"{name}.{key}") for key, arg in
+            (("validate_sum", "sum_tol"), ("negative_clamp", "neg_tol"))
+            if key in node}
+
+
+def _starts(node, name: str, m: int, tols: dict, min_coord: float):
+    node = _of(dict, node, name)
+    starts = [_point(p, f"{name}.points[{i}]", m, tols) for i, p in
+              enumerate(_of(list, node.get("points", []), f"{name}.points"))]
+    count = _int(node.get("count", 0), f"{name}.count")
+    seed = _int(node["seed"], f"{name}.seed") if "seed" in node else None
     if count > 0:
-        if "seed" not in node:
+        if seed is None:
             raise ValidationError("random starts need a 'seed'")
-        starts += interior_points(m, count, int(node["seed"]),
-                                  float(cfg.get("min_coord", 0.01)))
-    if not starts:
-        raise ValidationError("no starting points configured")
-    for s in starts:
-        if s.m != m:
-            raise ValidationError(f"start has m={s.m}, matrix has m={m}")
-    return starts
+        starts += interior_points(m, count, seed, min_coord)
+    return tuple(starts)
 
 
-def _observables_from_config(cfg, m: int):
-    node = cfg.get("observables")
-    if node is None:
-        return list(coordinate_observables(m))
-    obs = []
-    for label in node.get("coordinates", []):
-        obs.append(CoordinateObservable(int(label)))
-    for k, entry in enumerate(node.get("monomials", [])):
-        if isinstance(entry, dict):
-            obs.append(MonomialObservable(
-                tuple(float(v) for v in entry["exponents"]),
-                name=str(entry.get("name", f"F{k + 1}"))))
-        else:
-            obs.append(MonomialObservable(
-                tuple(float(v) for v in entry), name=f"F{k + 1}"))
-    if not obs:
-        return list(coordinate_observables(m))
-    return obs
-
-
-def _checkpoints_from_config(cfg):
-    node = cfg.get("checkpoints", "dyadic")
+def _checkpoints(node, name: str):
     if node == "dyadic":
         return None
-    return tuple(int(n) for n in node)
+    node = _of(list, node, name, '"dyadic" or ')
+    return tuple(_int(n, f"{name}[{i}]") for i, n in enumerate(node))
+
+
+def _observables(node, name: str) -> tuple:
+    node = _of(dict, node, name)
+    labels = _of(list, node.get("coordinates", []), f"{name}.coordinates")
+    obs = [CoordinateObservable(_int(v, f"{name}.coordinates[{i}]"))
+           for i, v in enumerate(labels)]
+    monomials = _of(list, node.get("monomials", []), f"{name}.monomials")
+    for k, entry in enumerate(monomials):
+        where = f"{name}.monomials[{k}]"
+        if not isinstance(entry, dict):     # a bare exponent array
+            entry = {"exponents": entry}
+        obs.append(MonomialObservable(
+            _nums(entry["exponents"], f"{where}.exponents"),
+            name=_of(str, entry.get("name", f"F{k + 1}"), f"{where}.name")))
+    return tuple(obs)
+
+
+def _verify(node, name: str, m: int, tols: dict, fallback: SimplexPoint):
+    """(start, steps, transient) of the Lyapunov check; None when off."""
+    if node is False:
+        return None
+    node = _of(dict, node, name, "false or ")
+    start = (_point(node["start"], f"{name}.start", m, tols)
+             if "start" in node else fallback)
+    return (start, _int(node.get("steps", 100_000), f"{name}.steps"),
+            _int(node.get("transient", 100), f"{name}.transient"))
+
+
+@dataclass(frozen=True)
+class _Config:
+    """Everything a config describes, type-checked and built by _parse."""
+
+    matrix: SkewMatrix
+    runs: tuple[TrajectoryConfig, ...]      # one per start, given steps
+    observables: tuple
+    workers: int
+    delta_conv: float
+    delta_osc: float
+    verify: tuple[SimplexPoint, int, int] | None
+
+
+def _parse(cfg: dict) -> _Config:
+    """Check every key against the schema's types and build every object
+    the config describes, whatever the command, so a config is accepted or
+    rejected as a whole before any work."""
+    matrix = _read(cfg, "matrix", _matrix,
+                   _read(cfg, "canonical_params", _canonical))
+    if matrix is None:
+        raise ValidationError("config needs 'matrix' or 'canonical_params'")
+    m = matrix.m
+    if _read(cfg, "m", _int, m) != m:
+        raise ValidationError(f"declared m={cfg['m']}, matrix has m={m}")
+    tols = _read(cfg, "tolerances", _tolerances, {})
+    starts = _read(cfg, "starts", _starts, (), m, tols,
+                   _read(cfg, "min_coord", _num, 0.01))
+    steps = _read(cfg, "steps", _int)
+    run = dict(epsilon=_read(cfg, "epsilon", _num, 0.05),
+               record_stride=_read(cfg, "record_stride", _int,
+                                   max(1, (steps or 0) // 1000)),
+               checkpoints=_read(cfg, "checkpoints", _checkpoints))
+    fallback = starts[0] if starts else SimplexPoint.barycenter(m)
+    return _Config(
+        matrix=matrix,
+        runs=() if steps is None else tuple(
+            TrajectoryConfig(matrix=matrix, start=s, steps=steps, **run)
+            for s in starts),
+        observables=(_read(cfg, "observables", _observables, ())
+                     or coordinate_observables(m)),
+        workers=_read(cfg, "workers", _int, 1),
+        delta_conv=_read(cfg, "delta_conv", _num, DELTA_CONV),
+        delta_osc=_read(cfg, "delta_osc", _num, DELTA_OSC),
+        verify=_read(cfg, "verify", _verify, (fallback, 100_000, 100),
+                     m, tols, fallback),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,28 +271,23 @@ def _write_json(payload: dict, out_dir: Path, name: str,
         sys.stdout.write(text)
 
 
-def _matrix_rows(a: SkewMatrix) -> list[list[float]]:
-    return [list(row) for row in a.rows]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_classify(cfg: dict, out_dir: Path) -> int:
-    a = _matrix_from_config(cfg)
+def cmd_classify(parsed: _Config, out_dir: Path) -> int:
+    a = parsed.matrix
     report = classify(a)
     params = report.canonical_params
     payload = {
         "m": a.m,
-        "matrix": _matrix_rows(a),
+        "matrix": a.rows,
         "class": int(report.volterra_class),
         "class_name": report.volterra_class.name.lower(),
         "witness_row": report.witness_row,
-        "permutation": list(report.permutation) if report.permutation else None,
+        "permutation": report.permutation,
         "canonical_params": (
-            {k: getattr(params, k) for k in
-             ("a12", "a13", "a14", "a23", "a24", "a34")}
+            {k: getattr(params, k) for k in PARAM_NAMES}
             if params else None),
         "invariant_i": report.invariant,
     }
@@ -224,27 +295,23 @@ def cmd_classify(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_fixed_points(cfg: dict, out_dir: Path) -> int:
-    a = _matrix_from_config(cfg)
+def cmd_fixed_points(parsed: _Config, out_dir: Path) -> int:
+    a = parsed.matrix
     inventory = all_fixed_points(a)
     payload = {
         "m": a.m,
-        "matrix": _matrix_rows(a),
+        "matrix": a.rows,
         "everywhere_fixed": inventory.everywhere_fixed,
         "degenerate_interior": inventory.degenerate_interior,
-        "degenerate_edges": [list(f.support)
-                             for f in inventory.degenerate_edges],
-        "degenerate_faces": [list(f.support)
-                             for f in inventory.degenerate_faces],
+        "degenerate_edges": [f.support for f in inventory.degenerate_edges],
+        "degenerate_faces": [f.support for f in inventory.degenerate_faces],
         "records": [
             {
-                "point": list(rec.point.coords),
-                "support": list(rec.support.support),
+                "point": rec.point.coords,
+                "support": rec.support.support,
                 "stability": rec.stability.value,
                 "degenerate": rec.degenerate,
-                "transverse_multipliers": [
-                    [label, value]
-                    for label, value in rec.transverse_multipliers],
+                "transverse_multipliers": rec.transverse_multipliers,
                 "in_face_eigenvalues": [
                     [z.real, z.imag] for z in rec.in_face_eigenvalues],
             }
@@ -255,12 +322,12 @@ def cmd_fixed_points(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_lyapunov(cfg: dict, out_dir: Path) -> int:
-    a = _matrix_from_config(cfg)
+def cmd_lyapunov(parsed: _Config, out_dir: Path) -> int:
+    a = parsed.matrix
     candidate = synthesize(a)
     payload = {
         "m": a.m,
-        "matrix": _matrix_rows(a),
+        "matrix": a.rows,
         "feasible": candidate is not None,
         "exponents": None,
         "margin": None,
@@ -268,29 +335,17 @@ def cmd_lyapunov(cfg: dict, out_dir: Path) -> int:
         "vertex_constraint_values": None,
         "verify": None,
     }
-    verify_node = cfg.get("verify", {})
     if candidate is not None:
-        payload["exponents"] = list(candidate.exponents)
+        payload["exponents"] = candidate.exponents
         payload["margin"] = candidate.margin
-        payload["vertex_gains"] = list(candidate.vertex_gains)
-        payload["vertex_constraint_values"] = list(
-            vertex_constraint_values(a, candidate.exponents))
-        if verify_node is not False:
-            if "start" in verify_node:
-                start = validate(verify_node["start"], **_validate_tols(cfg))
-            elif cfg.get("starts"):
-                start = _starts_from_config(cfg, a.m)[0]
-            else:
-                start = SimplexPoint.barycenter(a.m)
-            report = verify_along_trajectory(
-                candidate, a, start,
-                steps=int(verify_node.get("steps", 100_000)),
-                transient=int(verify_node.get("transient", 100)),
-            )
+        payload["vertex_gains"] = candidate.vertex_gains
+        payload["vertex_constraint_values"] = vertex_constraint_values(
+            a, candidate.exponents)
+        if parsed.verify is not None:
+            report = verify_along_trajectory(candidate, a, *parsed.verify)
             payload["verify"] = {
                 "verdict": report.verdict.value,
-                "decade_drifts": [[n0, n1, d]
-                                  for n0, n1, d in report.decade_drifts],
+                "decade_drifts": report.decade_drifts,
                 "log_start": report.log_start,
                 "log_end": report.log_end,
             }
@@ -302,9 +357,8 @@ def _start_summary(index: int, start: SimplexPoint, result, coord_names,
                    delta_conv: float, delta_osc: float) -> dict:
     verdict_value = None
     oscillation = {}
-    series = [s for s in result.cesaro if s.function_id in coord_names]
-    if not series:
-        series = list(result.cesaro)
+    series = ([s for s in result.cesaro if s.function_id in coord_names]
+              or result.cesaro)
     try:
         verdict = ergodic_verdict(series, delta_conv, delta_osc)
         verdict_value = verdict.verdict.value
@@ -312,7 +366,6 @@ def _start_summary(index: int, start: SimplexPoint, result, coord_names,
     except TooFewCheckpoints:
         pass
     table = result.sojourn
-    route = list(table.route())
     route_ok = route_check(table) if result.m == 4 else None
     try:
         growth = sojourn_growth(table, vertex=1)
@@ -320,48 +373,32 @@ def _start_summary(index: int, start: SimplexPoint, result, coord_names,
         growth = None
     return {
         "index": index,
-        "start": list(start.coords),
+        "start": start.coords,
         "verdict": verdict_value,
         "oscillation": oscillation,
         "sojourn_event_count": len(table.events),
-        "route": route,
+        "route": table.route(),
         "route_ok": route_ok,
         "growth_at_vertex_1": growth,
         "min_log_phi": result.min_log_phi,
         "final": [math.exp(v) for v in result.final.log_coords],
-        "final_log": list(result.final.log_coords),
+        "final_log": result.final.log_coords,
         "max_abs_drift": result.max_abs_drift,
     }
 
 
-def cmd_simulate(cfg: dict, out_dir: Path) -> int:
-    a = _matrix_from_config(cfg)
-    m = a.m
-    starts = _starts_from_config(cfg, m)
-    if "steps" not in cfg:
-        raise ValidationError("config needs 'steps'")
-    steps = int(cfg["steps"])
-    epsilon = float(cfg.get("epsilon", 0.05))
-    stride = int(cfg.get("record_stride", max(1, steps // 1000)))
-    observables = _observables_from_config(cfg, m)
-    checkpoints = _checkpoints_from_config(cfg)
-    workers = int(cfg.get("workers", 1))
-    delta_conv = float(cfg.get("delta_conv", DELTA_CONV))
-    delta_osc = float(cfg.get("delta_osc", DELTA_OSC))
-
-    configs = [
-        TrajectoryConfig(matrix=a, start=s, steps=steps, epsilon=epsilon,
-                         checkpoints=checkpoints, record_stride=stride)
-        for s in starts
-    ]
+def cmd_simulate(parsed: _Config, out_dir: Path) -> int:
+    a, runs, observables = parsed.matrix, parsed.runs, parsed.observables
+    if not runs:
+        raise ValidationError("simulate needs 'steps' and at least one start")
     log.info("simulate: %d starts, %d steps, backend=%s (%s)",
-             len(starts), steps, kernel.BACKEND, kernel.BACKEND_REASON)
-    results = run_ensemble(configs, observables, workers=workers)
+             len(runs), runs[0].steps, kernel.BACKEND, kernel.BACKEND_REASON)
+    results = run_ensemble(runs, observables, workers=parsed.workers)
 
     coord_names = {o.name for o in observables
                    if isinstance(o, CoordinateObservable)}
     summaries = []
-    for i, (start, result) in enumerate(zip(starts, results)):
+    for i, (run, result) in enumerate(zip(runs, results)):
         run_dir = out_dir / f"start_{i:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(run_dir / "trajectory.csv", result)
@@ -369,20 +406,20 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         write_sojourn_csv(run_dir / "sojourn.csv", result)
         write_phi_csv(run_dir / "phi.csv", result)
         write_outside_csv(run_dir / "outside.csv", result)
-        summaries.append(_start_summary(i, start, result, coord_names,
-                                        delta_conv, delta_osc))
+        summaries.append(_start_summary(i, run.start, result, coord_names,
+                                        parsed.delta_conv, parsed.delta_osc))
 
     payload = {
-        "m": m,
-        "matrix": _matrix_rows(a),
-        "steps": steps,
-        "epsilon": epsilon,
-        "record_stride": stride,
-        "checkpoints": "dyadic" if checkpoints is None else list(checkpoints),
+        "m": a.m,
+        "matrix": a.rows,
+        "steps": runs[0].steps,
+        "epsilon": runs[0].epsilon,
+        "record_stride": runs[0].record_stride,
+        "checkpoints": runs[0].checkpoints or "dyadic",
         "observables": [o.name if isinstance(o, CoordinateObservable)
                         else (o.name or "F") for o in observables],
-        "delta_conv": delta_conv,
-        "delta_osc": delta_osc,
+        "delta_conv": parsed.delta_conv,
+        "delta_osc": parsed.delta_osc,
         "backend": kernel.BACKEND,
         "starts": summaries,
     }
@@ -422,8 +459,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, Path(args.out))
+        parsed = _parse(_load_config(args.config))
+        return _COMMANDS[args.command](parsed, Path(args.out))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -96,7 +96,6 @@ class TrajectoryConfig:
     epsilon: float = 0.05
     checkpoints: tuple[int, ...] | None = None   # None -> dyadic
     record_stride: int = 1000
-    seed: int | None = None
 
     def __post_init__(self):
         if self.matrix.m != self.start.m:
@@ -218,12 +217,6 @@ class ErgodicVerdict:
     oscillation: tuple[tuple[str, float], ...]   # per observable, max-min
     verdict: Verdict
     scale: int
-
-    def oscillation_of(self, function_id: str) -> float:
-        for name, v in self.oscillation:
-            if name == function_id:
-                return v
-        raise KeyError(function_id)
 
     @property
     def max_oscillation(self) -> float:

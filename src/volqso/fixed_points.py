@@ -62,10 +62,6 @@ class FixedPointRecord:
                 return v
         raise KeyError(label)
 
-    def all_moduli(self) -> tuple[float, ...]:
-        return tuple(abs(z) for z in self.in_face_eigenvalues) + tuple(
-            abs(v) for _, v in self.transverse_multipliers)
-
 
 @dataclass(frozen=True)
 class FixedPointInventory:
@@ -99,12 +95,7 @@ def tangent_restriction(j: np.ndarray) -> np.ndarray:
     """Restrict a column-sum-1 matrix to {sum v = 0} in the basis
     t_c = e_c - e_n: since J t_c stays in the tangent space, the coefficient
     on t_r is simply (J t_c)_r = J[r,c] - J[r,n]."""
-    n = j.shape[0]
-    m = np.empty((n - 1, n - 1))
-    for r in range(n - 1):
-        for c in range(n - 1):
-            m[r, c] = j[r, c] - j[r, n - 1]
-    return m
+    return j[:-1, :-1] - j[:-1, -1:]
 
 
 def _sorted_eigs(mat: np.ndarray) -> tuple[complex, ...]:
@@ -122,23 +113,24 @@ def _classify_moduli(moduli) -> StabilityType:
     return StabilityType.SADDLE
 
 
-def jacobian_spectrum(a: SkewMatrix, p: SimplexPoint) -> tuple[complex, ...]:
-    """Multipliers of the linearization at a fixed point, on the tangent
-    space of the simplex (m-1 values, sorted by real then imaginary part)."""
+def _check_fixed(a: SkewMatrix, p: SimplexPoint) -> None:
     image = apply_volterra(a, p)
     residual = max(abs(u - v) for u, v in zip(image.coords, p.coords))
     if residual > FIXED_TOL:
         raise NotAFixedPoint(f"|V(p) - p|_inf = {residual:.3e}")
+
+
+def jacobian_spectrum(a: SkewMatrix, p: SimplexPoint) -> tuple[complex, ...]:
+    """Multipliers of the linearization at a fixed point, on the tangent
+    space of the simplex (m-1 values, sorted by real then imaginary part)."""
+    _check_fixed(a, p)
     return _sorted_eigs(tangent_restriction(volterra_jacobian(a, p)))
 
 
 def _record_for(a: SkewMatrix, point: SimplexPoint, support: FaceId,
                 degenerate: bool = False) -> FixedPointRecord:
     m = a.m
-    image = apply_volterra(a, point)
-    residual = max(abs(u - v) for u, v in zip(image.coords, point.coords))
-    if residual > FIXED_TOL:
-        raise NotAFixedPoint(f"|V(p) - p|_inf = {residual:.3e}")
+    _check_fixed(a, point)
     arr = a.as_array()
     x = np.array(point.coords)
     ap = arr @ x
@@ -196,16 +188,13 @@ def face_fixed_point(a: SkewMatrix, face: FaceId) -> FixedPointRecord | None:
     return _record_for(a, point, face)
 
 
-def _vertex_record(a: SkewMatrix, label: int) -> FixedPointRecord:
-    return _record_for(a, SimplexPoint.vertex(a.m, label), FaceId((label,)))
-
-
-def _edge_midpoint_record(a: SkewMatrix, i: int, j: int) -> FixedPointRecord:
+def _continuum_record(a: SkewMatrix, face: FaceId) -> FixedPointRecord:
+    """A face made of fixed points, represented by its barycenter."""
     coords = [0.0] * a.m
-    coords[i] = 0.5
-    coords[j] = 0.5
-    return _record_for(a, SimplexPoint(tuple(coords)),
-                       FaceId((i + 1, j + 1)), degenerate=True)
+    for pos in face.indices():
+        coords[pos] = 1.0 / face.size
+    return _record_for(a, SimplexPoint(_renormalized(coords)), face,
+                       degenerate=True)
 
 
 def _interior_kernel_record(a: SkewMatrix) -> FixedPointRecord | None:
@@ -251,7 +240,8 @@ def all_fixed_points(a: SkewMatrix) -> FixedPointInventory:
     m = a.m
     if m not in (3, 4):
         raise WrongDimension(f"m={m} not supported")
-    records = [_vertex_record(a, label) for label in range(1, m + 1)]
+    records = [_record_for(a, SimplexPoint.vertex(m, label), FaceId((label,)))
+               for label in range(1, m + 1)]
     if all(v == 0.0 for row in a.rows for v in row):
         return FixedPointInventory(records=tuple(records),
                                    everywhere_fixed=True)
@@ -260,7 +250,7 @@ def all_fixed_points(a: SkewMatrix) -> FixedPointInventory:
     for i, j in combinations(range(m), 2):
         if a.rows[i][j] == 0.0:
             degenerate_edges.append(FaceId((i + 1, j + 1)))
-            records.append(_edge_midpoint_record(a, i, j))
+            records.append(_continuum_record(a, degenerate_edges[-1]))
 
     degenerate_faces = []
     for combo in combinations(range(m), 3):
@@ -269,12 +259,7 @@ def all_fixed_points(a: SkewMatrix) -> FixedPointInventory:
         if (a.rows[i][j] == 0.0 and a.rows[i][k] == 0.0
                 and a.rows[j][k] == 0.0):
             degenerate_faces.append(face)
-            coords = [0.0] * m
-            for pos in combo:
-                coords[pos] = 1.0 / 3.0
-            records.append(_record_for(
-                a, SimplexPoint(_renormalized(coords)), face,
-                degenerate=True))
+            records.append(_continuum_record(a, face))
             continue
         rec = face_fixed_point(a, face)
         if rec is not None:

@@ -205,11 +205,11 @@ def get_kernel(name: str):
 
 def _select():
     choice = os.environ.get("VOLQSO_KERNEL", "auto").strip().lower()
-    if choice in ("py", "python", "pure"):
-        return _kernel_py.run, "python", f"forced by VOLQSO_KERNEL={choice}"
-    if choice in ("c", "compiled", "cython"):
+    if choice == "python":
+        return _kernel_py.run, "python", "forced by VOLQSO_KERNEL=python"
+    if choice == "compiled":
         return (get_kernel("compiled"), "compiled",
-                f"forced by VOLQSO_KERNEL={choice}; {_compiled()[1]}")
+                f"forced by VOLQSO_KERNEL=compiled; {_compiled()[1]}")
     if choice not in ("", "auto"):
         raise ValueError(
             f"VOLQSO_KERNEL={choice!r}; expected auto, python or compiled")

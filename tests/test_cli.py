@@ -1,11 +1,16 @@
+import copy
 import json
 from pathlib import Path
 
 import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volqso.cli import main
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+EXAMPLE = DOCS.parent / "example-config.json"
 
 ALL_HALF_ROWS = [[0, 0.5, 0.5, -0.5], [-0.5, 0, 0.5, 0.5],
                  [-0.5, -0.5, 0, 0.5], [0.5, -0.5, -0.5, 0]]
@@ -79,6 +84,12 @@ class TestClassifyCommand:
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        assert main(["classify", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+
+    def test_non_utf8_config_exits_2(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"matrix": "\xff"}')
         assert main(["classify", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
 
@@ -271,3 +282,133 @@ class TestDeclaredDimension:
         cfg = write_config(tmp_path, {"m": 3, "matrix": ALL_HALF_ROWS})
         assert main(["classify", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
+
+
+class TestExampleConfig:
+    def test_validates_against_schema(self):
+        jsonschema.validate(json.loads(EXAMPLE.read_text()),
+                            schema("config.schema.json"))
+
+    @pytest.mark.parametrize("command", ["classify", "fixed-points"])
+    def test_small_commands_succeed(self, tmp_path, command):
+        assert main([command, "--config", str(EXAMPLE),
+                     "--out", str(tmp_path / "out")]) == 0
+
+
+SIMULATE_BASE = {
+    "matrix": ALL_HALF_ROWS,
+    "starts": {"points": [[0.4, 0.3, 0.2, 0.1]]},
+    "steps": 100,
+    "record_stride": 10,
+}
+HALF_PARAMS = {k: 0.5 for k in ("a12", "a13", "a14", "a23", "a24", "a34")}
+ALL_COMMANDS = ["classify", "fixed-points", "lyapunov", "simulate"]
+
+# (command, config, key the error must name); each config once ended in a
+# traceback or ran although the schema rejects it.
+MALFORMED = [
+    ("simulate", dict(SIMULATE_BASE, starts={"points": ["ab"]}),
+     "starts.points[0]"),
+    ("simulate", dict(SIMULATE_BASE, steps="x"), "steps"),
+    ("simulate", dict(SIMULATE_BASE, epsilon=None), "epsilon"),
+    ("simulate", dict(SIMULATE_BASE, starts=[]), "starts"),
+    ("lyapunov", {"matrix": ALL_HALF_ROWS, "verify": True}, "verify"),
+    ("simulate", dict(SIMULATE_BASE, tolerances=5), "tolerances"),
+    ("simulate", dict(SIMULATE_BASE, checkpoints="foo"), "checkpoints"),
+    *[(command, dict(SIMULATE_BASE, m="x"), "m") for command in ALL_COMMANDS],
+    ("simulate", dict(SIMULATE_BASE, observables={"monomials": [
+        {"name": "F"}]}), "observables"),
+    ("simulate", dict(SIMULATE_BASE, observables=[1]), "observables"),
+    ("classify", {"canonical_params": dict(HALF_PARAMS, a12="x")},
+     "canonical_params.a12"),
+    ("simulate", dict(SIMULATE_BASE, delta_conv="a"), "delta_conv"),
+    ("simulate", dict(SIMULATE_BASE, min_coord="x",
+                      starts={"count": 2, "seed": 1}), "min_coord"),
+    ("simulate", dict(SIMULATE_BASE, starts={"count": 2, "seed": "s"}),
+     "starts.seed"),
+    ("simulate", dict(SIMULATE_BASE, steps=True), "steps"),
+    ("simulate", dict(SIMULATE_BASE, steps=2.7), "steps"),
+    ("simulate", dict(SIMULATE_BASE, workers="2"), "workers"),
+    ("classify", dict(SIMULATE_BASE, steps=True), "steps"),
+]
+
+
+class TestConfigParse:
+    @pytest.mark.parametrize("command,config,key", MALFORMED,
+                             ids=[f"{c}-{k}" for c, _, k in MALFORMED])
+    def test_malformed_value_exits_2_naming_key(self, tmp_path, capsys,
+                                                command, config, key):
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.split()[:2] in (["error:", key], ["error:", f"{key}:"])
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_steps_same_bytes(self, tmp_path):
+        outs = []
+        for steps in (2000, 2000.0):
+            cfg = write_config(tmp_path, dict(SIMULATE_BASE, steps=steps),
+                               f"{steps!r}.json")
+            outs.append(tmp_path / repr(steps))
+            assert main(["simulate", "--config", cfg,
+                         "--out", str(outs[-1])]) == 0
+        assert tree_bytes(outs[0]) == tree_bytes(outs[1])
+
+    def test_config_parsed_before_any_work(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the config was parsed")
+
+        monkeypatch.setattr("volqso.cli.synthesize", forbidden)
+        monkeypatch.setattr("volqso.cli.run_ensemble", forbidden)
+        lyapunov = write_config(tmp_path, {
+            "matrix": ALL_HALF_ROWS,
+            "verify": {"start": [0.4, "x", 0.2, 0.1]}}, "lyapunov.json")
+        simulate = write_config(tmp_path, dict(
+            SIMULATE_BASE, observables={"monomials": [{"name": "F"}]}),
+            "simulate.json")
+        assert main(["lyapunov", "--config", lyapunov,
+                     "--out", str(tmp_path / "l")]) == 2
+        assert main(["simulate", "--config", simulate,
+                     "--out", str(tmp_path / "s")]) == 2
+
+
+FUZZ_BASE = dict(json.loads(EXAMPLE.read_text()), steps=2000,
+                 record_stride=100, workers=1)
+FUZZ_BASE["starts"] = dict(FUZZ_BASE["starts"], count=1)
+FUZZ_BASE["verify"] = dict(FUZZ_BASE["verify"], steps=1000)
+DELETE = object()
+
+
+@st.composite
+def mutated_configs(draw):
+    """The fuzz base with one or two present keys (top-level or one level
+    into an object) replaced by a mistyped value or deleted."""
+    cfg = copy.deepcopy(FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 2))):
+        paths = [(k,) for k in cfg] + [
+            (k, sub) for k, v in cfg.items() if isinstance(v, dict)
+            for sub in v]
+        path = draw(st.sampled_from(sorted(paths)))
+        value = draw(st.sampled_from([None, True, "x", [], {}, DELETE]))
+        node = cfg[path[0]] if len(path) == 2 else cfg
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+    return cfg
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=mutated_configs())
+def test_fuzzed_config_exits_cleanly(tmp_path_factory, cfg):
+    valid = jsonschema.Draft7Validator(
+        schema("config.schema.json")).is_valid(cfg)
+    root = tmp_path_factory.mktemp("fuzz")
+    path = write_config(root, cfg)
+    for command in ("classify", "lyapunov", "simulate"):
+        code = main([command, "--config", path,
+                     "--out", str(root / command)])
+        assert code in (0, 2, 3)
+        if not valid:
+            assert code == 2, command

@@ -184,6 +184,17 @@ class TestJacobian:
             oracle = durand_kerner(char_poly(r))
             assert_same_spectrum(spec, oracle, tol=1e-8)
 
+    def test_tangent_restriction_matches_entrywise_loop(self, rng):
+        # reference: one subtraction per entry, J[r,c] - J[r,n]
+        for n in (2, 3, 4):
+            for _ in range(200):
+                j = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8)
+                ref = np.empty((n - 1, n - 1))
+                for r in range(n - 1):
+                    for c in range(n - 1):
+                        ref[r, c] = j[r, c] - j[r, n - 1]
+                assert tangent_restriction(j).tobytes() == ref.tobytes()
+
     def test_face_spectrum_embeds_in_full_spectrum(self, rng):
         # full tangent spectrum = in-face pair + the transverse multiplier
         for _ in range(50):

@@ -75,3 +75,11 @@ def test_no_compiler_falls_back_quietly(pkg_root):
     assert forced.returncode == 1
     assert f"ImportError: compiled trajectory kernel unavailable: {reason}" \
         in forced.stderr
+
+
+def test_stale_backend_name_rejected(pkg_root):
+    # the Cython backend is gone; only auto, python and compiled are accepted
+    stale = probe(pkg_root, VOLQSO_KERNEL="cython")
+    assert stale.returncode == 1
+    assert "VOLQSO_KERNEL='cython'; expected auto, python or compiled" \
+        in stale.stderr
