@@ -1,7 +1,11 @@
 """Volterra quadratic stochastic operators on the 2- and 3-dimensional
 simplex: operator evaluation, classification of 4x4 interaction matrices,
 fixed-point inventories, monomial Lyapunov synthesis, and long-horizon
-ergodicity diagnostics."""
+ergodicity diagnostics.
+
+numpy and scipy are imported inside the functions that use them, so
+`import volqso` loads neither: `classify` and `simulate` on explicit starts
+run without them."""
 
 from .classify import (
     CanonicalParams,

@@ -9,7 +9,8 @@ One experiment = one JSON config file (documented in docs/formats.md, with
 schemas in docs/schemas/).  Outputs are byte-deterministic for a given
 config: floats are written shortest-round-trip, field order is fixed, and no
 paths or timestamps are embedded.  The whole config is type-checked, and
-every object it describes built, before any work, whatever the command.
+every object it describes built, before any work, whatever the command;
+`delta_conv < delta_osc` and `verify.steps >= 1000` are checked there too.
 Exit codes: 0 success, 2 validation error (a malformed config value names
 its key), 3 numerical diagnostic.  Set VOLQSO_LOG=debug|info|... for logging.
 """
@@ -52,6 +53,7 @@ from .errors import (
 )
 from .fixed_points import all_fixed_points
 from .lyapunov import (
+    MIN_VERIFY_STEPS,
     synthesize,
     verify_along_trajectory,
     vertex_constraint_values,
@@ -193,8 +195,11 @@ def _verify(node, name: str, m: int, tols: dict, fallback: SimplexPoint):
     node = _of(dict, node, name, "false or ")
     start = (_point(node["start"], f"{name}.start", m, tols)
              if "start" in node else fallback)
-    return (start, _int(node.get("steps", 100_000), f"{name}.steps"),
-            _int(node.get("transient", 100), f"{name}.transient"))
+    steps = _int(node.get("steps", 100_000), f"{name}.steps")
+    if steps < MIN_VERIFY_STEPS:
+        raise ValidationError(f"{name}.steps must be >= {MIN_VERIFY_STEPS} "
+                              f"for a decade comparison, got {steps}")
+    return start, steps, _int(node.get("transient", 100), f"{name}.transient")
 
 
 @dataclass(frozen=True)
@@ -229,6 +234,11 @@ def _parse(cfg: dict) -> _Config:
                record_stride=_read(cfg, "record_stride", _int,
                                    max(1, (steps or 0) // 1000)),
                checkpoints=_read(cfg, "checkpoints", _checkpoints))
+    delta_conv = _read(cfg, "delta_conv", _num, DELTA_CONV)
+    delta_osc = _read(cfg, "delta_osc", _num, DELTA_OSC)
+    if delta_conv >= delta_osc:
+        raise ValidationError(f"delta_conv must be below delta_osc, got "
+                              f"{delta_conv!r} >= {delta_osc!r}")
     fallback = starts[0] if starts else SimplexPoint.barycenter(m)
     return _Config(
         matrix=matrix,
@@ -238,8 +248,8 @@ def _parse(cfg: dict) -> _Config:
         observables=(_read(cfg, "observables", _observables, ())
                      or coordinate_observables(m)),
         workers=_read(cfg, "workers", _int, 1),
-        delta_conv=_read(cfg, "delta_conv", _num, DELTA_CONV),
-        delta_osc=_read(cfg, "delta_osc", _num, DELTA_OSC),
+        delta_conv=delta_conv,
+        delta_osc=delta_osc,
         verify=_read(cfg, "verify", _verify, (fallback, 100_000, 100),
                      m, tols, fallback),
     )

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-import numpy as np
-
 from .classify import pfaffian4
 from .errors import (
     NotAFixedPoint,
@@ -84,6 +82,8 @@ class RepellerLyapunov:
 
 
 def volterra_jacobian(a: SkewMatrix, p: SimplexPoint) -> np.ndarray:
+    import numpy as np
+
     if a.m != p.m:
         raise WrongDimension(f"matrix m={a.m}, point m={p.m}")
     arr = a.as_array()
@@ -99,6 +99,8 @@ def tangent_restriction(j: np.ndarray) -> np.ndarray:
 
 
 def _sorted_eigs(mat: np.ndarray) -> tuple[complex, ...]:
+    import numpy as np
+
     eigs = [complex(z) for z in np.linalg.eigvals(mat)]
     return tuple(sorted(eigs, key=lambda z: (z.real, z.imag)))
 
@@ -129,6 +131,8 @@ def jacobian_spectrum(a: SkewMatrix, p: SimplexPoint) -> tuple[complex, ...]:
 
 def _record_for(a: SkewMatrix, point: SimplexPoint, support: FaceId,
                 degenerate: bool = False) -> FixedPointRecord:
+    import numpy as np
+
     m = a.m
     _check_fixed(a, point)
     arr = a.as_array()
@@ -201,6 +205,7 @@ def _interior_kernel_record(a: SkewMatrix) -> FixedPointRecord | None:
     """Representative interior fixed point of a singular 4x4 matrix: a
     strictly positive, sum-1 vector in the 2-dimensional kernel, found by
     maximizing the smallest coordinate (tiny LP)."""
+    import numpy as np
     from scipy.optimize import linprog
 
     arr = a.as_array()

@@ -20,11 +20,7 @@ import functools
 import hashlib
 import itertools
 import os
-import shlex
-import shutil
 import struct
-import subprocess
-import sysconfig
 from array import array
 from pathlib import Path
 
@@ -52,6 +48,12 @@ class _Result(ctypes.Structure):
 
 def _build(lib: Path) -> str | None:
     """Compile `_kernel.c` into `lib`; returns why it failed, or None."""
+    # imported here: a cache hit, every process after the first, needs none
+    import shlex
+    import shutil
+    import subprocess
+    import sysconfig
+
     cc = (shlex.split(os.environ.get("CC", ""))
           or shlex.split(sysconfig.get_config_var("CC") or "cc"))
     if shutil.which(cc[0]) is None:

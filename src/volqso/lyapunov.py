@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-from scipy.optimize import linprog
-
 from .errors import InfeasibleNumerics, SingularEntry, ValidationError
 from .ergodic import MonomialObservable, TrajectoryConfig, run_trajectory
 from .qso import SkewMatrix
@@ -30,6 +27,7 @@ from .simplex import SimplexPoint
 
 MARGIN_TOL = 1e-9     # solver optimum below this: report infeasible
 LAMBDA_BOUND = 1.0
+MIN_VERIFY_STEPS = 1000   # shortest run with a decade window to compare
 
 
 @dataclass(frozen=True)
@@ -43,6 +41,8 @@ class LogGainMatrix:
         return len(self.b)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.b)
 
 
@@ -112,6 +112,9 @@ def synthesize(a: SkewMatrix) -> LyapunovCandidate | None:
     """Maximize the smallest slack t of the vertex-gain system over the unit
     box; returns None when no strictly feasible exponents exist (optimum 0,
     e.g. the zero matrix), a candidate with margin > 0 otherwise."""
+    import numpy as np
+    from scipy.optimize import linprog
+
     _check_entries(a)
     m = a.m
     # variables (lam_1..lam_m, t); constraint j: sum_i L[i][j] lam_i + t <= 0
@@ -153,8 +156,9 @@ def verify_along_trajectory(candidate, a: SkewMatrix, start: SimplexPoint,
     """
     exponents = candidate.exponents if isinstance(candidate, LyapunovCandidate) \
         else tuple(float(v) for v in candidate)
-    if steps < 1000:
-        raise ValidationError("need steps >= 1000 for a decade comparison")
+    if steps < MIN_VERIFY_STEPS:
+        raise ValidationError(
+            f"need steps >= {MIN_VERIFY_STEPS} for a decade comparison")
     cfg = TrajectoryConfig(matrix=a, start=start, steps=steps,
                            record_stride=10)
     result = run_trajectory(

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernel
 from .errors import (
     DegenerateFactor,
@@ -75,12 +73,16 @@ class SkewMatrix:
         return cls(tuple(tuple(0.0 for _ in range(m)) for _ in range(m)))
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.rows, dtype=float)
 
 
 def skewize(arr) -> SkewMatrix:
     """Project a nearly-skew square array onto exact skew-symmetry,
     (a - a^T)/2, clamping rounding spill just outside [-1, 1]."""
+    import numpy as np
+
     a = np.asarray(arr, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise WrongDimension("expected a square matrix")
@@ -105,6 +107,8 @@ class HeredityTensor:
     p: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         p = np.array(self.p, dtype=float)
         if p.ndim != 3 or len(set(p.shape)) != 1:
             raise WrongDimension(f"tensor shape {p.shape} is not (m,m,m)")
@@ -127,6 +131,8 @@ class HeredityTensor:
 
     @property
     def is_symmetric(self) -> bool:
+        import numpy as np
+
         return bool(np.array_equal(self.p, self.p.transpose(1, 0, 2)))
 
 
@@ -139,6 +145,8 @@ def symmetrize(t: HeredityTensor) -> HeredityTensor:
 
 def apply_qso(t: HeredityTensor, x: SimplexPoint) -> SimplexPoint:
     """One generation: (Vx)_k = sum_ij p[i][j][k] x_i x_j, renormalized."""
+    import numpy as np
+
     if t.m != x.m:
         raise DimensionMismatch(f"tensor m={t.m}, point m={x.m}")
     xs = np.array(x.coords)
@@ -149,6 +157,8 @@ def apply_qso(t: HeredityTensor, x: SimplexPoint) -> SimplexPoint:
 def is_volterra(t: HeredityTensor, tol: float = VOLTERRA_TOL) -> bool:
     """True iff offspring mass sits on the parental types: p[i][j][k] <= tol
     whenever k is neither i nor j."""
+    import numpy as np
+
     i_, j_, k_ = np.indices(t.p.shape)
     mask = (k_ != i_) & (k_ != j_)
     return bool(np.all(t.p[mask] <= tol))
@@ -158,6 +168,8 @@ def to_skew_matrix(t: HeredityTensor) -> SkewMatrix:
     """Skew matrix of a Volterra tensor: a[k][i] = p[i][k][k] + p[k][i][k] - 1.
 
     The exact-skewness projection absorbs up to tensor-tolerance rounding."""
+    import numpy as np
+
     if not is_volterra(t):
         raise NotVolterra("tensor has offspring mass outside parental types")
     m = t.m
@@ -172,6 +184,8 @@ def to_skew_matrix(t: HeredityTensor) -> SkewMatrix:
 def to_tensor(a: SkewMatrix) -> HeredityTensor:
     """Volterra tensor of a skew matrix: p[i][i][i] = 1 and, for i != j,
     p[i][j][i] = (1 + a[i][j]) / 2, p[i][j][j] = (1 + a[j][i]) / 2."""
+    import numpy as np
+
     m = a.m
     p = np.zeros((m, m, m))
     for i in range(m):

@@ -7,8 +7,6 @@ surely) off the exceptional invariant curves.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .classify import CanonicalParams, matrix_from_canonical
 from .errors import ValidationError
 from .qso import SkewMatrix
@@ -16,6 +14,8 @@ from .simplex import SimplexPoint, validate
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
+    import numpy as np
+
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
@@ -25,6 +25,8 @@ def interior_points(m: int, count: int, seed_or_rng,
                     min_coord: float = 0.01) -> list[SimplexPoint]:
     """Uniformly distributed points of the simplex shrunk so every
     coordinate is >= min_coord (exponential-spacings construction)."""
+    import numpy as np
+
     if not 0.0 <= min_coord < 1.0 / m:
         raise ValidationError(f"min_coord {min_coord} outside [0, 1/m)")
     rng = _as_rng(seed_or_rng)

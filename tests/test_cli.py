@@ -372,6 +372,26 @@ class TestConfigParse:
         assert main(["simulate", "--config", simulate,
                      "--out", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    @pytest.mark.parametrize("config,key", [
+        (dict(SIMULATE_BASE, delta_conv=0.1, delta_osc=0.05), "delta_conv"),
+        (dict(SIMULATE_BASE, verify={"steps": 500}), "verify.steps"),
+    ], ids=["delta_conv", "verify.steps"])
+    def test_range_checked_before_any_work(self, tmp_path, capsys,
+                                           monkeypatch, command, config, key):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the range check")
+
+        for name in ("classify", "all_fixed_points", "synthesize",
+                     "run_ensemble"):
+            monkeypatch.setattr(f"volqso.cli.{name}", forbidden)
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.split()[:2] == ["error:", key]
+        assert not out.exists()     # no start_* directory, no summary
+
 
 FUZZ_BASE = dict(json.loads(EXAMPLE.read_text()), steps=2000,
                  record_stride=100, workers=1)
