@@ -70,10 +70,8 @@ from .qso import (
     is_volterra,
     skew3,
     skewize,
-    symmetrize,
     to_skew_matrix,
     to_tensor,
-    volterra3,
 )
 from .sampling import (
     interior_points,
@@ -88,7 +86,6 @@ from .simplex import (
     log_phi,
     monomial,
     phi,
-    support_of,
     validate,
 )
 

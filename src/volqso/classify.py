@@ -58,11 +58,6 @@ class CanonicalParams:
     def as_tuple(self) -> tuple[float, ...]:
         return (self.a12, self.a13, self.a14, self.a23, self.a24, self.a34)
 
-    def strictly_inside_unit(self) -> bool:
-        """All parameters in the open interval (0, 1); several long-run
-        statements assume this."""
-        return all(0.0 < v < 1.0 for v in self.as_tuple())
-
 
 def matrix_from_canonical(params) -> SkewMatrix:
     """Assemble the canonical-sign-pattern matrix from six parameters."""

@@ -10,7 +10,8 @@ schemas in docs/schemas/).  Outputs are byte-deterministic for a given
 config: floats are written shortest-round-trip, field order is fixed, and no
 paths or timestamps are embedded.  The whole config is type-checked, and
 every object it describes built, before any work, whatever the command;
-`delta_conv < delta_osc` and `verify.steps >= 1000` are checked there too.
+`delta_conv < delta_osc`, `verify.steps >= 1000`, the observables and the
+size of the runs (MAX_STORED_VALUES) are checked there too.
 Exit codes: 0 success, 2 validation error (a malformed config value names
 its key), 3 numerical diagnostic.  Set VOLQSO_LOG=debug|info|... for logging.
 """
@@ -37,6 +38,7 @@ from .ergodic import (
     route_check,
     run_ensemble,
     sojourn_growth,
+    split_observables,
     write_cesaro_csv,
     write_outside_csv,
     write_phi_csv,
@@ -63,6 +65,10 @@ from .sampling import interior_points
 from .simplex import SimplexPoint, validate
 
 log = logging.getLogger("volqso")
+
+# Most trace values a config may make one command store, over all its runs.
+# The largest perfbench workload (simulate-dense) stores 350k.
+MAX_STORED_VALUES = 5_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +158,17 @@ def _tolerances(node, name: str) -> dict:
             if key in node}
 
 
-def _starts(node, name: str, m: int, tols: dict, min_coord: float):
+def _starts(node, name: str, m: int, tols: dict):
+    """(explicit points, count, seed); the random starts are drawn later."""
     node = _of(dict, node, name)
-    starts = [_point(p, f"{name}.points[{i}]", m, tols) for i, p in
-              enumerate(_of(list, node.get("points", []), f"{name}.points"))]
+    points = tuple(_point(p, f"{name}.points[{i}]", m, tols) for i, p in
+                   enumerate(_of(list, node.get("points", []),
+                                 f"{name}.points")))
     count = _int(node.get("count", 0), f"{name}.count")
     seed = _int(node["seed"], f"{name}.seed") if "seed" in node else None
-    if count > 0:
-        if seed is None:
-            raise ValidationError("random starts need a 'seed'")
-        starts += interior_points(m, count, seed, min_coord)
-    return tuple(starts)
+    if count > 0 and seed is None:
+        raise ValidationError("random starts need a 'seed'")
+    return points, count, seed
 
 
 def _checkpoints(node, name: str):
@@ -172,7 +178,7 @@ def _checkpoints(node, name: str):
     return tuple(_int(n, f"{name}[{i}]") for i, n in enumerate(node))
 
 
-def _observables(node, name: str) -> tuple:
+def _observables(node, name: str, m: int) -> tuple:
     node = _of(dict, node, name)
     labels = _of(list, node.get("coordinates", []), f"{name}.coordinates")
     obs = [CoordinateObservable(_int(v, f"{name}.coordinates[{i}]"))
@@ -185,7 +191,15 @@ def _observables(node, name: str) -> tuple:
         obs.append(MonomialObservable(
             _nums(entry["exponents"], f"{where}.exponents"),
             name=_of(str, entry.get("name", f"F{k + 1}"), f"{where}.name")))
+    split_observables(obs, m)
     return tuple(obs)
+
+
+def _check_size(stored: int, name: str, advice: str) -> None:
+    if stored > MAX_STORED_VALUES:
+        raise ValidationError(
+            f"{name}: the runs would store {stored} values, more than "
+            f"{MAX_STORED_VALUES}; {advice}")
 
 
 def _verify(node, name: str, m: int, tols: dict, fallback: SimplexPoint):
@@ -199,6 +213,9 @@ def _verify(node, name: str, m: int, tols: dict, fallback: SimplexPoint):
     if steps < MIN_VERIFY_STEPS:
         raise ValidationError(f"{name}.steps must be >= {MIN_VERIFY_STEPS} "
                               f"for a decade comparison, got {steps}")
+    # verify_along_trajectory traces every 10th step with one monomial
+    _check_size((steps // 10 + 2) * (m + 2), f"{name}.steps",
+                f"lower {name}.steps")
     return start, steps, _int(node.get("transient", 100), f"{name}.transient")
 
 
@@ -227,8 +244,9 @@ def _parse(cfg: dict) -> _Config:
     if _read(cfg, "m", _int, m) != m:
         raise ValidationError(f"declared m={cfg['m']}, matrix has m={m}")
     tols = _read(cfg, "tolerances", _tolerances, {})
-    starts = _read(cfg, "starts", _starts, (), m, tols,
-                   _read(cfg, "min_coord", _num, 0.01))
+    min_coord = _read(cfg, "min_coord", _num, 0.01)
+    points, count, seed = _read(cfg, "starts", _starts, ((), 0, None),
+                                m, tols)
     steps = _read(cfg, "steps", _int)
     run = dict(epsilon=_read(cfg, "epsilon", _num, 0.05),
                record_stride=_read(cfg, "record_stride", _int,
@@ -239,14 +257,26 @@ def _parse(cfg: dict) -> _Config:
     if delta_conv >= delta_osc:
         raise ValidationError(f"delta_conv must be below delta_osc, got "
                               f"{delta_conv!r} >= {delta_osc!r}")
+    observables = (_read(cfg, "observables", _observables, (), m)
+                   or coordinate_observables(m))
+    # trace rows per run times the values per row (see kernel.run)
+    stored = 0 if steps is None else (
+        (len(points) + count) * (steps // max(1, run["record_stride"]) + 2)
+        * (m + 1 + sum(isinstance(o, MonomialObservable)
+                       for o in observables)))
+    _check_size(stored, "steps", "raise record_stride or run fewer starts")
+    # without steps there are no runs: only the first start is read
+    if steps is None:
+        count = min(count, 1)
+    starts = points + tuple(interior_points(m, count, seed, min_coord)
+                            if count > 0 else ())
     fallback = starts[0] if starts else SimplexPoint.barycenter(m)
     return _Config(
         matrix=matrix,
         runs=() if steps is None else tuple(
             TrajectoryConfig(matrix=matrix, start=s, steps=steps, **run)
             for s in starts),
-        observables=(_read(cfg, "observables", _observables, ())
-                     or coordinate_observables(m)),
+        observables=observables,
         workers=_read(cfg, "workers", _int, 1),
         delta_conv=delta_conv,
         delta_osc=delta_osc,
@@ -426,8 +456,7 @@ def cmd_simulate(parsed: _Config, out_dir: Path) -> int:
         "epsilon": runs[0].epsilon,
         "record_stride": runs[0].record_stride,
         "checkpoints": runs[0].checkpoints or "dyadic",
-        "observables": [o.name if isinstance(o, CoordinateObservable)
-                        else (o.name or "F") for o in observables],
+        "observables": results[0].observable_names,
         "delta_conv": parsed.delta_conv,
         "delta_osc": parsed.delta_osc,
         "backend": kernel.BACKEND,

@@ -72,6 +72,37 @@ def coordinate_observables(m: int) -> tuple[CoordinateObservable, ...]:
     return tuple(CoordinateObservable(i + 1) for i in range(m))
 
 
+def split_observables(observables, m: int):
+    """Check observables against dimension m and split them for the kernel:
+    (0-based coordinate indices, monomial exponent lists, names).  The names
+    list the coordinates first, then the monomials, unnamed ones as F1, F2,
+    ...; a label outside 1..m, an exponent count other than m or a repeated
+    name is rejected."""
+    coord_obs = []
+    mono_obs = []
+    names = []
+    mono_names = []
+    for obs in observables:
+        if isinstance(obs, CoordinateObservable):
+            if not 1 <= obs.label <= m:
+                raise WrongDimension(
+                    f"observables: coordinate label {obs.label} for m={m}")
+            coord_obs.append(obs.label - 1)
+            names.append(obs.name)
+        elif isinstance(obs, MonomialObservable):
+            if len(obs.exponents) != m:
+                raise WrongDimension(
+                    f"observables: {len(obs.exponents)} exponents for m={m}")
+            mono_obs.append(list(obs.exponents))
+            mono_names.append(obs.name or f"F{len(mono_names) + 1}")
+        else:
+            raise ValidationError(f"observables: unknown observable {obs!r}")
+    names += mono_names
+    if len(set(names)) != len(names):
+        raise ValidationError(f"observables: names collide: {names}")
+    return coord_obs, mono_obs, tuple(names)
+
+
 # ---------------------------------------------------------------------------
 # configuration and results
 
@@ -91,7 +122,7 @@ def dyadic_checkpoints(steps: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class TrajectoryConfig:
     matrix: SkewMatrix
-    start: SimplexPoint | LogSimplexPoint
+    start: SimplexPoint
     steps: int
     epsilon: float = 0.05
     checkpoints: tuple[int, ...] | None = None   # None -> dyadic
@@ -234,23 +265,11 @@ class TrajectoryResult:
     trace_steps: tuple[int, ...]
     trace_log_coords: tuple[tuple[float, ...], ...]
     trace_log_phi: tuple[float, ...]
-    monomial_traces: tuple[tuple[str, tuple[float, ...]], ...]
+    monomial_traces: dict[str, tuple[float, ...]]   # name -> log trace
     min_log_phi: float
     final: LogSimplexPoint
     max_abs_drift: float
     backend: str
-
-    def cesaro_by_id(self, function_id: str) -> CesaroSeries:
-        for s in self.cesaro:
-            if s.function_id == function_id:
-                return s
-        raise KeyError(function_id)
-
-    def monomial_trace(self, name: str) -> tuple[float, ...]:
-        for n, tr in self.monomial_traces:
-            if n == name:
-                return tr
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +282,15 @@ def run_trajectory(cfg: TrajectoryConfig, observables=None) -> TrajectoryResult:
     m = cfg.m
     if observables is None:
         observables = coordinate_observables(m)
-    coord_obs = []
-    mono_obs = []
-    names = []
-    mono_names = []
-    for obs in observables:
-        if isinstance(obs, CoordinateObservable):
-            if not 1 <= obs.label <= m:
-                raise WrongDimension(f"coordinate label {obs.label} for m={m}")
-            coord_obs.append(obs.label - 1)
-            names.append(obs.name)
-        elif isinstance(obs, MonomialObservable):
-            if len(obs.exponents) != m:
-                raise WrongDimension(
-                    f"{len(obs.exponents)} exponents for m={m}")
-            mono_obs.append(list(obs.exponents))
-            mono_names.append(obs.name or f"F{len(mono_names) + 1}")
-        else:
-            raise ValidationError(f"unknown observable {obs!r}")
-    names = names + mono_names
-    if len(set(names)) != len(names):
-        raise ValidationError(f"observable names collide: {names}")
-
-    start = cfg.start
-    if isinstance(start, SimplexPoint):
-        start = start.to_log()
+    coord_obs, mono_obs, names = split_observables(observables, m)
+    mono_names = names[len(coord_obs):]
     want_phi = m == 4
     checkpoints = cfg.effective_checkpoints()
 
     raw = kernel.run(
         m,
         [list(row) for row in cfg.matrix.rows],
-        list(start.log_coords),
+        list(cfg.start.to_log().log_coords),
         cfg.steps,
         math.log(cfg.epsilon),
         coord_obs,
@@ -335,11 +331,8 @@ def run_trajectory(cfg: TrajectoryConfig, observables=None) -> TrajectoryResult:
     table = SojournTable(events=events, total_steps=cfg.steps,
                          epsilon=cfg.epsilon, m=m)
 
-    mono_traces = tuple(
-        (mono_names[j],
-         tuple(row[j] for row in raw["trace_mono"]))
-        for j in range(len(mono_names))
-    )
+    mono_traces = {name: tuple(row[j] for row in raw["trace_mono"])
+                   for j, name in enumerate(mono_names)}
 
     return TrajectoryResult(
         m=m,
@@ -493,26 +486,16 @@ def decade_windows(total_steps: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def outside_fraction_trend(table: SojournTable, windows=None):
-    """Fraction of iterates outside every vertex neighbourhood, per window."""
-    if windows is None:
-        windows = decade_windows(table.total_steps)
-    out = []
-    for ws, we in windows:
-        size = we - ws
-        if size <= 0:
-            continue
-        inside = table.inside_count(ws, we)
-        out.append(((ws, we), (size - inside) / size))
-    return out
+def outside_fraction_trend(table: SojournTable):
+    """Fraction of iterates outside every vertex neighbourhood, per decade
+    window."""
+    return [((ws, we), (we - ws - table.inside_count(ws, we)) / (we - ws))
+            for ws, we in decade_windows(table.total_steps)]
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (headers documented in docs/formats.md)
-
-
-def _fmt(v) -> str:
-    return repr(float(v))
+# CSV emission (headers documented in docs/formats.md); csv.writer writes a
+# float as its repr, the shortest round-trip form
 
 
 def write_trajectory_csv(path, result: TrajectoryResult) -> None:
@@ -521,8 +504,8 @@ def write_trajectory_csv(path, result: TrajectoryResult) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step"] + [f"x{i + 1}" for i in range(result.m)])
-        for step, logs in zip(result.trace_steps, result.trace_log_coords):
-            w.writerow([step] + [_fmt(math.exp(v)) for v in logs])
+        w.writerows([step, *map(math.exp, logs)] for step, logs
+                    in zip(result.trace_steps, result.trace_log_coords))
 
 
 def write_cesaro_csv(path, result: TrajectoryResult) -> None:
@@ -530,12 +513,9 @@ def write_cesaro_csv(path, result: TrajectoryResult) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n"] + list(result.observable_names))
-        if not result.cesaro:
-            return
-        ns = result.cesaro[0].ns
-        cols = [s.values for s in result.cesaro]
-        for i, n in enumerate(ns):
-            w.writerow([n] + [_fmt(col[i]) for col in cols])
+        if result.cesaro:
+            w.writerows(zip(result.cesaro[0].ns,
+                            *(s.values for s in result.cesaro)))
 
 
 def write_sojourn_csv(path, result: TrajectoryResult) -> None:
@@ -546,40 +526,34 @@ def write_sojourn_csv(path, result: TrajectoryResult) -> None:
         w.writerow(["vertex", "entry_step", "exit_step", "length",
                     "censored", "started_inside", "log_phi_entry",
                     "phi_entry"])
-        for e in result.sojourn.events:
-            w.writerow([
-                e.vertex,
-                e.entry_step,
-                -1 if e.censored else e.exit_step,
-                -1 if e.censored else e.length,
-                int(e.censored),
-                int(e.started_inside),
-                _fmt(e.log_phi_entry),
-                _fmt(e.phi_entry),
-            ])
+        w.writerows([
+            e.vertex,
+            e.entry_step,
+            -1 if e.censored else e.exit_step,
+            -1 if e.censored else e.length,
+            int(e.censored),
+            int(e.started_inside),
+            e.log_phi_entry,
+            e.phi_entry,
+        ] for e in result.sojourn.events)
 
 
 def write_phi_csv(path, result: TrajectoryResult) -> None:
     """step, phi, log_phi, then one log column per monomial observable."""
-    mono_names = [name for name, _ in result.monomial_traces]
-    mono_cols = [tr for _, tr in result.monomial_traces]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "phi", "log_phi"]
-                   + [f"log_{n}" for n in mono_names])
-        for i, step in enumerate(result.trace_steps):
-            lp = result.trace_log_phi[i]
-            phi_lin = math.exp(lp) if lp <= 0.0 else float("nan")
-            row = [step, _fmt(phi_lin), _fmt(lp)]
-            row += [_fmt(col[i]) for col in mono_cols]
-            w.writerow(row)
+                   + [f"log_{n}" for n in result.monomial_traces])
+        phi_lin = [math.exp(lp) if lp <= 0.0 else float("nan")
+                   for lp in result.trace_log_phi]
+        w.writerows(zip(result.trace_steps, phi_lin, result.trace_log_phi,
+                        *result.monomial_traces.values()))
 
 
-def write_outside_csv(path, result: TrajectoryResult, windows=None) -> None:
-    """window_start,window_end,outside_fraction per (decade) window."""
-    trend = outside_fraction_trend(result.sojourn, windows)
+def write_outside_csv(path, result: TrajectoryResult) -> None:
+    """window_start,window_end,outside_fraction per decade window."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window_start", "window_end", "outside_fraction"])
-        for (ws, we), frac in trend:
-            w.writerow([ws, we, _fmt(frac)])
+        w.writerows([ws, we, frac] for (ws, we), frac
+                    in outside_fraction_trend(result.sojourn))

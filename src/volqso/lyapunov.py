@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InfeasibleNumerics, SingularEntry, ValidationError
-from .ergodic import MonomialObservable, TrajectoryConfig, run_trajectory
+from .ergodic import (
+    MonomialObservable,
+    TrajectoryConfig,
+    decade_windows,
+    run_trajectory,
+)
 from .qso import SkewMatrix
 from .simplex import SimplexPoint
 
@@ -163,15 +168,8 @@ def verify_along_trajectory(candidate, a: SkewMatrix, start: SimplexPoint,
                            record_stride=10)
     result = run_trajectory(
         cfg, [MonomialObservable(exponents, name="F")])
-    trace = dict(zip(result.trace_steps, result.monomial_trace("F")))
-
-    boundaries = []
-    n = 10
-    while n <= steps:
-        boundaries.append(n)
-        n *= 10
-    if boundaries[-1] != steps:
-        boundaries.append(steps)
+    trace = dict(zip(result.trace_steps, result.monomial_traces["F"]))
+    boundaries = [hi for _, hi in decade_windows(steps)]
 
     drifts = []
     for n0, n1 in zip(boundaries, boundaries[1:]):

@@ -14,6 +14,7 @@ to_skew_matrix implements.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import kernel
@@ -129,19 +130,6 @@ class HeredityTensor:
     def m(self) -> int:
         return self.p.shape[0]
 
-    @property
-    def is_symmetric(self) -> bool:
-        import numpy as np
-
-        return bool(np.array_equal(self.p, self.p.transpose(1, 0, 2)))
-
-
-def symmetrize(t: HeredityTensor) -> HeredityTensor:
-    """Average over parent order: q[i][j][k] = (p[i][j][k] + p[j][i][k]) / 2.
-    The induced operator is unchanged (the quadratic form only sees the
-    symmetric part)."""
-    return HeredityTensor((t.p + t.p.transpose(1, 0, 2)) / 2.0)
-
 
 def apply_qso(t: HeredityTensor, x: SimplexPoint) -> SimplexPoint:
     """One generation: (Vx)_k = sum_ij p[i][j][k] x_i x_j, renormalized."""
@@ -197,21 +185,6 @@ def to_tensor(a: SkewMatrix) -> HeredityTensor:
     return HeredityTensor(p)
 
 
-def _dot_compensated(row, xs) -> float:
-    """Neumaier dot product of two short vectors."""
-    s = 0.0
-    c = 0.0
-    for a, x in zip(row, xs):
-        t = a * x
-        tmp = s + t
-        if abs(s) >= abs(t):
-            c += (s - tmp) + t
-        else:
-            c += (t - tmp) + s
-        s = tmp
-    return s + c
-
-
 def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
     """Image before renormalization; its sum is 1 + x^T A x = 1 exactly in
     real arithmetic (skew-symmetry), so the float sum measures rounding."""
@@ -219,7 +192,7 @@ def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
         raise DimensionMismatch(f"matrix m={a.m}, point m={x.m}")
     out = []
     for k in range(a.m):
-        f = 1.0 + _dot_compensated(a.rows[k], x.coords)
+        f = 1.0 + math.fsum(map(operator.mul, a.rows[k], x.coords))
         if f < 0.0:
             if f < -FACTOR_CLAMP:
                 raise DegenerateFactor(
@@ -254,19 +227,9 @@ def apply_volterra_log(a: SkewMatrix, x: LogSimplexPoint) -> LogSimplexPoint:
 
 
 def skew3(a: float, b: float, c: float) -> SkewMatrix:
-    """Three-species interaction matrix [[0, a, -b], [-a, 0, c], [b, -c, 0]]."""
+    """Three-species interaction matrix [[0, a, -b], [-a, 0, c], [b, -c, 0]],
+    whose step is (x, y, z) -> (x(1+ay-bz), y(1-ax+cz), z(1+bx-cy))."""
     for v in (a, b, c):
         if not math.isfinite(v) or abs(v) > 1.0:
             raise ValidationError(f"parameter {v} outside [-1, 1]")
     return SkewMatrix(((0.0, a, -b), (-a, 0.0, c), (b, -c, 0.0)))
-
-
-def volterra3(a: float, b: float, c: float, x: SimplexPoint) -> SimplexPoint:
-    """Three-species step (x, y, z) -> (x(1+ay-bz), y(1-ax+cz), z(1+bx-cy)).
-
-    This is the step map of skew3(a, b, c); the parameter placement is forced
-    by skew-symmetry of the interaction matrix.
-    """
-    if x.m != 3:
-        raise WrongDimension(f"volterra3 needs m=3, got m={x.m}")
-    return apply_volterra(skew3(a, b, c), x)

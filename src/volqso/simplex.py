@@ -198,10 +198,6 @@ class FaceId:
         return label in self.support
 
 
-def support_of(p: SimplexPoint) -> FaceId:
-    return FaceId(tuple(i + 1 for i, c in enumerate(p.coords) if c > 0.0))
-
-
 def phi(p: SimplexPoint) -> float:
     """max(x1*x2*x4, x1*x3*x4): the shrinkage observable for 4-species
     dynamics; it vanishes exactly on the union of faces that attracts

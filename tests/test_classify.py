@@ -156,8 +156,3 @@ class TestClassify:
                     and b[1][2] >= 0 and b[1][3] >= 0 and b[2][3] >= 0):
                 matches.append(tuple(p + 1 for p in perm))
         assert classify(all_half).permutation == min(matches)
-
-    def test_strictness_helper(self):
-        assert CanonicalParams(*([0.5] * 6)).strictly_inside_unit()
-        assert not CanonicalParams(0.0, *([0.5] * 5)).strictly_inside_unit()
-        assert not CanonicalParams(1.0, *([0.5] * 5)).strictly_inside_unit()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volqso.cli import main
+from volqso.sampling import interior_points
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 EXAMPLE = DOCS.parent / "example-config.json"
@@ -330,6 +331,14 @@ MALFORMED = [
     ("simulate", dict(SIMULATE_BASE, steps=2.7), "steps"),
     ("simulate", dict(SIMULATE_BASE, workers="2"), "workers"),
     ("classify", dict(SIMULATE_BASE, steps=True), "steps"),
+    ("classify", dict(SIMULATE_BASE, observables={"coordinates": [5]}),
+     "observables"),
+    ("fixed-points", dict(SIMULATE_BASE, observables={
+        "monomials": [[1, 0, 0]]}), "observables"),
+    ("lyapunov", dict(SIMULATE_BASE, observables={
+        "coordinates": [1],
+        "monomials": [{"name": "x1", "exponents": [1, 0, 0, 0]}]}),
+     "observables"),
 ]
 
 
@@ -392,6 +401,73 @@ class TestConfigParse:
         assert line.split()[:2] == ["error:", key]
         assert not out.exists()     # no start_* directory, no summary
 
+
+class TestStorageLimit:
+    def forbid_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        for name in ("interior_points", "classify", "all_fixed_points",
+                     "synthesize", "run_ensemble"):
+            monkeypatch.setattr(f"volqso.cli.{name}", forbidden)
+
+    def run(self, tmp_path, capsys, command, config):
+        out = tmp_path / "out"
+        code = main([command, "--config", write_config(tmp_path, config),
+                     "--out", str(out)])
+        return code, capsys.readouterr().err.splitlines(), out
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_oversize_run_rejected_by_arithmetic(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        # 5e15 values: refused before anything is allocated
+        self.forbid_work(monkeypatch)
+        code, err, out = self.run(tmp_path, capsys, command, dict(
+            SIMULATE_BASE, steps=1e15, record_stride=1))
+        assert code == 2
+        assert err[0].split()[:2] == ["error:", "steps:"]
+        assert not out.exists()
+
+    def test_stored_values_against_limit(self, tmp_path, capsys,
+                                         monkeypatch):
+        # SIMULATE_BASE stores 1 start x (100 // 10 + 2) rows x 5 values
+        monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 60)
+        assert self.run(tmp_path, capsys, "simulate", SIMULATE_BASE)[0] == 0
+        monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 59)
+        self.forbid_work(monkeypatch)
+        code, err, _ = self.run(tmp_path, capsys, "simulate", SIMULATE_BASE)
+        assert code == 2
+        assert err == ["error: steps: the runs would store 60 values, more "
+                       "than 59; raise record_stride or run fewer starts"]
+
+    def test_oversize_verify_rejected_by_arithmetic(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # the Lyapunov check records (1e12 // 10 + 2) rows x 6 values
+        self.forbid_work(monkeypatch)
+        code, err, out = self.run(tmp_path, capsys, "lyapunov", dict(
+            SIMULATE_BASE, verify={"steps": 1e12}))
+        assert code == 2
+        assert err == ["error: verify.steps: the runs would store "
+                       "600000000012 values, more than 5000000; "
+                       "lower verify.steps"]
+        assert not out.exists()
+
+    def test_no_steps_draws_only_the_first_start(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # without steps only starts[0] is read (the verify fallback), so a
+        # huge count costs one draw, and that draw is the same point
+        drawn = []
+
+        def counting(m, count, *args):
+            drawn.append(count)
+            return interior_points(m, count, *args)
+
+        monkeypatch.setattr("volqso.cli.interior_points", counting)
+        config = {"matrix": ALL_HALF_ROWS, "verify": {"steps": 1000},
+                  "starts": {"count": 10 ** 9, "seed": 3}}
+        assert self.run(tmp_path, capsys, "lyapunov", config)[0] == 0
+        assert drawn == [1]
+        assert interior_points(4, 1, 3)[0] == interior_points(4, 5, 3)[0]
 
 FUZZ_BASE = dict(json.loads(EXAMPLE.read_text()), steps=2000,
                  record_stride=100, workers=1)

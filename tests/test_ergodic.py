@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,7 +11,10 @@ from volqso.ergodic import (
     CesaroSeries,
     CoordinateObservable,
     MonomialObservable,
+    SojournEvent,
+    SojournTable,
     TrajectoryConfig,
+    TrajectoryResult,
     Verdict,
     c_abs,
     decade_windows,
@@ -21,6 +26,11 @@ from volqso.ergodic import (
     run_ensemble,
     run_trajectory,
     sojourn_growth,
+    write_cesaro_csv,
+    write_outside_csv,
+    write_phi_csv,
+    write_sojourn_csv,
+    write_trajectory_csv,
 )
 from volqso.errors import (
     EpsilonTooLarge,
@@ -30,7 +40,7 @@ from volqso.errors import (
 )
 from volqso.qso import SkewMatrix, skew3
 from volqso.sampling import interior_points, random_canonical_matrix
-from volqso.simplex import SimplexPoint, validate
+from volqso.simplex import LogSimplexPoint, SimplexPoint, validate
 
 INF = float("inf")
 
@@ -77,7 +87,8 @@ class TestRunBasics:
         cfg = TrajectoryConfig(all_half, start, 1000, record_stride=100)
         res = run_trajectory(cfg)
         assert res.final.log_coords[1] == -INF
-        assert res.cesaro_by_id("x2").values[-1] == 0.0
+        assert res.cesaro[1].function_id == "x2"
+        assert res.cesaro[1].values[-1] == 0.0
 
     def test_trace_covers_endpoints(self, all_half, generic_start4):
         cfg = TrajectoryConfig(all_half, generic_start4, 1001,
@@ -108,7 +119,7 @@ class TestRunBasics:
         cfg = TrajectoryConfig(all_half, generic_start4, 1000,
                                record_stride=100)
         res = run_trajectory(cfg, [MonomialObservable(lam, name="F")])
-        trace = res.monomial_trace("F")
+        trace = res.monomial_traces["F"]
         logs0 = generic_start4.to_log().log_coords
         expected0 = sum(l * v for l, v in zip(lam, logs0) if l != 0.0)
         assert trace[0] == pytest.approx(expected0, rel=1e-12)
@@ -393,6 +404,90 @@ class TestShrinkage:
         cfg = TrajectoryConfig(all_half, generic_start4, 100_000,
                                record_stride=10)
         res = run_trajectory(cfg, [MonomialObservable(lam, name="F")])
-        trace = dict(zip(res.trace_steps, res.monomial_trace("F")))
+        trace = dict(zip(res.trace_steps, res.monomial_traces["F"]))
         for n0, n1 in ((100, 1000), (1000, 10_000), (10_000, 100_000)):
             assert trace[n1] < trace[n0]
+
+
+SPECIAL = (float("nan"), INF, -INF, -0.0, 5e-324, 1e308)
+
+
+def special_result() -> TrajectoryResult:
+    """A result holding every float form a CSV value can take, and monomial
+    names the CSV has to quote."""
+    events = (
+        SojournEvent(1, 0, 9, float("nan"), True),
+        SojournEvent(4, 12, 40, -INF, False),
+        SojournEvent(3, 50, 51, -0.0, False),
+        SojournEvent(2, 300, None, -745.0, False),
+    )
+    return TrajectoryResult(
+        m=4, steps=1000, epsilon=0.05,
+        observable_names=("x1", "x2", "F,1", 'G"q'),
+        cesaro=tuple(CesaroSeries(name, tuple(zip(range(1, 7), values)))
+                     for name, values in (
+                         ("x1", SPECIAL), ("x2", SPECIAL[::-1]),
+                         ("F,1", SPECIAL[1:] + SPECIAL[:1]),
+                         ('G"q', (0.1, 1 / 3, 2.5, -7.0, 1e-5, 1e16)))),
+        sojourn=SojournTable(events, total_steps=1000, epsilon=0.05, m=4),
+        trace_steps=(0, 1, 2, 3, 4, 5),
+        trace_log_coords=((float("nan"), INF, -INF, -0.0),
+                          (-745.0, 709.0, 5e-324, -1e-300),
+                          (-0.1, -1.5, -2.5, -3.5)) * 2,
+        trace_log_phi=SPECIAL,
+        monomial_traces={"F,1": SPECIAL[::-1], 'G"q': SPECIAL},
+        min_log_phi=-INF,
+        final=LogSimplexPoint((0.0, -INF, -INF, -INF)),
+        max_abs_drift=0.0,
+        backend="python",
+    )
+
+
+def csv_reference(rows) -> bytes:
+    """The rows written the way the CSV writers did before they passed
+    floats to csv.writer: each float as repr(float(v))."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(
+        [repr(float(v)) if isinstance(v, float) else v for v in row]
+        for row in rows)
+    return buf.getvalue().encode()
+
+
+class TestCsvFormat:
+    def test_writers_match_reference_bytes(self, tmp_path):
+        res = special_result()
+        monos = list(res.monomial_traces)
+        expected = {
+            write_trajectory_csv: [["step", "x1", "x2", "x3", "x4"]] + [
+                [n, *(math.exp(v) for v in logs)] for n, logs
+                in zip(res.trace_steps, res.trace_log_coords)],
+            write_cesaro_csv: [["n", *res.observable_names]] + [
+                [n, *(s.values[i] for s in res.cesaro)]
+                for i, n in enumerate(res.cesaro[0].ns)],
+            write_sojourn_csv: [[
+                "vertex", "entry_step", "exit_step", "length", "censored",
+                "started_inside", "log_phi_entry", "phi_entry"]] + [
+                [e.vertex, e.entry_step, -1 if e.censored else e.exit_step,
+                 -1 if e.censored else e.length, int(e.censored),
+                 int(e.started_inside), e.log_phi_entry, e.phi_entry]
+                for e in res.sojourn.events],
+            write_phi_csv: [["step", "phi", "log_phi",
+                             *(f"log_{n}" for n in monos)]] + [
+                [n, math.exp(lp) if lp <= 0.0 else float("nan"), lp,
+                 *(res.monomial_traces[name][i] for name in monos)]
+                for i, (n, lp) in enumerate(zip(res.trace_steps,
+                                                res.trace_log_phi))],
+            write_outside_csv: [["window_start", "window_end",
+                                 "outside_fraction"]] + [
+                [ws, we, frac] for (ws, we), frac
+                in outside_fraction_trend(res.sojourn)],
+        }
+        for writer, rows in expected.items():
+            path = tmp_path / f"{writer.__name__}.csv"
+            writer(path, res)
+            data = path.read_bytes()
+            assert data == csv_reference(rows), writer.__name__
+            assert data.endswith(b"\r\n")
+        phi = (tmp_path / "write_phi_csv.csv").read_bytes()
+        assert phi.startswith(b'step,phi,log_phi,"log_F,1","log_G""q"\r\n')
+        assert b",-0.0," in phi and b",5e-324," in phi

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,10 +20,8 @@ from volqso.qso import (
     raw_volterra_image,
     skew3,
     skewize,
-    symmetrize,
     to_skew_matrix,
     to_tensor,
-    volterra3,
 )
 from volqso.sampling import interior_points, random_skew_matrix
 from volqso.simplex import SimplexPoint, validate
@@ -73,28 +72,11 @@ class TestHeredityTensor:
         with pytest.raises(ValidationError):
             HeredityTensor(p)
 
-    def test_symmetrize_mean(self):
-        # p[1][2][1] = 1 vs p[2][1][1] = 0 averages to 0.5 (1-based labels)
-        p = np.zeros((2, 2, 2))
-        p[0][0][0] = 1.0
-        p[1][1][1] = 1.0
-        p[0][1][0] = 1.0
-        p[1][0][1] = 1.0
-        q = symmetrize(HeredityTensor(p))
-        assert q.p[0][1][0] == 0.5
-        assert q.p[1][0][0] == 0.5
-        assert q.is_symmetric
-
-    def test_symmetrize_fixes_symmetric_tensor(self, rng):
-        t = to_tensor(random_skew_matrix(4, rng))
-        q = symmetrize(t)
-        assert np.array_equal(q.p, t.p)
-
     def test_symmetrize_preserves_operator(self, rng):
-        # the quadratic form only sees the symmetric part
+        # the quadratic form only sees the parent-order average
         for _ in range(10):
             t = random_tensor(3, rng)
-            q = symmetrize(t)
+            q = HeredityTensor((t.p + t.p.transpose(1, 0, 2)) / 2.0)
             for x in interior_points(3, 10, rng):
                 left = apply_qso(t, x)
                 right = apply_qso(q, x)
@@ -141,10 +123,11 @@ class TestVolterraDetection:
 
     def test_symmetrization_preserves_volterra(self, rng):
         p = to_tensor(random_skew_matrix(4, rng)).p.copy()
-        # break the parent-order symmetry without leaving the Volterra class
-        p[0][1][0], p[0][1][1] = 0.7, 0.3
-        p[1][0][0], p[1][0][1] = 0.4, 0.6
-        assert is_volterra(symmetrize(HeredityTensor(p)))
+        # the parent-order average of (0.7, 0.3) and (0.4, 0.6) offspring
+        # mass stays on the parental types
+        p[0][1][0], p[0][1][1] = 0.55, 0.45
+        p[1][0][0], p[1][0][1] = 0.55, 0.45
+        assert is_volterra(HeredityTensor(p))
 
 
 class TestMatrixTensorConversion:
@@ -241,6 +224,20 @@ class TestApplyVolterra:
         for x in interior_points(4, 200, rng):
             assert apply_volterra(a, x).coords[0] <= x.coords[0] + 1e-12
 
+    def test_step_factor_sum_correctly_rounded(self, rng):
+        # image_k = x_k * (1 + (Ax)_k), (Ax)_k the correctly rounded sum of
+        # the products a[k][i] * x_i, also when a coordinate is tiny
+        for i in range(1000):
+            m = int(rng.integers(2, 5))
+            a = random_skew_matrix(m, rng)
+            coords = list(interior_points(m, 1, rng)[0].coords)
+            coords[i % m] = (0.0, 1e-300, 5e-324, coords[i % m])[i % 4]
+            x = validate(coords, sum_tol=1.0)   # renormalizes
+            expected = [xk * (1.0 + float(sum(
+                Fraction(v * xi) for v, xi in zip(row, x.coords))))
+                for row, xk in zip(a.rows, x.coords)]
+            assert raw_volterra_image(a, x) == expected
+
     def test_forward_invariance_random(self, rng):
         for _ in range(2000):
             m = int(rng.integers(3, 5))
@@ -291,18 +288,19 @@ class TestApplyVolterraLog:
 class TestVolterra3:
     def test_zero_parameters_identity(self, rng):
         for x in interior_points(3, 10, rng):
-            assert volterra3(0.0, 0.0, 0.0, x).coords == x.coords
+            assert apply_volterra(skew3(0.0, 0.0, 0.0), x).coords == x.coords
 
     def test_vertex_fixed(self):
         v = SimplexPoint.vertex(3, 1)
-        assert volterra3(1.0, 1.0, 1.0, v).coords == v.coords
+        assert apply_volterra(skew3(1.0, 1.0, 1.0), v).coords == v.coords
 
     def test_matches_skew_matrix_route(self, rng):
         for _ in range(50):
             a, b, c = (float(2 * rng.random() - 1) for _ in range(3))
             x = interior_points(3, 1, rng)[0]
-            via_matrix = apply_volterra(skew3(a, b, c), x)
-            assert volterra3(a, b, c, x).coords == via_matrix.coords
+            explicit = SkewMatrix(((0.0, a, -b), (-a, 0.0, c), (b, -c, 0.0)))
+            assert (apply_volterra(skew3(a, b, c), x).coords
+                    == apply_volterra(explicit, x).coords)
 
     def test_componentwise_form(self, rng):
         # (x,y,z) -> (x(1+ay-bz), y(1-ax+cz), z(1+bx-cy)), the placement
@@ -315,7 +313,7 @@ class TestVolterra3:
                         y * (1 - a * x + c * z),
                         z * (1 + b * x - c * y))
             total = math.fsum(expected)
-            got = volterra3(a, b, c, p)
+            got = apply_volterra(skew3(a, b, c), p)
             for u, v in zip(got.coords, expected):
                 assert u == pytest.approx(v / total, rel=1e-13)
 

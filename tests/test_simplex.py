@@ -19,7 +19,6 @@ from volqso.simplex import (
     log_sum_exp,
     monomial,
     phi,
-    support_of,
     validate,
 )
 
@@ -191,7 +190,3 @@ class TestFaceId:
 
     def test_indices_are_zero_based(self):
         assert FaceId((1, 3, 4)).indices() == (0, 2, 3)
-
-    def test_support_of(self):
-        p = validate((0.5, 0.0, 0.5, 0.0))
-        assert support_of(p).support == (1, 3)
