@@ -1,9 +1,9 @@
 /* Compiled trajectory kernel.
  *
- * Operation-for-operation port of volqso/_kernel_py.run: same arithmetic,
- * same operation order, same libm calls, so both backends produce
- * bit-identical results.  Keep the two in sync; tests/test_kernel_parity.py
- * enforces it.
+ * Port of volqso/_kernel_py.run that matches it statement for statement:
+ * same loops, same branches, same arithmetic in the same order, same libm
+ * calls, so both backends produce bit-identical results.  Keep the two in
+ * sync; tests/test_kernel_parity.py enforces it.
  *
  * Plain C with no Python API.  volqso/kernel.py compiles this file at first
  * import with -ffp-contract=off (fused multiply-adds would change results),

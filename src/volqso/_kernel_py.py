@@ -1,9 +1,10 @@
 """Pure-Python trajectory kernel.
 
-This is the reference implementation: `_kernel.c` repeats it operation for
-operation (same arithmetic, same order) so both backends produce bit-identical
-results.  Keep the two in sync.  It is also the only Python copy of the
-log-space step: `qso.apply_volterra_log` is a one-step run.
+This is the reference implementation: `vq_run` in `_kernel.c` matches it
+statement for statement (same loops, same branches, same arithmetic in the
+same order) so both backends produce bit-identical results.  Keep the two in
+sync.  It is also the only Python copy of the log-space step:
+`qso.apply_volterra_log` is a one-step run.
 
 All state lives in log coordinates.  The step factor 1 + (Ax)_k is evaluated
 as sum_i (1 + a[k][i]) x_i, a sum of nonnegative terms; when that sum
@@ -34,7 +35,7 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
     counts at which running means are recorded; stride: trace subsampling;
     want_phi: track the shrinkage observable (m == 4 only).
 
-    Returns a dict of plain Python lists; see kernel.run_trajectory_kernel.
+    Returns a dict of plain Python lists, read by ergodic.run_trajectory.
     """
     exp = math.exp
     log = math.log
@@ -44,12 +45,14 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
     logw = [[log(w) if w > 0.0 else -_INF for w in row] for row in weights]
 
     logx = [float(v) for v in logx0]
-    n_obs = len(coord_obs) + len(mono_obs)
+    n_coord = len(coord_obs)
+    n_mono = len(mono_obs)
+    n_obs = n_coord + n_mono
     sums = [0.0] * n_obs
     comps = [0.0] * n_obs
-    n_mono = len(mono_obs)
 
     cp = list(checkpoints)
+    n_cp = len(cp)
     cp_ptr = 0
     cesaro_rows = []
 
@@ -115,52 +118,36 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
                 open_entry = k
                 open_lphi = lphi if k == 0 else prev_lphi
                 open_started = 1 if k == 0 else 0
-        else:
-            if not inside:
-                events.append((cur_vertex, open_entry, k, open_lphi,
-                               open_started))
-                cur_vertex = -1
-            elif v != cur_vertex:
-                events.append((cur_vertex, open_entry, k, open_lphi,
-                               open_started))
-                cur_vertex = v
-                open_entry = k
-                open_lphi = prev_lphi
-                open_started = 0
+        elif not inside or v != cur_vertex:
+            events.append((cur_vertex, open_entry, k, open_lphi,
+                           open_started))
+            cur_vertex = v if inside else -1
+            open_entry = k
+            open_lphi = prev_lphi
+            open_started = 0
         prev_lphi = lphi
 
         if k == steps:
             break
 
         # --- running means include z_k ---
-        jo = 0
-        for idx in coord_obs:
-            f = xs[idx]
-            t = sums[jo] + f
-            if abs(sums[jo]) >= abs(f):
-                comps[jo] += (sums[jo] - t) + f
-            else:
-                comps[jo] += (f - t) + sums[jo]
-            sums[jo] = t
-            jo += 1
-        for j in range(n_mono):
-            lf = mono_vals[j]
-            if lf > EXP_OVERFLOW:
+        for j in range(n_obs):
+            if j < n_coord:
+                f = xs[coord_obs[j]]
+            elif mono_vals[j - n_coord] > EXP_OVERFLOW:
                 f = _INF
             else:
-                f = exp(lf)
-            t = sums[jo] + f
-            if abs(sums[jo]) >= abs(f):
-                comps[jo] += (sums[jo] - t) + f
+                f = exp(mono_vals[j - n_coord])
+            t = sums[j] + f
+            if abs(sums[j]) >= abs(f):
+                comps[j] += (sums[j] - t) + f
             else:
-                comps[jo] += (f - t) + sums[jo]
-            sums[jo] = t
-            jo += 1
+                comps[j] += (f - t) + sums[j]
+            sums[j] = t
 
-        n_done = k + 1
-        if cp_ptr < len(cp) and cp[cp_ptr] == n_done:
+        if cp_ptr < n_cp and cp[cp_ptr] == k + 1:
             cesaro_rows.append(
-                [(sums[j] + comps[j]) / n_done for j in range(n_obs)])
+                [(sums[j] + comps[j]) / (k + 1) for j in range(n_obs)])
             cp_ptr += 1
 
         # --- one step ---

@@ -8,10 +8,10 @@
 One experiment = one JSON config file (documented in docs/formats.md, with
 schemas in docs/schemas/).  Outputs are byte-deterministic for a given
 config: floats are written shortest-round-trip, field order is fixed, and no
-paths or timestamps are embedded.  The whole config is type-checked, and
-every object it describes built, before any work, whatever the command;
-`delta_conv < delta_osc`, `verify.steps >= 1000`, the observables and the
-size of the runs (MAX_STORED_VALUES) are checked there too.
+paths or timestamps are embedded.  The whole config is checked against the
+schema's types and bounds, and every object it describes built, before any
+work, whatever the command; `delta_conv < delta_osc`, the observables and
+the size of the runs (MAX_STORED_VALUES) are checked there too.
 Exit codes: 0 success, 2 validation error (a malformed config value names
 its key), 3 numerical diagnostic.  Set VOLQSO_LOG=debug|info|... for logging.
 """
@@ -56,6 +56,8 @@ from .errors import (
 from .fixed_points import all_fixed_points
 from .lyapunov import (
     MIN_VERIFY_STEPS,
+    VERIFY_STEPS,
+    VERIFY_TRANSIENT,
     synthesize,
     verify_along_trajectory,
     vertex_constraint_values,
@@ -88,18 +90,32 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _int(value, name: str) -> int:
+def _bounded(value, name: str, at_least=None, above=None, below=None):
+    """`value` checked against the schema's minimum, exclusiveMinimum and
+    exclusiveMaximum, where given."""
+    if at_least is not None and not value >= at_least:
+        rel, bound = ">=", at_least
+    elif above is not None and not value > above:
+        rel, bound = ">", above
+    elif below is not None and not value < below:
+        rel, bound = "<", below
+    else:
+        return value
+    raise ValidationError(f"{name} must be {rel} {bound}, got {value!r}")
+
+
+def _int(value, name: str, at_least: int | None = None) -> int:
     """A schema integer: 1e6 passes, booleans and fractions do not."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    elif not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return _bounded(value, name, at_least)
 
 
-def _num(value, name: str) -> float:
+def _num(value, name: str, **bounds) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return float(_bounded(value, name, **bounds))
     raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
@@ -123,13 +139,13 @@ def _point(value, name: str, m: int, tols: dict) -> SimplexPoint:
     return p
 
 
-def _read(cfg: dict, key: str, reader, default=None, *args):
-    """reader(cfg[key], key, *args), or `default` if absent; any failure
-    names the key."""
+def _read(cfg: dict, key: str, reader, default=None, *args, **kwargs):
+    """reader(cfg[key], key, *args, **kwargs), or `default` if absent; any
+    failure names the key."""
     if key not in cfg:
         return default
     try:
-        return reader(cfg[key], key, *args)
+        return reader(cfg[key], key, *args, **kwargs)
     except ValidationError:
         raise
     except (TypeError, ValueError, KeyError, AttributeError,
@@ -144,7 +160,8 @@ def _matrix(rows, name: str) -> SkewMatrix:
 
 
 def _canonical(node, name: str) -> SkewMatrix:
-    vals = (tuple(_num(node[k], f"{name}.{k}") for k in PARAM_NAMES)
+    vals = (tuple(_num(node[k], f"{name}.{k}", at_least=0)
+                  for k in PARAM_NAMES)
             if isinstance(node, dict) else _nums(node, name))
     if len(vals) != 6:
         raise ValidationError(f"{name} needs 6 values")
@@ -153,7 +170,7 @@ def _canonical(node, name: str) -> SkewMatrix:
 
 def _tolerances(node, name: str) -> dict:
     node = _of(dict, node, name)
-    return {arg: _num(node[key], f"{name}.{key}") for key, arg in
+    return {arg: _num(node[key], f"{name}.{key}", above=0) for key, arg in
             (("validate_sum", "sum_tol"), ("negative_clamp", "neg_tol"))
             if key in node}
 
@@ -164,8 +181,8 @@ def _starts(node, name: str, m: int, tols: dict):
     points = tuple(_point(p, f"{name}.points[{i}]", m, tols) for i, p in
                    enumerate(_of(list, node.get("points", []),
                                  f"{name}.points")))
-    count = _int(node.get("count", 0), f"{name}.count")
-    seed = _int(node["seed"], f"{name}.seed") if "seed" in node else None
+    count = _int(node.get("count", 0), f"{name}.count", 0)
+    seed = _int(node["seed"], f"{name}.seed", 0) if "seed" in node else None
     if count > 0 and seed is None:
         raise ValidationError("random starts need a 'seed'")
     return points, count, seed
@@ -175,7 +192,7 @@ def _checkpoints(node, name: str):
     if node == "dyadic":
         return None
     node = _of(list, node, name, '"dyadic" or ')
-    return tuple(_int(n, f"{name}[{i}]") for i, n in enumerate(node))
+    return tuple(_int(n, f"{name}[{i}]", 1) for i, n in enumerate(node))
 
 
 def _observables(node, name: str, m: int) -> tuple:
@@ -209,14 +226,13 @@ def _verify(node, name: str, m: int, tols: dict, fallback: SimplexPoint):
     node = _of(dict, node, name, "false or ")
     start = (_point(node["start"], f"{name}.start", m, tols)
              if "start" in node else fallback)
-    steps = _int(node.get("steps", 100_000), f"{name}.steps")
-    if steps < MIN_VERIFY_STEPS:
-        raise ValidationError(f"{name}.steps must be >= {MIN_VERIFY_STEPS} "
-                              f"for a decade comparison, got {steps}")
+    steps = _int(node.get("steps", VERIFY_STEPS), f"{name}.steps",
+                 MIN_VERIFY_STEPS)
     # verify_along_trajectory traces every 10th step with one monomial
     _check_size((steps // 10 + 2) * (m + 2), f"{name}.steps",
                 f"lower {name}.steps")
-    return start, steps, _int(node.get("transient", 100), f"{name}.transient")
+    return start, steps, _int(node.get("transient", VERIFY_TRANSIENT),
+                              f"{name}.transient", 0)
 
 
 @dataclass(frozen=True)
@@ -233,9 +249,9 @@ class _Config:
 
 
 def _parse(cfg: dict) -> _Config:
-    """Check every key against the schema's types and build every object
-    the config describes, whatever the command, so a config is accepted or
-    rejected as a whole before any work."""
+    """Check every key against the schema's types and bounds, and build
+    every object the config describes, whatever the command, so a config is
+    accepted or rejected as a whole before any work."""
     matrix = _read(cfg, "matrix", _matrix,
                    _read(cfg, "canonical_params", _canonical))
     if matrix is None:
@@ -244,16 +260,16 @@ def _parse(cfg: dict) -> _Config:
     if _read(cfg, "m", _int, m) != m:
         raise ValidationError(f"declared m={cfg['m']}, matrix has m={m}")
     tols = _read(cfg, "tolerances", _tolerances, {})
-    min_coord = _read(cfg, "min_coord", _num, 0.01)
+    min_coord = _read(cfg, "min_coord", _num, 0.01, at_least=0)
     points, count, seed = _read(cfg, "starts", _starts, ((), 0, None),
                                 m, tols)
-    steps = _read(cfg, "steps", _int)
-    run = dict(epsilon=_read(cfg, "epsilon", _num, 0.05),
+    steps = _read(cfg, "steps", _int, None, 1)
+    run = dict(epsilon=_read(cfg, "epsilon", _num, 0.05, above=0, below=0.25),
                record_stride=_read(cfg, "record_stride", _int,
-                                   max(1, (steps or 0) // 1000)),
+                                   max(1, (steps or 0) // 1000), 1),
                checkpoints=_read(cfg, "checkpoints", _checkpoints))
-    delta_conv = _read(cfg, "delta_conv", _num, DELTA_CONV)
-    delta_osc = _read(cfg, "delta_osc", _num, DELTA_OSC)
+    delta_conv = _read(cfg, "delta_conv", _num, DELTA_CONV, above=0)
+    delta_osc = _read(cfg, "delta_osc", _num, DELTA_OSC, above=0)
     if delta_conv >= delta_osc:
         raise ValidationError(f"delta_conv must be below delta_osc, got "
                               f"{delta_conv!r} >= {delta_osc!r}")
@@ -261,7 +277,7 @@ def _parse(cfg: dict) -> _Config:
                    or coordinate_observables(m))
     # trace rows per run times the values per row (see kernel.run)
     stored = 0 if steps is None else (
-        (len(points) + count) * (steps // max(1, run["record_stride"]) + 2)
+        (len(points) + count) * (steps // run["record_stride"] + 2)
         * (m + 1 + sum(isinstance(o, MonomialObservable)
                        for o in observables)))
     _check_size(stored, "steps", "raise record_stride or run fewer starts")
@@ -277,10 +293,11 @@ def _parse(cfg: dict) -> _Config:
             TrajectoryConfig(matrix=matrix, start=s, steps=steps, **run)
             for s in starts),
         observables=observables,
-        workers=_read(cfg, "workers", _int, 1),
+        workers=_read(cfg, "workers", _int, 1, 1),
         delta_conv=delta_conv,
         delta_osc=delta_osc,
-        verify=_read(cfg, "verify", _verify, (fallback, 100_000, 100),
+        # no `verify` key reads like an empty object: every default
+        verify=_read({"verify": {}, **cfg}, "verify", _verify, None,
                      m, tols, fallback),
     )
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -247,7 +248,6 @@ class Verdict(Enum):
 class ErgodicVerdict:
     oscillation: tuple[tuple[str, float], ...]   # per observable, max-min
     verdict: Verdict
-    scale: int
 
     @property
     def max_oscillation(self) -> float:
@@ -262,14 +262,13 @@ class TrajectoryResult:
     observable_names: tuple[str, ...]
     cesaro: tuple[CesaroSeries, ...]
     sojourn: SojournTable
-    trace_steps: tuple[int, ...]
-    trace_log_coords: tuple[tuple[float, ...], ...]
-    trace_log_phi: tuple[float, ...]
-    monomial_traces: dict[str, tuple[float, ...]]   # name -> log trace
+    trace_steps: Sequence[int]
+    trace_log_coords: Sequence[Sequence[float]]
+    trace_log_phi: Sequence[float]
+    monomial_traces: dict[str, Sequence[float]]   # name -> log trace
     min_log_phi: float
     final: LogSimplexPoint
     max_abs_drift: float
-    backend: str
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +282,9 @@ def run_trajectory(cfg: TrajectoryConfig, observables=None) -> TrajectoryResult:
     if observables is None:
         observables = coordinate_observables(m)
     coord_obs, mono_obs, names = split_observables(observables, m)
-    mono_names = names[len(coord_obs):]
-    want_phi = m == 4
-    checkpoints = cfg.effective_checkpoints()
-
-    raw = kernel.run(
-        m,
-        [list(row) for row in cfg.matrix.rows],
-        list(cfg.start.to_log().log_coords),
-        cfg.steps,
-        math.log(cfg.epsilon),
-        coord_obs,
-        mono_obs,
-        list(checkpoints),
-        cfg.record_stride,
-        want_phi,
-    )
+    raw = kernel.run(m, cfg.matrix.rows, cfg.start.to_log().log_coords,
+                     cfg.steps, math.log(cfg.epsilon), coord_obs, mono_obs,
+                     cfg.effective_checkpoints(), cfg.record_stride, m == 4)
 
     err = raw["error"]
     if err is not None:
@@ -307,48 +293,27 @@ def run_trajectory(cfg: TrajectoryConfig, observables=None) -> TrajectoryResult:
                 f"normalization drift {err[2]:.3e} at step {err[1]}")
         raise DegenerateFactor(f"invalid step factor at step {err[1]}")
 
-    series = tuple(
-        CesaroSeries(
-            function_id=names[j],
-            checkpoints=tuple(
-                (int(n), row[j])
-                for n, row in zip(raw["checkpoints"], raw["cesaro"])
-            ),
-        )
-        for j in range(len(names))
-    )
-
     events = tuple(
-        SojournEvent(
-            vertex=v + 1,
-            entry_step=int(entry),
-            exit_step=None if exit_ < 0 else int(exit_),
-            log_phi_entry=lphi,
-            started_inside=bool(started),
-        )
-        for v, entry, exit_, lphi, started in raw["events"]
-    )
-    table = SojournTable(events=events, total_steps=cfg.steps,
-                         epsilon=cfg.epsilon, m=m)
-
-    mono_traces = {name: tuple(row[j] for row in raw["trace_mono"])
-                   for j, name in enumerate(mono_names)}
-
+        SojournEvent(v + 1, entry, None if exit_ < 0 else exit_, lphi,
+                     bool(started))
+        for v, entry, exit_, lphi, started in raw["events"])
+    mono_names = names[len(coord_obs):]
     return TrajectoryResult(
         m=m,
         steps=cfg.steps,
         epsilon=cfg.epsilon,
-        observable_names=tuple(names),
-        cesaro=series,
-        sojourn=table,
-        trace_steps=tuple(int(s) for s in raw["trace_steps"]),
-        trace_log_coords=tuple(tuple(row) for row in raw["trace_logx"]),
-        trace_log_phi=tuple(raw["trace_logphi"]),
-        monomial_traces=mono_traces,
+        observable_names=names,
+        cesaro=tuple(CesaroSeries(name, tuple(zip(raw["checkpoints"], col)))
+                     for name, col in zip(names, zip(*raw["cesaro"]))),
+        sojourn=SojournTable(events=events, total_steps=cfg.steps,
+                             epsilon=cfg.epsilon, m=m),
+        trace_steps=raw["trace_steps"],
+        trace_log_coords=raw["trace_logx"],
+        trace_log_phi=raw["trace_logphi"],
+        monomial_traces=dict(zip(mono_names, zip(*raw["trace_mono"]))),
         min_log_phi=raw["min_logphi"],
         final=LogSimplexPoint(tuple(raw["final_logx"])),
         max_abs_drift=raw["max_abs_drift"],
-        backend=kernel.BACKEND,
     )
 
 
@@ -379,7 +344,6 @@ def ergodic_verdict(series_list, delta_conv: float = DELTA_CONV,
     if not series_list:
         raise ValidationError("no series to judge")
     osc = []
-    scale = 0
     for s in series_list:
         vals = s.values
         if len(vals) < 8:
@@ -387,7 +351,6 @@ def ergodic_verdict(series_list, delta_conv: float = DELTA_CONV,
                 f"{s.function_id}: {len(vals)} checkpoints, need >= 8")
         tail = vals[len(vals) // 2:]
         osc.append((s.function_id, max(tail) - min(tail)))
-        scale = max(scale, s.ns[-1])
     worst = max(v for _, v in osc)
     if worst > delta_osc:
         verdict = Verdict.OSCILLATING_AT_SCALE
@@ -395,7 +358,7 @@ def ergodic_verdict(series_list, delta_conv: float = DELTA_CONV,
         verdict = Verdict.CONVERGED_AT_SCALE
     else:
         verdict = Verdict.INCONCLUSIVE
-    return ErgodicVerdict(oscillation=tuple(osc), verdict=verdict, scale=scale)
+    return ErgodicVerdict(oscillation=tuple(osc), verdict=verdict)
 
 
 def c_abs(params) -> float:
@@ -498,62 +461,57 @@ def outside_fraction_trend(table: SojournTable):
 # float as its repr, the shortest round-trip form
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_trajectory_csv(path, result: TrajectoryResult) -> None:
     """step,x1..xm: linear coordinates at the trace steps (exact zeros and
     underflowed values print as 0.0; the log scale lives in phi.csv)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step"] + [f"x{i + 1}" for i in range(result.m)])
-        w.writerows([step, *map(math.exp, logs)] for step, logs
-                    in zip(result.trace_steps, result.trace_log_coords))
+    _write_csv(path, ["step"] + [f"x{i + 1}" for i in range(result.m)],
+               ([step, *map(math.exp, logs)] for step, logs
+                in zip(result.trace_steps, result.trace_log_coords)))
 
 
 def write_cesaro_csv(path, result: TrajectoryResult) -> None:
     """n, then one running-mean column per observable."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n"] + list(result.observable_names))
-        if result.cesaro:
-            w.writerows(zip(result.cesaro[0].ns,
-                            *(s.values for s in result.cesaro)))
+    series = result.cesaro
+    _write_csv(path, ["n", *result.observable_names],
+               zip(series[0].ns, *(s.values for s in series))
+               if series else ())
 
 
 def write_sojourn_csv(path, result: TrajectoryResult) -> None:
     """One row per sojourn event; censored rows (still inside at the end of
     the run) carry exit_step = length = -1."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vertex", "entry_step", "exit_step", "length",
-                    "censored", "started_inside", "log_phi_entry",
-                    "phi_entry"])
-        w.writerows([
-            e.vertex,
-            e.entry_step,
-            -1 if e.censored else e.exit_step,
-            -1 if e.censored else e.length,
-            int(e.censored),
-            int(e.started_inside),
-            e.log_phi_entry,
-            e.phi_entry,
-        ] for e in result.sojourn.events)
+    _write_csv(path, ["vertex", "entry_step", "exit_step", "length",
+                      "censored", "started_inside", "log_phi_entry",
+                      "phi_entry"],
+               ([e.vertex,
+                 e.entry_step,
+                 -1 if e.censored else e.exit_step,
+                 -1 if e.censored else e.length,
+                 int(e.censored),
+                 int(e.started_inside),
+                 e.log_phi_entry,
+                 e.phi_entry] for e in result.sojourn.events))
 
 
 def write_phi_csv(path, result: TrajectoryResult) -> None:
     """step, phi, log_phi, then one log column per monomial observable."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "phi", "log_phi"]
-                   + [f"log_{n}" for n in result.monomial_traces])
-        phi_lin = [math.exp(lp) if lp <= 0.0 else float("nan")
-                   for lp in result.trace_log_phi]
-        w.writerows(zip(result.trace_steps, phi_lin, result.trace_log_phi,
-                        *result.monomial_traces.values()))
+    phi_lin = [math.exp(lp) if lp <= 0.0 else float("nan")
+               for lp in result.trace_log_phi]
+    _write_csv(path, ["step", "phi", "log_phi",
+                      *(f"log_{n}" for n in result.monomial_traces)],
+               zip(result.trace_steps, phi_lin, result.trace_log_phi,
+                   *result.monomial_traces.values()))
 
 
 def write_outside_csv(path, result: TrajectoryResult) -> None:
     """window_start,window_end,outside_fraction per decade window."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_start", "window_end", "outside_fraction"])
-        w.writerows([ws, we, frac] for (ws, we), frac
-                    in outside_fraction_trend(result.sojourn))
+    _write_csv(path, ["window_start", "window_end", "outside_fraction"],
+               ([ws, we, frac] for (ws, we), frac
+                in outside_fraction_trend(result.sojourn)))

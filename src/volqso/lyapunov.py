@@ -33,6 +33,8 @@ from .simplex import SimplexPoint
 MARGIN_TOL = 1e-9     # solver optimum below this: report infeasible
 LAMBDA_BOUND = 1.0
 MIN_VERIFY_STEPS = 1000   # shortest run with a decade window to compare
+VERIFY_STEPS = 100_000    # default length of the check along a trajectory
+VERIFY_TRANSIENT = 100    # default steps before the first judged decade
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,8 @@ def synthesize(a: SkewMatrix) -> LyapunovCandidate | None:
 
 
 def verify_along_trajectory(candidate, a: SkewMatrix, start: SimplexPoint,
-                            steps: int = 100_000,
-                            transient: int = 100) -> DecayReport:
+                            steps: int = VERIFY_STEPS,
+                            transient: int = VERIFY_TRANSIENT) -> DecayReport:
     """Track log F along a trajectory and report the net drift per decade.
 
     Decaying means every decade window starting at or after `transient` shows

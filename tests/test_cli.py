@@ -341,6 +341,29 @@ MALFORMED = [
      "observables"),
 ]
 
+# (config, key the error must name): values outside the bounds the schema
+# states, checked for every command whether or not there are runs to build
+OUT_OF_BOUNDS = [
+    ({"matrix": ALL_HALF_ROWS, "steps": 1e15, "record_stride": 1,
+      "starts": {"points": [[0.4, 0.3, 0.2, 0.1]], "count": -1, "seed": 1}},
+     "starts.count"),
+    (dict(SIMULATE_BASE, starts={"count": -3, "seed": 1}), "starts.count"),
+    (dict(SIMULATE_BASE, starts={"count": 1, "seed": -1}), "starts.seed"),
+    (dict(SIMULATE_BASE, workers=0), "workers"),
+    (dict(SIMULATE_BASE, delta_conv=-1), "delta_conv"),
+    (dict(SIMULATE_BASE, delta_osc=0), "delta_osc"),
+    (dict(SIMULATE_BASE, verify={"transient": -5}), "verify.transient"),
+    (dict(SIMULATE_BASE, tolerances={"validate_sum": 0}),
+     "tolerances.validate_sum"),
+    ({"matrix": ALL_HALF_ROWS, "epsilon": 0.3}, "epsilon"),
+    ({"matrix": ALL_HALF_ROWS, "steps": 0}, "steps"),
+    ({"matrix": ALL_HALF_ROWS, "record_stride": 0}, "record_stride"),
+    ({"matrix": ALL_HALF_ROWS, "checkpoints": [0]}, "checkpoints[0]"),
+    ({"matrix": ALL_HALF_ROWS, "min_coord": -0.1}, "min_coord"),
+    ({"canonical_params": dict(HALF_PARAMS, a14=-0.5)},
+     "canonical_params.a14"),
+]
+
 
 class TestConfigParse:
     @pytest.mark.parametrize("command,config,key", MALFORMED,
@@ -353,6 +376,21 @@ class TestConfigParse:
         [line] = capsys.readouterr().err.splitlines()
         assert line.split()[:2] in (["error:", key], ["error:", f"{key}:"])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    @pytest.mark.parametrize("config,key", OUT_OF_BOUNDS,
+                             ids=[k for _, k in OUT_OF_BOUNDS])
+    def test_out_of_bounds_exits_2_before_any_work(self, tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   config, key):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the bound check")
+
+        for name in ("interior_points", "classify", "all_fixed_points",
+                     "synthesize", "run_ensemble"):
+            monkeypatch.setattr(f"volqso.cli.{name}", forbidden)
+        self.test_malformed_value_exits_2_naming_key(tmp_path, capsys,
+                                                     command, config, key)
 
     def test_integral_float_steps_same_bytes(self, tmp_path):
         outs = []
@@ -430,15 +468,29 @@ class TestStorageLimit:
 
     def test_stored_values_against_limit(self, tmp_path, capsys,
                                          monkeypatch):
-        # SIMULATE_BASE stores 1 start x (100 // 10 + 2) rows x 5 values
+        # SIMULATE_BASE stores 1 start x (100 // 10 + 2) rows x 5 values;
+        # verify off, as the default Lyapunov check is held to the limit too
+        config = dict(SIMULATE_BASE, verify=False)
         monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 60)
-        assert self.run(tmp_path, capsys, "simulate", SIMULATE_BASE)[0] == 0
+        assert self.run(tmp_path, capsys, "simulate", config)[0] == 0
         monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 59)
         self.forbid_work(monkeypatch)
-        code, err, _ = self.run(tmp_path, capsys, "simulate", SIMULATE_BASE)
+        code, err, _ = self.run(tmp_path, capsys, "simulate", config)
         assert code == 2
         assert err == ["error: steps: the runs would store 60 values, more "
                        "than 59; raise record_stride or run fewer starts"]
+
+    def test_default_verify_checked_like_empty_object(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # no verify key: the defaults, 100000 steps traced every 10th step
+        self.forbid_work(monkeypatch)
+        monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 60011)
+        for config in ({"matrix": ALL_HALF_ROWS},
+                       {"matrix": ALL_HALF_ROWS, "verify": {}}):
+            code, err, _ = self.run(tmp_path, capsys, "classify", config)
+            assert code == 2
+            assert err == ["error: verify.steps: the runs would store 60012 "
+                           "values, more than 60011; lower verify.steps"]
 
     def test_oversize_verify_rejected_by_arithmetic(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -479,14 +531,16 @@ DELETE = object()
 @st.composite
 def mutated_configs(draw):
     """The fuzz base with one or two present keys (top-level or one level
-    into an object) replaced by a mistyped value or deleted."""
+    into an object) replaced by a mistyped or out-of-range value, or
+    deleted."""
     cfg = copy.deepcopy(FUZZ_BASE)
     for _ in range(draw(st.integers(1, 2))):
         paths = [(k,) for k in cfg] + [
             (k, sub) for k, v in cfg.items() if isinstance(v, dict)
             for sub in v]
         path = draw(st.sampled_from(sorted(paths)))
-        value = draw(st.sampled_from([None, True, "x", [], {}, DELETE]))
+        value = draw(st.sampled_from([None, True, "x", [], {}, -1, 0, 0.3,
+                                      DELETE]))
         node = cfg[path[0]] if len(path) == 2 else cfg
         if value is DELETE:
             del node[path[-1]]

@@ -439,7 +439,6 @@ def special_result() -> TrajectoryResult:
         min_log_phi=-INF,
         final=LogSimplexPoint((0.0, -INF, -INF, -INF)),
         max_abs_drift=0.0,
-        backend="python",
     )
 
 

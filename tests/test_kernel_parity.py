@@ -1,9 +1,11 @@
 """The compiled and pure-Python kernels must produce bit-identical output."""
 
+import json
 import math
 
 import pytest
 
+from volqso.cli import main
 from volqso.kernel import available_backends, get_kernel
 from volqso.qso import skew3
 from volqso.sampling import random_skew_matrix
@@ -70,6 +72,13 @@ def boundary_face_start(rc):
     assert len(rc["trace_steps"]) == 3001
 
 
+def switches_neighbourhood(rc):
+    # the point leaves U_1 straight into U_2: one step closes the first
+    # event and opens the next
+    first, second = rc["events"]
+    assert first[0] != second[0] and first[2] == second[1]
+
+
 CASES = {
     "all_half_long_run": (
         (4, ALL_HALF, logs_of([0.4, 0.3, 0.2, 0.1]), 50_000, math.log(0.05),
@@ -95,6 +104,12 @@ CASES = {
          [[0.1, 0.25, 0.4, 0.05], [0.0, 0.3, 0.2, 0.45]],
          [2 ** k for k in range(12)], 1, True),
         boundary_face_start),
+    # eps = 0.4 > 1/4 lets two neighbourhoods touch; only the kernel
+    # accepts it (TrajectoryConfig keeps eps below 1/4)
+    "direct_switch": (
+        (2, [[0.0, -1.0], [1.0, 0.0]], logs_of([0.62, 0.38]), 5,
+         math.log(0.4), [0, 1], [], [1, 5], 1, False),
+        switches_neighbourhood),
 }
 
 
@@ -126,3 +141,22 @@ class TestParity:
                           True)
         assert rc["events"] == rp["events"]
         assert len(rc["events"]) > 5
+
+    def test_cli_output_bytes_identical(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "matrix": CYCLIC_ONE,
+            "starts": {"points": [[0.0, 0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1]]},
+            "steps": 3000, "record_stride": 1,
+            "observables": {"coordinates": [1, 2, 3, 4], "monomials": [
+                [0.1, 0.25, 0.4, 0.05], [0.0, 0.3, 0.2, 0.45]]}}))
+        trees = []
+        for backend in ("compiled", "python"):
+            monkeypatch.setattr("volqso.kernel.run", get_kernel(backend))
+            out = tmp_path / backend
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            trees.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 11      # summary.json + 2 starts x 5 CSVs
+        assert trees[0] == trees[1]
