@@ -1,20 +1,25 @@
-/* Compiled trajectory kernel.
+/* Compiled trajectory kernel and CSV row formatter.
  *
- * Port of volqso/_kernel_py.run that matches it statement for statement:
- * same loops, same branches, same arithmetic in the same order, same libm
- * calls, so both backends produce bit-identical results.  Keep the two in
- * sync; tests/test_kernel_parity.py enforces it.
+ * vq_run is a port of volqso/_kernel_py.run that matches it statement for
+ * statement: same loops, same branches, same arithmetic in the same order,
+ * same libm calls, so both backends produce bit-identical results.  Keep the
+ * two in sync; tests/test_kernel_parity.py enforces it.
+ *
+ * vq_format writes CSV body rows.  Its reference is Python's repr(float)
+ * (and str(int)), which volqso/_kernel_py.format_rows uses through
+ * csv.writer; tests/test_kernel_parity.py holds it to the same bytes.
  *
  * Plain C with no Python API.  volqso/kernel.py compiles this file at first
  * import with -ffp-contract=off (fused multiply-adds would change results),
  * allocates every input and output array, validates their sizes and calls
- * vq_run through ctypes, which releases the GIL for the whole run.  The only
- * memory the kernel owns is the realloc-grown sojourn-event array, handed
- * back in vq_result.events and released with vq_free.
+ * vq_run and vq_format through ctypes, which releases the GIL for the call.
+ * The only memory the kernel owns is the realloc-grown sojourn-event array,
+ * handed back in vq_result.events and released with vq_free.
  */
 
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define UNDERFLOW_GUARD 1e-280          /* direct factor below -> log domain */
 #define DRIFT_TOL 1e-6                  /* |logsumexp| allowed per step */
@@ -294,4 +299,267 @@ oom:
     r->events = NULL;
     r->n_events = 0;
     return -1;
+}
+
+/* ------------------------------------------------------------------------
+ * CSV body rows.
+ *
+ * The reference is Python's csv.writer on ints and floats, that is str(int)
+ * and repr(float).  A double prints as the shortest decimal that reads back
+ * as the same double, the one closest to it when several are that short
+ * (ties to an even last digit).  The digits come from Schubfach
+ * (R. Giulietti, "The Schubfach way to render doubles", 2020), in the shape
+ * of its Java implementation, jdk.internal.math.DoubleToDecimal, with one
+ * change: Java never goes below two digits, repr does (5e-324).  Products
+ * of 64-bit words use unsigned __int128.  The layout is repr's: fixed
+ * notation for 1e-4 <= |x| < 1e16, with ".0" on integral values, otherwise
+ * d.ddde+XX with at least two exponent digits; -0.0, inf, -inf, and nan
+ * for either sign bit.
+ */
+
+#define K_MIN (-324)            /* first decimal exponent of the g table */
+#define Q_MIN (-1074)           /* binary exponent of the subnormals */
+#define C_MIN (1ULL << 52)      /* smallest normal significand */
+#define MASK_63 ((1ULL << 63) - 1)
+
+/* floor(e log10(2)), floor(e log10(3/4 2)), floor(e log2(10)), exact for
+ * every exponent a double can produce */
+static int flog10pow2(int e)
+{
+    return (int)((long long)e * 661971961083LL >> 41);
+}
+
+static int flog10threequarterspow2(int e)
+{
+    return (int)(((long long)e * 661971961083LL - 274743187321LL) >> 41);
+}
+
+static int flog2pow10(int e)
+{
+    return (int)((long long)e * 913124641741LL >> 38);
+}
+
+static unsigned long long mulhi(unsigned long long a, unsigned long long b)
+{
+    return (unsigned long long)((unsigned __int128)a * b >> 64);
+}
+
+/* g cp / 2^127 rounded to odd, where g = g1 2^63 + g0 */
+static unsigned long long rop(unsigned long long g1, unsigned long long g0,
+                              unsigned long long cp)
+{
+    unsigned long long x1 = mulhi(g0, cp);
+    unsigned long long y0 = g1 * cp;
+    unsigned long long y1 = mulhi(g1, cp);
+    unsigned long long z = (y0 >> 1) + x1;
+    unsigned long long vbp = y1 + (z >> 63);
+    return vbp | (((z & MASK_63) + MASK_63) >> 63);
+}
+
+/* The decimal f 10^*e printed for the double c 2^q (c > 0).
+ * g holds g(k) = floor(10^-k 2^-r) + 1, with r such that
+ * 2^125 <= 10^-k 2^-r < 2^126, as (g >> 63, g mod 2^63) for each k. */
+static unsigned long long shortest(unsigned long long c, int q,
+                                  const unsigned long long *g, int *e)
+{
+    unsigned long long out = c & 1, cb = c << 2, cbr = cb + 2, cbl;
+    unsigned long long vb, vbl, vbr, s, t;
+    const unsigned long long *gk;
+    long long cmp;
+    int k, h, uin, win;
+
+    if (c != C_MIN || q == Q_MIN) {
+        cbl = cb - 2;
+        k = flog10pow2(q);
+    } else {                    /* the double below is closer */
+        cbl = cb - 1;
+        k = flog10threequarterspow2(q);
+    }
+    /* vb, vbl, vbr: 4 v / 10^k and the same for the two ends of the
+     * rounding interval of v, rounded to odd; the ends belong to the
+     * interval when c is even (out == 0) */
+    h = q + flog2pow10(-k) + 2;
+    gk = g + 2 * (k - K_MIN);
+    vb = rop(gk[0], gk[1], cb << h);
+    vbl = rop(gk[0], gk[1], cbl << h);
+    vbr = rop(gk[0], gk[1], cbr << h);
+    *e = k;
+
+    /* At most one multiple of 10^(k+1) lies in the rounding interval; when
+     * one does, it is the shortest (below s = 10 all candidates have one
+     * digit). */
+    s = vb >> 2;
+    if (s >= 10) {
+        unsigned long long sp10 = 10 * mulhi(s, 115292150460684698ULL << 4);
+        unsigned long long tp10 = sp10 + 10;
+        int upin = vbl + out <= sp10 << 2;
+        int wpin = (tp10 << 2) + out <= vbr;
+        if (upin != wpin)
+            return upin ? sp10 : tp10;
+    }
+    /* Otherwise the closer of s 10^k and t 10^k that lies in it. */
+    t = s + 1;
+    uin = vbl + out <= s << 2;
+    win = (t << 2) + out <= vbr;
+    if (uin != win)
+        return uin ? s : t;
+    cmp = (long long)(vb - ((s + t) << 1));
+    return cmp < 0 || (cmp == 0 && (s & 1) == 0) ? s : t;
+}
+
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233"
+    "34353637383940414243444546474849505152535455565758596061626364656667"
+    "6869707172737475767778798081828384858687888990919293949596979899";
+
+static const unsigned long long POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL,
+    10000000ULL, 100000000ULL, 1000000000ULL, 10000000000ULL,
+    100000000000ULL, 1000000000000ULL, 10000000000000ULL,
+    100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL,
+    10000000000000000000ULL};
+
+/* The number of decimal digits of u > 0 */
+static int n_digits(unsigned long long u)
+{
+    int t = (64 - __builtin_clzll(u)) * 1233 >> 12;  /* ~ bits * log10(2) */
+    return t + (u >= POW10[t]);
+}
+
+/* Write the decimal digits of u so that they end just before `end`. */
+static void put_digits(char *end, unsigned long long u)
+{
+    for (; u >= 100; u /= 100) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * (u % 100), 2);
+    }
+    if (u >= 10)
+        memcpy(end - 2, DIGIT_PAIRS + 2 * u, 2);
+    else
+        end[-1] = (char)('0' + u);
+}
+
+static char *put_int(char *p, long long v)
+{
+    unsigned long long u = (unsigned long long)v;
+    int n;
+
+    if (v < 0) {
+        *p++ = '-';
+        u = 0 - u;
+    }
+    n = u ? n_digits(u) : 1;
+    put_digits(p + n, u);
+    return p + n;
+}
+
+/* f 10^e (f > 0) in repr's layout */
+static char *put_decimal(char *p, unsigned long long f, int e)
+{
+    int n, x, i;
+
+    while (f % 10 == 0) {
+        f /= 10;
+        e++;
+    }
+    n = n_digits(f);
+    x = e + n - 1;              /* decimal exponent of the leading digit */
+    if (x < -4 || x >= 16) {
+        /* d.ddde+XX: write the digits one place to the right, then move
+         * the first one back in front of the point */
+        put_digits(p + 1 + n, f);
+        p[0] = p[1];
+        if (n > 1) {
+            p[1] = '.';
+            p += n + 1;
+        } else {
+            p += 1;
+        }
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        if (x < 0)
+            x = -x;
+        if (x >= 100) {
+            *p++ = (char)('0' + x / 100);
+            x %= 100;
+        }
+        memcpy(p, DIGIT_PAIRS + 2 * x, 2);
+        p += 2;
+    } else if (x < 0) {         /* 0.000ddd */
+        *p++ = '0';
+        *p++ = '.';
+        for (i = -1; i > x; i--)
+            *p++ = '0';
+        put_digits(p + n, f);
+        p += n;
+    } else if (n <= x + 1) {    /* ddd000.0 */
+        put_digits(p + n, f);
+        p += n;
+        for (i = n; i <= x; i++)
+            *p++ = '0';
+        *p++ = '.';
+        *p++ = '0';
+    } else {                    /* ddd.ddd: the same move, x + 1 digits */
+        put_digits(p + 1 + n, f);
+        for (i = 0; i <= x; i++)
+            p[i] = p[i + 1];
+        p[x + 1] = '.';
+        p += n + 1;
+    }
+    return p;
+}
+
+static char *put_double(char *p, double v, const unsigned long long *g)
+{
+    unsigned long long bits, c;
+    int bq, e;
+
+    memcpy(&bits, &v, sizeof bits);
+    bq = (int)(bits >> 52) & 0x7FF;
+    c = bits & (C_MIN - 1);
+    if (bq == 0x7FF && c) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (bq == 0x7FF || (bq == 0 && c == 0)) {
+        memcpy(p, bq ? "inf" : "0.0", 3);
+        return p + 3;
+    }
+    if (bq)
+        c |= C_MIN;
+    else
+        bq = 1;                 /* subnormal: same exponent as bq 1 */
+    c = shortest(c, bq - 1075, g, &e);
+    return put_decimal(p, c, e);
+}
+
+/* Write n_rows CSV rows to `out`: each row holds the next n_int values of
+ * `ints`, then the next n_dbl values of `dbls`, comma-separated and ended
+ * by "\r\n".  Requires n_int + n_dbl >= 1, the g table described at
+ * `shortest`, and room in `out` for n_rows (21 n_int + 25 n_dbl + 1)
+ * bytes.  Returns the number of bytes written. */
+long long vq_format(long long n_rows, int n_int, const long long *ints,
+                    int n_dbl, const double *dbls,
+                    const unsigned long long *g, char *out)
+{
+    char *p = out;
+    long long r;
+    int j;
+
+    for (r = 0; r < n_rows; r++) {
+        for (j = 0; j < n_int; j++) {
+            p = put_int(p, *ints++);
+            *p++ = ',';
+        }
+        for (j = 0; j < n_dbl; j++) {
+            p = put_double(p, *dbls++, g);
+            *p++ = ',';
+        }
+        p[-1] = '\r';
+        *p++ = '\n';
+    }
+    return p - out;
 }

@@ -6,6 +6,9 @@ same order) so both backends produce bit-identical results.  Keep the two in
 sync.  It is also the only Python copy of the log-space step:
 `qso.apply_volterra_log` is a one-step run.
 
+`format_rows` is likewise the reference for `vq_format`, the CSV row
+formatter in `_kernel.c`.
+
 All state lives in log coordinates.  The step factor 1 + (Ax)_k is evaluated
 as sum_i (1 + a[k][i]) x_i, a sum of nonnegative terms; when that sum
 underflows doubles the same sum is taken in the log domain.  Without this a
@@ -15,6 +18,8 @@ cycling dynamics would collapse onto a face.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 UNDERFLOW_GUARD = 1e-280   # direct factor below this -> log-domain sum
@@ -223,3 +228,17 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
         "max_abs_drift": max_drift,
         "error": error,
     }
+
+
+def format_rows(n_rows, ints, floats):
+    """`n_rows` CSV rows as UTF-8 bytes.  Each row holds the next
+    len(ints) // n_rows values of `ints`, then the next len(floats) //
+    n_rows values of `floats`, written as csv.writer writes them: str(int),
+    repr(float), commas between and CRLF at the end."""
+    n_int, n_float = len(ints) // n_rows, len(floats) // n_rows
+    buf = io.StringIO()
+    csv.writer(buf).writerows(
+        [*ints[r * n_int:(r + 1) * n_int],
+         *floats[r * n_float:(r + 1) * n_float]]
+        for r in range(n_rows))
+    return buf.getvalue().encode()

@@ -15,12 +15,15 @@ two expose it at logarithmic storage cost.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+from array import array
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 
 from . import kernel
 from .classify import CanonicalParams
@@ -457,61 +460,80 @@ def outside_fraction_trend(table: SojournTable):
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (headers documented in docs/formats.md); csv.writer writes a
-# float as its repr, the shortest round-trip form
+# CSV emission (headers documented in docs/formats.md)
+
+_CHUNK_VALUES = 1 << 14   # values per format_rows call: bounds its buffers
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _write_csv(path, header, n_int, n_rows, ints, floats) -> None:
+    """Write `header` as csv.writer quotes it, then `n_rows` rows of
+    `n_int` values from the flat iterable `ints` followed by
+    len(header) - n_int values from the flat iterable `floats`, all UTF-8.
+    The kernel backend formats the rows, a chunk at a time."""
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    n_float = len(header) - n_int
+    chunk = max(1, _CHUNK_VALUES // len(header))
+    ints, floats = iter(ints), iter(floats)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode())
+        for lo in range(0, n_rows, chunk):
+            n = min(chunk, n_rows - lo)
+            # array() fills from a list about twice as fast as from an
+            # iterator
+            fh.write(kernel.format_rows(
+                n, array("q", list(islice(ints, n * n_int))),
+                array("d", list(islice(floats, n * n_float)))))
 
 
 def write_trajectory_csv(path, result: TrajectoryResult) -> None:
     """step,x1..xm: linear coordinates at the trace steps (exact zeros and
     underflowed values print as 0.0; the log scale lives in phi.csv)."""
-    _write_csv(path, ["step"] + [f"x{i + 1}" for i in range(result.m)],
-               ([step, *map(math.exp, logs)] for step, logs
-                in zip(result.trace_steps, result.trace_log_coords)))
+    _write_csv(path, ["step"] + [f"x{i + 1}" for i in range(result.m)], 1,
+               len(result.trace_steps), result.trace_steps,
+               map(math.exp, chain.from_iterable(result.trace_log_coords)))
 
 
 def write_cesaro_csv(path, result: TrajectoryResult) -> None:
     """n, then one running-mean column per observable."""
     series = result.cesaro
-    _write_csv(path, ["n", *result.observable_names],
-               zip(series[0].ns, *(s.values for s in series))
-               if series else ())
+    ns = series[0].ns if series else ()
+    _write_csv(path, ["n", *result.observable_names], 1, len(ns), ns,
+               chain.from_iterable(zip(*(s.values for s in series))))
 
 
 def write_sojourn_csv(path, result: TrajectoryResult) -> None:
     """One row per sojourn event; censored rows (still inside at the end of
     the run) carry exit_step = length = -1."""
+    events = result.sojourn.events
     _write_csv(path, ["vertex", "entry_step", "exit_step", "length",
                       "censored", "started_inside", "log_phi_entry",
-                      "phi_entry"],
-               ([e.vertex,
-                 e.entry_step,
-                 -1 if e.censored else e.exit_step,
-                 -1 if e.censored else e.length,
-                 int(e.censored),
-                 int(e.started_inside),
-                 e.log_phi_entry,
-                 e.phi_entry] for e in result.sojourn.events))
+                      "phi_entry"], 6, len(events),
+               chain.from_iterable(
+                   (e.vertex,
+                    e.entry_step,
+                    -1 if e.censored else e.exit_step,
+                    -1 if e.censored else e.length,
+                    int(e.censored),
+                    int(e.started_inside)) for e in events),
+               chain.from_iterable(
+                   (e.log_phi_entry, e.phi_entry) for e in events))
 
 
 def write_phi_csv(path, result: TrajectoryResult) -> None:
     """step, phi, log_phi, then one log column per monomial observable."""
-    phi_lin = [math.exp(lp) if lp <= 0.0 else float("nan")
-               for lp in result.trace_log_phi]
+    phi_lin = (math.exp(lp) if lp <= 0.0 else float("nan")
+               for lp in result.trace_log_phi)
     _write_csv(path, ["step", "phi", "log_phi",
-                      *(f"log_{n}" for n in result.monomial_traces)],
-               zip(result.trace_steps, phi_lin, result.trace_log_phi,
-                   *result.monomial_traces.values()))
+                      *(f"log_{n}" for n in result.monomial_traces)], 1,
+               len(result.trace_steps), result.trace_steps,
+               chain.from_iterable(zip(phi_lin, result.trace_log_phi,
+                                       *result.monomial_traces.values())))
 
 
 def write_outside_csv(path, result: TrajectoryResult) -> None:
     """window_start,window_end,outside_fraction per decade window."""
-    _write_csv(path, ["window_start", "window_end", "outside_fraction"],
-               ([ws, we, frac] for (ws, we), frac
-                in outside_fraction_trend(result.sojourn)))
+    trend = outside_fraction_trend(result.sojourn)
+    _write_csv(path, ["window_start", "window_end", "outside_fraction"], 2,
+               len(trend), chain.from_iterable(w for w, _ in trend),
+               (frac for _, frac in trend))

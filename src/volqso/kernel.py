@@ -1,16 +1,19 @@
-"""Trajectory-kernel backend selection.
+"""Trajectory-kernel and CSV-formatter backend selection.
 
 Two backends produce bit-identical results: the pure-Python reference
-(`volqso._kernel_py`) and a port of it to plain C (`_kernel.c`).  The C file
-is compiled on first use with `$CC` (default: the compiler Python was built
-with) into the package's `__pycache__/`, under a name keyed on the sha256 of
-the source and flags, and loaded with ctypes; later imports load the cached
-library without starting a process.  Without a working compiler or a
-writable `__pycache__/` the pure-Python kernel takes over.
+(`volqso._kernel_py`) and a port of it to plain C (`_kernel.c`).  Each
+provides the trajectory kernel `run` and `format_rows`, the formatter of CSV
+body rows.  The C file is compiled on first use with `$CC` (default: the
+compiler Python was built with) into the package's `__pycache__/`, under a
+name keyed on the sha256 of the source and flags, and loaded with ctypes;
+later imports load the cached library without starting a process, and a
+build deletes the libraries built from older sources.  Without a working
+compiler or a writable `__pycache__/` the pure-Python backend takes over.
 
 BACKEND names the selected backend and BACKEND_REASON says why.  Set
-VOLQSO_KERNEL=python|compiled to force a backend (forcing `compiled` raises
-ImportError, with the reason, when the library cannot be built).
+VOLQSO_KERNEL=python|compiled to force a backend for both functions (forcing
+`compiled` raises ImportError, with the reason, when the library cannot be
+built).
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _LIBS = ("-lm",)
 _MAX_M = 4          # MAX_M in _kernel.c: the size of its per-step arrays
 _EVENT = struct.Struct("qqqdq")   # vq_event in _kernel.c
+# vq_format writes at most this many bytes per value, its separator included
+_INT_BYTES, _FLOAT_BYTES = 21, 25
 
 class _Result(ctypes.Structure):
     _fields_ = [("n_checkpoints", ctypes.c_longlong),
@@ -47,7 +52,8 @@ class _Result(ctypes.Structure):
 
 
 def _build(lib: Path) -> str | None:
-    """Compile `_kernel.c` into `lib`; returns why it failed, or None."""
+    """Compile `_kernel.c` into `lib` and delete the libraries built from
+    other sources; returns why it failed, or None."""
     # imported here: a cache hit, every process after the first, needs none
     import shlex
     import shutil
@@ -73,12 +79,19 @@ def _build(lib: Path) -> str | None:
         return f"cannot build {lib}: {exc}"
     finally:
         tmp.unlink(missing_ok=True)
+    for stale in lib.parent.glob("_kernel-*.so"):   # built from older sources
+        if stale != lib:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
     return None
 
 
 @functools.cache
 def _compiled():
-    """(run function or None, reason); builds the library on first use."""
+    """((run, format_rows) or None, reason); builds the library on first
+    use."""
     try:
         key = hashlib.sha256(_SOURCE.read_bytes()
                              + " ".join(_CFLAGS + _LIBS).encode())
@@ -97,6 +110,23 @@ def _compiled():
         return None, f"cannot load {lib}: {exc}"
 
 
+@functools.cache
+def _pow10_table() -> array:
+    """The table `shortest` in _kernel.c reads: for k = -324..292, g(k) =
+    floor(10^-k 2^-r) + 1 with 2^125 <= 10^-k 2^-r < 2^126, as the pair
+    (g >> 63, g mod 2^63)."""
+    table = array("Q")
+    for k in range(-324, 293):
+        p = 10 ** abs(k)
+        if k <= 0:
+            r = p.bit_length() - 126
+            g = (p >> r if r >= 0 else p << -r) + 1
+        else:
+            g = (1 << 125 + p.bit_length()) // p + 1
+        table.extend((g >> 63, g & (1 << 63) - 1))
+    return table
+
+
 def _rows(buf, lo: int, n_rows: int, width: int) -> list:
     """`n_rows` rows of `width` doubles from array `buf`, from index `lo`."""
     if n_rows == 0 or width == 0:
@@ -106,7 +136,8 @@ def _rows(buf, lo: int, n_rows: int, width: int) -> list:
 
 
 def _bind(lib):
-    """Wrap the C entry point in `_kernel_py.run`'s calling convention."""
+    """Wrap the C entry points in the calling conventions of
+    `_kernel_py.run` and `_kernel_py.format_rows`."""
     ptr = ctypes.c_void_p
     c_run = lib.vq_run
     c_run.restype = ctypes.c_int
@@ -119,6 +150,10 @@ def _bind(lib):
     c_free = lib.vq_free
     c_free.restype = None
     c_free.argtypes = [ptr]
+    c_format = lib.vq_format
+    c_format.restype = ctypes.c_longlong
+    c_format.argtypes = [ctypes.c_longlong, ctypes.c_int, ptr, ctypes.c_int,
+                         ptr, ptr, ptr]
 
     def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
             stride, want_phi):
@@ -183,7 +218,24 @@ def _bind(lib):
             "error": error,
         }
 
-    return run
+    def format_rows(n_rows, ints, floats):
+        """Same contract as volqso._kernel_py.format_rows, with `ints` an
+        array('q') and `floats` an array('d')."""
+        if ints.typecode != "q" or floats.typecode != "d":
+            raise TypeError("format_rows needs array('q') and array('d')")
+        if (n_rows < 1 or len(ints) % n_rows or len(floats) % n_rows
+                or not (ints or floats)):
+            raise ValueError(f"{len(ints)} ints and {len(floats)} floats do "
+                             f"not fill {n_rows} rows")
+        n_int, n_float = len(ints) // n_rows, len(floats) // n_rows
+        table = _pow10_table()
+        out = ctypes.create_string_buffer(
+            n_rows * (_INT_BYTES * n_int + _FLOAT_BYTES * n_float + 1))
+        size = c_format(n_rows, n_int, ints.buffer_info()[0], n_float,
+                        floats.buffer_info()[0], table.buffer_info()[0], out)
+        return ctypes.string_at(out, size)
+
+    return run, format_rows
 
 
 def available_backends() -> tuple[str, ...]:
@@ -192,33 +244,43 @@ def available_backends() -> tuple[str, ...]:
     return ("python",)
 
 
-def get_kernel(name: str):
+def _functions(name: str):
+    """(run, format_rows) of backend `name`."""
     if name == "python":
-        return _kernel_py.run
+        return _kernel_py.run, _kernel_py.format_rows
     if name == "compiled":
-        run_c, reason = _compiled()
-        if run_c is None:
+        functions, reason = _compiled()
+        if functions is None:
             raise ImportError(
                 f"compiled trajectory kernel unavailable: {reason}; install "
                 "a C compiler (or set CC), or set VOLQSO_KERNEL=python")
-        return run_c
+        return functions
     raise ValueError(f"unknown kernel backend {name!r}")
+
+
+def get_kernel(name: str):
+    return _functions(name)[0]
+
+
+def get_formatter(name: str):
+    return _functions(name)[1]
 
 
 def _select():
     choice = os.environ.get("VOLQSO_KERNEL", "auto").strip().lower()
     if choice == "python":
-        return _kernel_py.run, "python", "forced by VOLQSO_KERNEL=python"
+        return (_functions("python"), "python",
+                "forced by VOLQSO_KERNEL=python")
     if choice == "compiled":
-        return (get_kernel("compiled"), "compiled",
+        return (_functions("compiled"), "compiled",
                 f"forced by VOLQSO_KERNEL=compiled; {_compiled()[1]}")
     if choice not in ("", "auto"):
         raise ValueError(
             f"VOLQSO_KERNEL={choice!r}; expected auto, python or compiled")
-    run_c, reason = _compiled()
-    if run_c is None:
-        return _kernel_py.run, "python", reason
-    return run_c, "compiled", reason
+    functions, reason = _compiled()
+    if functions is None:
+        return _functions("python"), "python", reason
+    return functions, "compiled", reason
 
 
-run, BACKEND, BACKEND_REASON = _select()
+(run, format_rows), BACKEND, BACKEND_REASON = _select()

@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import volqso
 from volqso.cli import main
 from volqso.sampling import interior_points
 
@@ -255,6 +259,32 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg1, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", cfg8, "--out", str(out8)]) == 0
         assert tree_bytes(out1) == tree_bytes(out8)
+
+    def test_non_ascii_name_in_ascii_locale(self, tmp_path):
+        # the CSVs are UTF-8 whatever the locale's encoding, like the JSON
+        cfg = write_config(tmp_path, {
+            "matrix": ALL_HALF_ROWS,
+            "starts": {"points": [[0.4, 0.3, 0.2, 0.1]]},
+            "steps": 100,
+            "record_stride": 10,
+            "observables": {"coordinates": [1], "monomials": [
+                {"name": "\u03c61", "exponents": [0.25] * 4}]},
+        })
+        out = tmp_path / "out"
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(volqso.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from volqso.cli import main; sys.exit(main())",
+             "simulate", "--config", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        d = out / "start_000"
+        assert (d / "cesaro.csv").read_bytes().startswith(
+            "n,x1,\u03c61\r\n".encode("utf-8"))
+        assert (d / "phi.csv").read_bytes().startswith(
+            "step,phi,log_phi,log_\u03c61\r\n".encode("utf-8"))
 
     def test_m3_simulation(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -409,7 +409,10 @@ class TestShrinkage:
             assert trace[n1] < trace[n0]
 
 
-SPECIAL = (float("nan"), INF, -INF, -0.0, 5e-324, 1e308)
+# every float form a CSV value can take: non-finite values, a signed zero, a
+# subnormal, and either side of both layout boundaries (1e-4 and 1e16)
+SPECIAL = (float("nan"), INF, -INF, -0.0, 5e-324, 1e308, 1e-05, 0.0001, 1e16,
+           9999999999999998.0, 123456789.0, math.copysign(math.nan, -1.0))
 
 
 def special_result() -> TrajectoryResult:
@@ -424,16 +427,16 @@ def special_result() -> TrajectoryResult:
     return TrajectoryResult(
         m=4, steps=1000, epsilon=0.05,
         observable_names=("x1", "x2", "F,1", 'G"q'),
-        cesaro=tuple(CesaroSeries(name, tuple(zip(range(1, 7), values)))
+        cesaro=tuple(CesaroSeries(name, tuple(zip(range(1, 13), values)))
                      for name, values in (
                          ("x1", SPECIAL), ("x2", SPECIAL[::-1]),
                          ("F,1", SPECIAL[1:] + SPECIAL[:1]),
-                         ('G"q', (0.1, 1 / 3, 2.5, -7.0, 1e-5, 1e16)))),
+                         ('G"q', (0.1, 1 / 3, 2.5, -7.0, 1e-5, 1e16) * 2))),
         sojourn=SojournTable(events, total_steps=1000, epsilon=0.05, m=4),
-        trace_steps=(0, 1, 2, 3, 4, 5),
+        trace_steps=tuple(range(12)),
         trace_log_coords=((float("nan"), INF, -INF, -0.0),
                           (-745.0, 709.0, 5e-324, -1e-300),
-                          (-0.1, -1.5, -2.5, -3.5)) * 2,
+                          (-0.1, -1.5, -2.5, -3.5)) * 4,
         trace_log_phi=SPECIAL,
         monomial_traces={"F,1": SPECIAL[::-1], 'G"q': SPECIAL},
         min_log_phi=-INF,
@@ -452,8 +455,17 @@ def csv_reference(rows) -> bytes:
     return buf.getvalue().encode()
 
 
+@pytest.fixture(params=["compiled", "python"])
+def csv_backend(request, monkeypatch):
+    """Send the CSV writers' rows through one backend's formatter."""
+    if request.param not in kernel.available_backends():
+        pytest.skip("compiled kernel not built")
+    monkeypatch.setattr(kernel, "format_rows",
+                        kernel.get_formatter(request.param))
+
+
 class TestCsvFormat:
-    def test_writers_match_reference_bytes(self, tmp_path):
+    def test_writers_match_reference_bytes(self, tmp_path, csv_backend):
         res = special_result()
         monos = list(res.monomial_traces)
         expected = {
@@ -490,3 +502,7 @@ class TestCsvFormat:
         phi = (tmp_path / "write_phi_csv.csv").read_bytes()
         assert phi.startswith(b'step,phi,log_phi,"log_F,1","log_G""q"\r\n')
         assert b",-0.0," in phi and b",5e-324," in phi
+        for text in (b"1e-05", b"0.0001", b"1e+16", b"9999999999999998.0",
+                     b"123456789.0"):
+            assert b"," + text + b"," in phi
+        assert b"-nan" not in phi

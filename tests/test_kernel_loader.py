@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import volqso
+from volqso import kernel
 
 PROBE = "import volqso.kernel as k; print(k.BACKEND); print(k.BACKEND_REASON)"
 DEFAULT_CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
@@ -44,13 +45,21 @@ def libraries(root):
     return sorted((root / "volqso" / "__pycache__").iterdir())
 
 
-@pytest.mark.skipif(
+needs_cc = pytest.mark.skipif(
     shutil.which(shlex.split(os.environ.get("CC") or DEFAULT_CC)[0]) is None,
     reason="no C compiler")
+
+
+@needs_cc
 def test_first_import_builds_then_reuses(pkg_root):
+    # a library built from older sources goes once the new one is built
+    stale = pkg_root / "volqso" / "__pycache__" / "_kernel-0000000000000000.so"
+    stale.parent.mkdir()
+    stale.write_bytes(b"")
     first = probe(pkg_root)
     assert first.returncode == 0, first.stderr
     [lib] = [p for p in libraries(pkg_root) if p.suffix == ".so"]
+    assert lib != stale
     assert first.stdout.splitlines() == ["compiled", f"built {lib}"]
     mtime = lib.stat().st_mtime_ns
 
@@ -83,3 +92,13 @@ def test_stale_backend_name_rejected(pkg_root):
     assert stale.returncode == 1
     assert "VOLQSO_KERNEL='cython'; expected auto, python or compiled" \
         in stale.stderr
+
+
+@needs_cc
+def test_kernel_compiles_without_warnings(tmp_path):
+    cc = shlex.split(os.environ.get("CC") or DEFAULT_CC)
+    proc = subprocess.run(
+        [*cc, *kernel._CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "_kernel.so"), str(kernel._SOURCE),
+         *kernel._LIBS], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

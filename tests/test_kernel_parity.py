@@ -1,12 +1,18 @@
-"""The compiled and pure-Python kernels must produce bit-identical output."""
+"""The compiled and pure-Python kernels must produce bit-identical output,
+and the compiled CSV formatter the bytes of repr."""
 
 import json
 import math
+import random
+import struct
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volqso.cli import main
-from volqso.kernel import available_backends, get_kernel
+from volqso.kernel import available_backends, get_formatter, get_kernel
 from volqso.qso import skew3
 from volqso.sampling import random_skew_matrix
 
@@ -142,7 +148,9 @@ class TestParity:
         assert rc["events"] == rp["events"]
         assert len(rc["events"]) > 5
 
-    def test_cli_output_bytes_identical(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("formatter", ["compiled", "python"])
+    def test_cli_output_bytes_identical(self, tmp_path, monkeypatch,
+                                        formatter):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "matrix": CYCLIC_ONE,
@@ -150,6 +158,8 @@ class TestParity:
             "steps": 3000, "record_stride": 1,
             "observables": {"coordinates": [1, 2, 3, 4], "monomials": [
                 [0.1, 0.25, 0.4, 0.05], [0.0, 0.3, 0.2, 0.45]]}}))
+        monkeypatch.setattr("volqso.kernel.format_rows",
+                            get_formatter(formatter))
         trees = []
         for backend in ("compiled", "python"):
             monkeypatch.setattr("volqso.kernel.run", get_kernel(backend))
@@ -160,3 +170,102 @@ class TestParity:
                           for p in sorted(out.rglob("*")) if p.is_file()})
         assert len(trees[0]) == 11      # summary.json + 2 starts x 5 CSVs
         assert trees[0] == trees[1]
+
+
+# ---------------------------------------------------------------------------
+# the compiled CSV formatter against repr
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def assert_reprs(values):
+    """The compiled formatter writes each double as repr does, one a row."""
+    values = list(values)
+    got = get_formatter("compiled")(len(values), array("q"),
+                                    array("d", values))
+    expected = "".join(repr(v) + "\r\n" for v in values).encode()
+    if got != expected:
+        bad = [(v, g) for v, g in zip(values, got.decode().split("\r\n"))
+               if g != repr(v)]
+        pytest.fail(f"{len(bad)} of {len(values)} differ, e.g. {bad[:5]}")
+
+
+def with_neighbours(values):
+    for v in values:
+        yield from (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))
+
+
+@needs_compiled
+class TestFormatter:
+    def test_special_values(self):
+        assert_reprs([0.0, -0.0, math.inf, -math.inf, math.nan,
+                      math.copysign(math.nan, -1.0), from_bits(0xFFF8 << 48),
+                      from_bits(0x7FF0000000000001), 5e-324, -5e-324,
+                      2.2250738585072014e-308, 1.7976931348623157e308,
+                      -1.7976931348623157e308])
+
+    def test_powers_of_two(self):
+        assert_reprs(with_neighbours(
+            math.ldexp(1.0, k) for k in range(-1074, 1024)))
+
+    def test_powers_of_ten(self):
+        assert_reprs(with_neighbours(
+            float(f"1e{k}") for k in range(-323, 309)))
+
+    def test_layout_boundaries(self):
+        assert_reprs([1e-4, math.nextafter(1e-4, 0.0), -1e-4, 1e16,
+                      math.nextafter(1e16, 0.0), 9999999999999998.0,
+                      -9999999999999998.0, 1e-5, 1e15, 123456789.0])
+
+    def test_integers(self):
+        rng = random.Random(53)
+        assert_reprs([float(n) for n in range(-1000, 100_000)]
+                     + [float(2 ** 53 - n) for n in range(1000)]
+                     + [float(rng.randrange(2 ** 53)) for _ in range(10_000)]
+                     + [float(10 ** k) for k in range(16)])
+
+    def test_subnormal_significands(self):
+        assert_reprs(from_bits(c) for c in range(1, 20_000))
+
+    def test_ties_to_even_digit(self):
+        # n / 2^17 (n odd) in [0.5, 1) lies exactly halfway between two
+        # 16-digit decimals, both within half an ulp of it
+        assert_reprs(n / 2 ** 17 for n in range(2 ** 16 + 1, 2 ** 17, 2))
+
+    def test_random_bit_patterns(self):
+        rng = random.Random(20260)
+        assert_reprs(from_bits(rng.getrandbits(64)) for _ in range(200_000))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                    min_size=1, max_size=50))
+    def test_hypothesis_floats(self, values):
+        assert_reprs(values)
+
+    def test_int_columns(self):
+        ints = [-2 ** 63, 2 ** 63 - 1, 0, -1, 7, -10 ** 18, 10 ** 18]
+        floats = [0.5, -0.0, math.nan, 1e300, -2.5e-310, 3.0, 1 / 3]
+        got = get_formatter("compiled")(
+            len(ints), array("q", ints), array("d", floats))
+        assert got == "".join(f"{n},{x!r}\r\n"
+                              for n, x in zip(ints, floats)).encode()
+        assert got == get_formatter("python")(
+            len(ints), array("q", ints), array("d", floats))
+
+    def test_rows_of_several_columns(self):
+        ints = array("q", range(-6, 6))
+        floats = array("d", [v / 7 for v in range(-9, 9)])
+        for n_rows in (1, 2, 3, 6):
+            assert get_formatter("compiled")(n_rows, ints, floats) == \
+                get_formatter("python")(n_rows, ints, floats)
+
+    def test_bad_sizes_rejected(self):
+        fmt = get_formatter("compiled")
+        with pytest.raises(ValueError):
+            fmt(2, array("q", [1, 2, 3]), array("d"))
+        with pytest.raises(ValueError):
+            fmt(0, array("q"), array("d"))
+        with pytest.raises(TypeError):
+            fmt(1, array("l", [1]), array("d"))
