@@ -5,9 +5,11 @@
  * same libm calls, so both backends produce bit-identical results.  Keep the
  * two in sync; tests/test_kernel_parity.py enforces it.
  *
- * vq_format writes CSV body rows.  Its reference is Python's repr(float)
- * (and str(int)), which volqso/_kernel_py.format_rows uses through
- * csv.writer; tests/test_kernel_parity.py holds it to the same bytes.
+ * vq_format writes CSV body rows from strided columns, taking exp of the
+ * trace values where a column asks for it.  Its reference is
+ * volqso/_kernel_py.format_rows: math.exp, then repr(float) (and str(int))
+ * through csv.writer; tests/test_kernel_parity.py holds it to the same
+ * bytes.
  *
  * Plain C with no Python API.  volqso/kernel.py compiles this file at first
  * import with -ffp-contract=off (fused multiply-adds would change results),
@@ -536,13 +538,24 @@ static char *put_double(char *p, double v, const unsigned long long *g)
     return put_decimal(p, c, e);
 }
 
-/* Write n_rows CSV rows to `out`: each row holds the next n_int values of
- * `ints`, then the next n_dbl values of `dbls`, comma-separated and ended
- * by "\r\n".  Requires n_int + n_dbl >= 1, the g table described at
- * `shortest`, and room in `out` for n_rows (21 n_int + 25 n_dbl + 1)
- * bytes.  Returns the number of bytes written. */
-long long vq_format(long long n_rows, int n_int, const long long *ints,
-                    int n_dbl, const double *dbls,
+/* One CSV column of vq_format: row r holds data[r * stride], an int64
+ * written as it is (VQ_INT) or a double written as it is (VQ_DOUBLE), as
+ * exp(v) (VQ_EXP) or as phi(v) = exp(v) if v <= 0, else nan (VQ_PHI).  exp
+ * is the libm exp that Python's math.exp calls. */
+enum { VQ_INT, VQ_DOUBLE, VQ_EXP, VQ_PHI };
+
+typedef struct {
+    const void *data;
+    long long stride;           /* in values */
+    long long op;
+} vq_column;
+
+/* Write n_rows CSV rows to `out`: one value from each of the n_cols
+ * columns, comma-separated and ended by "\r\n".  Requires n_cols >= 1, the
+ * g table described at `shortest`, and room in `out` for n_rows (21 per
+ * VQ_INT column + 25 per other column + 1) bytes.  Returns the number of
+ * bytes written. */
+long long vq_format(long long n_rows, int n_cols, const vq_column *cols,
                     const unsigned long long *g, char *out)
 {
     char *p = out;
@@ -550,12 +563,18 @@ long long vq_format(long long n_rows, int n_int, const long long *ints,
     int j;
 
     for (r = 0; r < n_rows; r++) {
-        for (j = 0; j < n_int; j++) {
-            p = put_int(p, *ints++);
-            *p++ = ',';
-        }
-        for (j = 0; j < n_dbl; j++) {
-            p = put_double(p, *dbls++, g);
+        for (j = 0; j < n_cols; j++) {
+            const vq_column *c = &cols[j];
+            if (c->op == VQ_INT) {
+                p = put_int(p, ((const long long *)c->data)[r * c->stride]);
+            } else {
+                double v = ((const double *)c->data)[r * c->stride];
+                if (c->op == VQ_EXP)
+                    v = exp(v);
+                else if (c->op == VQ_PHI)
+                    v = v <= 0.0 ? exp(v) : NAN;
+                p = put_double(p, v, g);
+            }
             *p++ = ',';
         }
         p[-1] = '\r';

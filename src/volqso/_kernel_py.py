@@ -7,7 +7,7 @@ sync.  It is also the only Python copy of the log-space step:
 `qso.apply_volterra_log` is a one-step run.
 
 `format_rows` is likewise the reference for `vq_format`, the CSV row
-formatter in `_kernel.c`.
+formatter in `_kernel.c`, and for its exp of the trace values.
 
 All state lives in log coordinates.  The step factor 1 + (Ax)_k is evaluated
 as sum_i (1 + a[k][i]) x_i, a sum of nonnegative terms; when that sum
@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 
 UNDERFLOW_GUARD = 1e-280   # direct factor below this -> log-domain sum
 DRIFT_TOL = 1e-6           # |logsumexp| allowed per normalization
@@ -40,7 +41,14 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
     counts at which running means are recorded; stride: trace subsampling;
     want_phi: track the shrinkage observable (m == 4 only).
 
-    Returns a dict of plain Python lists, read by ergodic.run_trajectory.
+    Returns a dict read by ergodic.run_trajectory.  The per-step trace stays
+    flat: trace_steps is an array('q') with one step per trace row;
+    trace_logphi an array('d') with one value per row; trace_logx and
+    trace_mono are row-major array('d') blocks of m and len(mono_obs) values
+    per row; cesaro is a row-major array('d') of one row per checkpoint
+    reached, one value per observable (coordinates first).  checkpoints,
+    events and final_logx are lists.  The compiled backend returns the same
+    types.
     """
     exp = math.exp
     log = math.log
@@ -59,12 +67,12 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
     cp = list(checkpoints)
     n_cp = len(cp)
     cp_ptr = 0
-    cesaro_rows = []
+    cesaro = array("d")
 
-    trace_steps = []
-    trace_logx = []
-    trace_logphi = []
-    trace_mono = []
+    trace_steps = array("q")
+    trace_logx = array("d")
+    trace_logphi = array("d")
+    trace_mono = array("d")
 
     events = []          # (vertex0, entry, exit(-1 while open), lphi_entry, started_inside)
     cur_vertex = -1
@@ -106,9 +114,9 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
 
         if k % stride == 0 or k == steps:
             trace_steps.append(k)
-            trace_logx.append(logx[:])
+            trace_logx.extend(logx)
             trace_logphi.append(lphi)
-            trace_mono.append(mono_vals[:])
+            trace_mono.extend(mono_vals)
 
         cnt = 0
         v = -1
@@ -151,7 +159,7 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
             sums[j] = t
 
         if cp_ptr < n_cp and cp[cp_ptr] == k + 1:
-            cesaro_rows.append(
+            cesaro.extend(
                 [(sums[j] + comps[j]) / (k + 1) for j in range(n_obs)])
             cp_ptr += 1
 
@@ -217,7 +225,7 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
 
     return {
         "checkpoints": cp[:cp_ptr],
-        "cesaro": cesaro_rows,
+        "cesaro": cesaro,
         "events": events,
         "trace_steps": trace_steps,
         "trace_logx": trace_logx,
@@ -230,15 +238,24 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
     }
 
 
-def format_rows(n_rows, ints, floats):
-    """`n_rows` CSV rows as UTF-8 bytes.  Each row holds the next
-    len(ints) // n_rows values of `ints`, then the next len(floats) //
-    n_rows values of `floats`, written as csv.writer writes them: str(int),
-    repr(float), commas between and CRLF at the end."""
-    n_int, n_float = len(ints) // n_rows, len(floats) // n_rows
+def _phi(lp):
+    return math.exp(lp) if lp <= 0.0 else _NAN
+
+
+_OPS = {"": None, "exp": math.exp, "phi": _phi}
+
+
+def format_rows(n_rows, columns):
+    """`n_rows` CSV rows as UTF-8 bytes, one value from each column a row.
+    A column is (values, start, stride, op): row r holds values[start + r *
+    stride], written as it is (op ""), as math.exp of it (op "exp") or as
+    phi = math.exp of it if it is <= 0, else nan (op "phi").  The values
+    are written as csv.writer writes them: str(int), repr(float), commas
+    between and CRLF at the end."""
+    cols = []
+    for values, start, stride, op in columns:
+        col = values[start:start + n_rows * stride:stride]
+        cols.append(map(_OPS[op], col) if op else col)
     buf = io.StringIO()
-    csv.writer(buf).writerows(
-        [*ints[r * n_int:(r + 1) * n_int],
-         *floats[r * n_float:(r + 1) * n_float]]
-        for r in range(n_rows))
+    csv.writer(buf).writerows(zip(*cols))
     return buf.getvalue().encode()

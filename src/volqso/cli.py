@@ -10,8 +10,9 @@ schemas in docs/schemas/).  Outputs are byte-deterministic for a given
 config: floats are written shortest-round-trip, field order is fixed, and no
 paths or timestamps are embedded.  The whole config is checked against the
 schema's types and bounds, and every object it describes built, before any
-work, whatever the command; `delta_conv < delta_osc`, the observables and
-the size of the runs (MAX_STORED_VALUES) are checked there too.
+work, whatever the command; `delta_conv < delta_osc`, the observables,
+`min_coord < 1/m` and the size of the runs (MAX_STORED_VALUES) are checked
+there too.  Random starts are drawn only by the commands that read them.
 Exit codes: 0 success, 2 validation error (a malformed config value names
 its key), 3 numerical diagnostic.  Set VOLQSO_LOG=debug|info|... for logging.
 """
@@ -24,7 +25,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import kernel
@@ -240,7 +241,7 @@ class _Config:
     """Everything a config describes, type-checked and built by _parse."""
 
     matrix: SkewMatrix
-    runs: tuple[TrajectoryConfig, ...]      # one per start, given steps
+    runs: tuple[TrajectoryConfig, ...]      # simulate: one per start
     observables: tuple
     workers: int
     delta_conv: float
@@ -248,10 +249,12 @@ class _Config:
     verify: tuple[SimplexPoint, int, int] | None
 
 
-def _parse(cfg: dict) -> _Config:
+def _parse(cfg: dict, command: str) -> _Config:
     """Check every key against the schema's types and bounds, and build
     every object the config describes, whatever the command, so a config is
-    accepted or rejected as a whole before any work."""
+    accepted or rejected as a whole before any work.  Only the random
+    starts `command` reads are drawn: all of them for simulate, the first
+    for lyapunov's verify fallback, none for the other commands."""
     matrix = _read(cfg, "matrix", _matrix,
                    _read(cfg, "canonical_params", _canonical))
     if matrix is None:
@@ -263,11 +266,15 @@ def _parse(cfg: dict) -> _Config:
     min_coord = _read(cfg, "min_coord", _num, 0.01, at_least=0)
     points, count, seed = _read(cfg, "starts", _starts, ((), 0, None),
                                 m, tols)
+    if count > 0 and not min_coord < 1.0 / m:
+        raise ValidationError(f"min_coord must be < 1/m for random starts, "
+                              f"got {min_coord!r} with m={m}")
     steps = _read(cfg, "steps", _int, None, 1)
-    run = dict(epsilon=_read(cfg, "epsilon", _num, 0.05, above=0, below=0.25),
-               record_stride=_read(cfg, "record_stride", _int,
-                                   max(1, (steps or 0) // 1000), 1),
-               checkpoints=_read(cfg, "checkpoints", _checkpoints))
+    settings = dict(
+        epsilon=_read(cfg, "epsilon", _num, 0.05, above=0, below=0.25),
+        record_stride=_read(cfg, "record_stride", _int,
+                            max(1, (steps or 0) // 1000), 1),
+        checkpoints=_read(cfg, "checkpoints", _checkpoints))
     delta_conv = _read(cfg, "delta_conv", _num, DELTA_CONV, above=0)
     delta_osc = _read(cfg, "delta_osc", _num, DELTA_OSC, above=0)
     if delta_conv >= delta_osc:
@@ -277,21 +284,27 @@ def _parse(cfg: dict) -> _Config:
                    or coordinate_observables(m))
     # trace rows per run times the values per row (see kernel.run)
     stored = 0 if steps is None else (
-        (len(points) + count) * (steps // run["record_stride"] + 2)
+        (len(points) + count) * (steps // settings["record_stride"] + 2)
         * (m + 1 + sum(isinstance(o, MonomialObservable)
                        for o in observables)))
     _check_size(stored, "steps", "raise record_stride or run fewer starts")
-    # without steps there are no runs: only the first start is read
-    if steps is None:
-        count = min(count, 1)
-    starts = points + tuple(interior_points(m, count, seed, min_coord)
-                            if count > 0 else ())
+    # the run settings, checked at a stand-in start whatever the command
+    run = None if steps is None else TrajectoryConfig(
+        matrix=matrix, start=SimplexPoint.barycenter(m), steps=steps,
+        **settings)
+    if command == "simulate" and run is not None:
+        drawn = count
+    elif command == "lyapunov" and not points:
+        drawn = min(count, 1)
+    else:
+        drawn = 0
+    starts = points + tuple(interior_points(m, drawn, seed, min_coord)
+                            if drawn > 0 else ())
     fallback = starts[0] if starts else SimplexPoint.barycenter(m)
     return _Config(
         matrix=matrix,
-        runs=() if steps is None else tuple(
-            TrajectoryConfig(matrix=matrix, start=s, steps=steps, **run)
-            for s in starts),
+        runs=() if command != "simulate" or run is None else tuple(
+            replace(run, start=s) for s in starts),
         observables=observables,
         workers=_read(cfg, "workers", _int, 1, 1),
         delta_conv=delta_conv,
@@ -515,7 +528,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        parsed = _parse(_load_config(args.config))
+        parsed = _parse(_load_config(args.config), args.command)
         return _COMMANDS[args.command](parsed, Path(args.out))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,11 +19,10 @@ import io
 import math
 import os
 from array import array
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain
 
 from . import kernel
 from .classify import CanonicalParams
@@ -265,10 +264,13 @@ class TrajectoryResult:
     observable_names: tuple[str, ...]
     cesaro: tuple[CesaroSeries, ...]
     sojourn: SojournTable
-    trace_steps: Sequence[int]
-    trace_log_coords: Sequence[Sequence[float]]
-    trace_log_phi: Sequence[float]
-    monomial_traces: dict[str, Sequence[float]]   # name -> log trace
+    # The per-step trace, flat as the kernel returns it: one row every
+    # record_stride steps, plus the last step.
+    trace_steps: array          # array('q'): the step of each row
+    trace_log_coords: array     # array('d'), row-major: row r's m log
+    #                             coordinates at [r * m, (r + 1) * m)
+    trace_log_phi: array        # array('d'): log phi per row, NaN if m < 4
+    monomial_traces: dict[str, array]   # name -> array('d'): log F per row
     min_log_phi: float
     final: LogSimplexPoint
     max_abs_drift: float
@@ -300,20 +302,23 @@ def run_trajectory(cfg: TrajectoryConfig, observables=None) -> TrajectoryResult:
         SojournEvent(v + 1, entry, None if exit_ < 0 else exit_, lphi,
                      bool(started))
         for v, entry, exit_, lphi, started in raw["events"])
-    mono_names = names[len(coord_obs):]
+    cesaro, n_obs = raw["cesaro"], len(names)
+    mono, n_mono = raw["trace_mono"], len(mono_obs)
     return TrajectoryResult(
         m=m,
         steps=cfg.steps,
         epsilon=cfg.epsilon,
         observable_names=names,
-        cesaro=tuple(CesaroSeries(name, tuple(zip(raw["checkpoints"], col)))
-                     for name, col in zip(names, zip(*raw["cesaro"]))),
+        cesaro=tuple(CesaroSeries(name, tuple(zip(raw["checkpoints"],
+                                                  cesaro[j::n_obs])))
+                     for j, name in enumerate(names)),
         sojourn=SojournTable(events=events, total_steps=cfg.steps,
                              epsilon=cfg.epsilon, m=m),
         trace_steps=raw["trace_steps"],
         trace_log_coords=raw["trace_logx"],
         trace_log_phi=raw["trace_logphi"],
-        monomial_traces=dict(zip(mono_names, zip(*raw["trace_mono"]))),
+        monomial_traces={name: mono[k::n_mono] for k, name
+                         in enumerate(names[len(coord_obs):])},
         min_log_phi=raw["min_logphi"],
         final=LogSimplexPoint(tuple(raw["final_logx"])),
         max_abs_drift=raw["max_abs_drift"],
@@ -465,75 +470,83 @@ def outside_fraction_trend(table: SojournTable):
 _CHUNK_VALUES = 1 << 14   # values per format_rows call: bounds its buffers
 
 
-def _write_csv(path, header, n_int, n_rows, ints, floats) -> None:
-    """Write `header` as csv.writer quotes it, then `n_rows` rows of
-    `n_int` values from the flat iterable `ints` followed by
-    len(header) - n_int values from the flat iterable `floats`, all UTF-8.
-    The kernel backend formats the rows, a chunk at a time."""
+def _columns(values, width: int = 1, op: str = "") -> list:
+    """The `width` columns of the row-major array `values`, in the form
+    kernel.format_rows reads; `op` as there."""
+    return [(values, j, width, op) for j in range(width)]
+
+
+def _write_csv(path, header, n_rows, columns) -> None:
+    """Write `header` as csv.writer quotes it, then `n_rows` rows of one
+    value from each of `columns` (see _columns), all UTF-8.  The kernel
+    backend formats the rows, a chunk at a time, straight from the arrays."""
     head = io.StringIO()
     csv.writer(head).writerow(header)
-    n_float = len(header) - n_int
-    chunk = max(1, _CHUNK_VALUES // len(header))
-    ints, floats = iter(ints), iter(floats)
+    chunk = max(1, _CHUNK_VALUES // len(columns))
     with open(path, "wb") as fh:
         fh.write(head.getvalue().encode())
         for lo in range(0, n_rows, chunk):
-            n = min(chunk, n_rows - lo)
-            # array() fills from a list about twice as fast as from an
-            # iterator
             fh.write(kernel.format_rows(
-                n, array("q", list(islice(ints, n * n_int))),
-                array("d", list(islice(floats, n * n_float)))))
+                min(chunk, n_rows - lo),
+                [(values, start + lo * stride, stride, op)
+                 for values, start, stride, op in columns]))
 
 
 def write_trajectory_csv(path, result: TrajectoryResult) -> None:
     """step,x1..xm: linear coordinates at the trace steps (exact zeros and
     underflowed values print as 0.0; the log scale lives in phi.csv)."""
-    _write_csv(path, ["step"] + [f"x{i + 1}" for i in range(result.m)], 1,
-               len(result.trace_steps), result.trace_steps,
-               map(math.exp, chain.from_iterable(result.trace_log_coords)))
+    _write_csv(path, ["step"] + [f"x{i + 1}" for i in range(result.m)],
+               len(result.trace_steps),
+               _columns(result.trace_steps)
+               + _columns(result.trace_log_coords, result.m, "exp"))
 
 
 def write_cesaro_csv(path, result: TrajectoryResult) -> None:
     """n, then one running-mean column per observable."""
     series = result.cesaro
     ns = series[0].ns if series else ()
-    _write_csv(path, ["n", *result.observable_names], 1, len(ns), ns,
-               chain.from_iterable(zip(*(s.values for s in series))))
+    means = array("d", chain.from_iterable(zip(*(s.values for s in series))))
+    _write_csv(path, ["n", *result.observable_names], len(ns),
+               _columns(array("q", ns)) + _columns(means, len(series)))
 
 
 def write_sojourn_csv(path, result: TrajectoryResult) -> None:
     """One row per sojourn event; censored rows (still inside at the end of
     the run) carry exit_step = length = -1."""
     events = result.sojourn.events
+    ints = array("q", chain.from_iterable(
+        (e.vertex,
+         e.entry_step,
+         -1 if e.censored else e.exit_step,
+         -1 if e.censored else e.length,
+         int(e.censored),
+         int(e.started_inside)) for e in events))
+    floats = array("d", chain.from_iterable(
+        (e.log_phi_entry, e.phi_entry) for e in events))
     _write_csv(path, ["vertex", "entry_step", "exit_step", "length",
                       "censored", "started_inside", "log_phi_entry",
-                      "phi_entry"], 6, len(events),
-               chain.from_iterable(
-                   (e.vertex,
-                    e.entry_step,
-                    -1 if e.censored else e.exit_step,
-                    -1 if e.censored else e.length,
-                    int(e.censored),
-                    int(e.started_inside)) for e in events),
-               chain.from_iterable(
-                   (e.log_phi_entry, e.phi_entry) for e in events))
+                      "phi_entry"], len(events),
+               _columns(ints, 6) + _columns(floats, 2))
 
 
 def write_phi_csv(path, result: TrajectoryResult) -> None:
-    """step, phi, log_phi, then one log column per monomial observable."""
-    phi_lin = (math.exp(lp) if lp <= 0.0 else float("nan")
-               for lp in result.trace_log_phi)
+    """step, phi, log_phi, then one log column per monomial observable;
+    phi = exp(log_phi) where log_phi <= 0, else nan."""
+    log_phi = result.trace_log_phi
     _write_csv(path, ["step", "phi", "log_phi",
-                      *(f"log_{n}" for n in result.monomial_traces)], 1,
-               len(result.trace_steps), result.trace_steps,
-               chain.from_iterable(zip(phi_lin, result.trace_log_phi,
-                                       *result.monomial_traces.values())))
+                      *(f"log_{n}" for n in result.monomial_traces)],
+               len(result.trace_steps),
+               _columns(result.trace_steps) + _columns(log_phi, op="phi")
+               + _columns(log_phi)
+               + [(trace, 0, 1, "") for trace
+                  in result.monomial_traces.values()])
 
 
 def write_outside_csv(path, result: TrajectoryResult) -> None:
     """window_start,window_end,outside_fraction per decade window."""
     trend = outside_fraction_trend(result.sojourn)
-    _write_csv(path, ["window_start", "window_end", "outside_fraction"], 2,
-               len(trend), chain.from_iterable(w for w, _ in trend),
-               (frac for _, frac in trend))
+    _write_csv(path, ["window_start", "window_end", "outside_fraction"],
+               len(trend),
+               _columns(array("q", chain.from_iterable(w for w, _ in trend)),
+                        2)
+               + _columns(array("d", (frac for _, frac in trend))))

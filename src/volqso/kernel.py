@@ -38,6 +38,16 @@ _MAX_M = 4          # MAX_M in _kernel.c: the size of its per-step arrays
 _EVENT = struct.Struct("qqqdq")   # vq_event in _kernel.c
 # vq_format writes at most this many bytes per value, its separator included
 _INT_BYTES, _FLOAT_BYTES = 21, 25
+# vq_column.op in _kernel.c for the ops of _kernel_py.format_rows on a
+# double column; an int64 column is op 0
+_OPS = {"": 1, "exp": 2, "phi": 3}
+
+
+class _Column(ctypes.Structure):
+    _fields_ = [("data", ctypes.c_void_p),
+                ("stride", ctypes.c_longlong),
+                ("op", ctypes.c_longlong)]
+
 
 class _Result(ctypes.Structure):
     _fields_ = [("n_checkpoints", ctypes.c_longlong),
@@ -127,14 +137,6 @@ def _pow10_table() -> array:
     return table
 
 
-def _rows(buf, lo: int, n_rows: int, width: int) -> list:
-    """`n_rows` rows of `width` doubles from array `buf`, from index `lo`."""
-    if n_rows == 0 or width == 0:
-        return [[] for _ in range(n_rows)]
-    view = memoryview(buf)[lo:lo + n_rows * width]
-    return view.cast("B").cast("d", (n_rows, width)).tolist()
-
-
 def _bind(lib):
     """Wrap the C entry points in the calling conventions of
     `_kernel_py.run` and `_kernel_py.format_rows`."""
@@ -152,8 +154,8 @@ def _bind(lib):
     c_free.argtypes = [ptr]
     c_format = lib.vq_format
     c_format.restype = ctypes.c_longlong
-    c_format.argtypes = [ctypes.c_longlong, ctypes.c_int, ptr, ctypes.c_int,
-                         ptr, ptr, ptr]
+    c_format.argtypes = [ctypes.c_longlong, ctypes.c_int,
+                         ctypes.POINTER(_Column), ptr, ptr]
 
     def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
             stride, want_phi):
@@ -204,35 +206,45 @@ def _bind(lib):
         elif res.error_kind == 2:
             error = ("breakdown", res.error_step, res.error_drift)
         n_done, tr = res.n_checkpoints, res.n_trace
+        del tr_steps[tr:]
         return {
             "checkpoints": cp[:n_done],
-            "cesaro": _rows(f_out, lo[0], n_done, n_obs),
+            "cesaro": f_out[lo[0]:lo[0] + n_done * n_obs],
             "events": events,
-            "trace_steps": tr_steps[:tr].tolist(),
-            "trace_logx": _rows(f_out, lo[1], tr, m),
-            "trace_logphi": f_out[lo[2]:lo[2] + tr].tolist(),
-            "trace_mono": _rows(f_out, lo[3], tr, n_mono),
+            "trace_steps": tr_steps,
+            "trace_logx": f_out[lo[1]:lo[1] + tr * m],
+            "trace_logphi": f_out[lo[2]:lo[2] + tr],
+            "trace_mono": f_out[lo[3]:lo[3] + tr * n_mono],
             "min_logphi": res.min_logphi,
             "final_logx": f_out[lo[4]:lo[4] + m].tolist(),
             "max_abs_drift": res.max_abs_drift,
             "error": error,
         }
 
-    def format_rows(n_rows, ints, floats):
-        """Same contract as volqso._kernel_py.format_rows, with `ints` an
-        array('q') and `floats` an array('d')."""
-        if ints.typecode != "q" or floats.typecode != "d":
-            raise TypeError("format_rows needs array('q') and array('d')")
-        if (n_rows < 1 or len(ints) % n_rows or len(floats) % n_rows
-                or not (ints or floats)):
-            raise ValueError(f"{len(ints)} ints and {len(floats)} floats do "
-                             f"not fill {n_rows} rows")
-        n_int, n_float = len(ints) // n_rows, len(floats) // n_rows
-        table = _pow10_table()
-        out = ctypes.create_string_buffer(
-            n_rows * (_INT_BYTES * n_int + _FLOAT_BYTES * n_float + 1))
-        size = c_format(n_rows, n_int, ints.buffer_info()[0], n_float,
-                        floats.buffer_info()[0], table.buffer_info()[0], out)
+    def format_rows(n_rows, columns):
+        """Same contract as volqso._kernel_py.format_rows, with each
+        column's values an array('q') (op "") or an array('d')."""
+        if n_rows < 1 or not columns:
+            raise ValueError(f"{n_rows} rows of {len(columns)} columns")
+        cols = (_Column * len(columns))()
+        size = n_rows
+        for col, (values, start, stride, op) in zip(cols, columns):
+            kind = getattr(values, "typecode", None)
+            if kind not in ("q", "d") or op not in _OPS or (kind == "q"
+                                                            and op):
+                raise TypeError(f"format_rows cannot write {op!r} of "
+                                f"{type(values).__name__} {kind!r}")
+            if start < 0 or stride < 1 or \
+                    start + (n_rows - 1) * stride >= len(values):
+                raise ValueError(f"{len(values)} values do not fill {n_rows} "
+                                 f"rows from {start} by {stride}")
+            col.data = values.buffer_info()[0] + values.itemsize * start
+            col.stride = stride
+            col.op = _OPS[op] if kind == "d" else 0
+            size += n_rows * (_FLOAT_BYTES if kind == "d" else _INT_BYTES)
+        out = ctypes.create_string_buffer(size)
+        size = c_format(n_rows, len(columns), cols,
+                        _pow10_table().buffer_info()[0], out)
         return ctypes.string_at(out, size)
 
     return run, format_rows

@@ -6,8 +6,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import volqso.cli
 from volqso.ergodic import MonomialObservable, TrajectoryConfig, run_trajectory
+from volqso.kernel import available_backends
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -18,6 +21,27 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_run(monkeypatch):
+    # run.py imports its sibling modules tracing and workloads by name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif("compiled" not in available_backends(),
+                    reason="compiled kernel not built")
+def test_benchmark_kernel_parity_passes(monkeypatch):
+    # the benchmark compares the two backends' result dicts with ==, so a
+    # container type one backend alone changes (array against list) fails
+    # it even when every value agrees
+    status, _ = load_run(monkeypatch).kernel_parity(volqso,
+                                                   with_speeds=False)
+    assert status.startswith("passed"), status
 
 
 def test_every_traced_function_resolves():

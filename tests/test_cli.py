@@ -422,6 +422,35 @@ class TestConfigParse:
         self.test_malformed_value_exits_2_naming_key(tmp_path, capsys,
                                                      command, config, key)
 
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_random_start_floor_below_1_over_m(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        # checked before any work even by the commands that draw no start
+        self.test_out_of_bounds_exits_2_before_any_work(
+            tmp_path, capsys, monkeypatch, command,
+            dict(SIMULATE_BASE, min_coord=0.25,
+                 starts={"count": 2, "seed": 1}), "min_coord")
+
+    @pytest.mark.parametrize("command,drawn", [
+        ("classify", []), ("fixed-points", []), ("lyapunov", [1]),
+        ("simulate", [3])])
+    def test_draws_only_the_starts_the_command_reads(self, tmp_path,
+                                                      monkeypatch, command,
+                                                      drawn):
+        counts = []
+
+        def recording(m, count, *args):
+            counts.append(count)
+            return interior_points(m, count, *args)
+
+        monkeypatch.setattr("volqso.cli.interior_points", recording)
+        cfg = write_config(tmp_path, dict(
+            SIMULATE_BASE, starts={"count": 3, "seed": 1},
+            verify={"steps": 1000}))
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert counts == drawn
+
     def test_integral_float_steps_same_bytes(self, tmp_path):
         outs = []
         for steps in (2000, 2000.0):
@@ -579,7 +608,7 @@ def mutated_configs(draw):
     return cfg
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(cfg=mutated_configs())
 def test_fuzzed_config_exits_cleanly(tmp_path_factory, cfg):
     valid = jsonschema.Draft7Validator(

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -164,7 +165,8 @@ class TestCesaroAccuracy:
         cfg = TrajectoryConfig(all_half, generic_start4, steps,
                                record_stride=1, checkpoints=(steps,))
         res = run_trajectory(cfg, [CoordinateObservable(1)])
-        xs = [math.exp(row[0]) for row in res.trace_log_coords[:-1]]
+        # x1 at steps 0..steps-1: the first of each row of 4 log coordinates
+        xs = [math.exp(v) for v in res.trace_log_coords[:-4:4]]
         assert len(xs) == steps
         reference = math.fsum(xs) / steps
         assert abs(res.cesaro[0].values[-1] - reference) <= 1e-12
@@ -433,12 +435,13 @@ def special_result() -> TrajectoryResult:
                          ("F,1", SPECIAL[1:] + SPECIAL[:1]),
                          ('G"q', (0.1, 1 / 3, 2.5, -7.0, 1e-5, 1e16) * 2))),
         sojourn=SojournTable(events, total_steps=1000, epsilon=0.05, m=4),
-        trace_steps=tuple(range(12)),
-        trace_log_coords=((float("nan"), INF, -INF, -0.0),
-                          (-745.0, 709.0, 5e-324, -1e-300),
-                          (-0.1, -1.5, -2.5, -3.5)) * 4,
-        trace_log_phi=SPECIAL,
-        monomial_traces={"F,1": SPECIAL[::-1], 'G"q': SPECIAL},
+        trace_steps=array("q", range(12)),
+        trace_log_coords=array("d", (float("nan"), INF, -INF, -0.0,
+                                     -745.0, 709.0, 5e-324, -1e-300,
+                                     -0.1, -1.5, -2.5, -3.5) * 4),
+        trace_log_phi=array("d", SPECIAL),
+        monomial_traces={"F,1": array("d", SPECIAL[::-1]),
+                         'G"q': array("d", SPECIAL)},
         min_log_phi=-INF,
         final=LogSimplexPoint((0.0, -INF, -INF, -INF)),
         max_abs_drift=0.0,
@@ -470,8 +473,8 @@ class TestCsvFormat:
         monos = list(res.monomial_traces)
         expected = {
             write_trajectory_csv: [["step", "x1", "x2", "x3", "x4"]] + [
-                [n, *(math.exp(v) for v in logs)] for n, logs
-                in zip(res.trace_steps, res.trace_log_coords)],
+                [n, *map(math.exp, res.trace_log_coords[4 * i:4 * i + 4])]
+                for i, n in enumerate(res.trace_steps)],
             write_cesaro_csv: [["n", *res.observable_names]] + [
                 [n, *(s.values[i] for s in res.cesaro)]
                 for i, n in enumerate(res.cesaro[0].ns)],

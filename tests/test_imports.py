@@ -71,6 +71,15 @@ def test_command_footprint(tmp_path, cfg, command, expected):
     assert any(out.iterdir())
 
 
+def test_classify_draws_no_random_starts(tmp_path):
+    # classify reads no start, so the random ones a config asks for are
+    # neither drawn nor is numpy loaded to draw them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"matrix": ALL_HALF_ROWS, "steps": 1,
+                                "starts": {"count": 100_000, "seed": 1}}))
+    assert run_command("classify", path, tmp_path / "out") == []
+
+
 def test_lyapunov_loads_both_and_writes_same_bytes(tmp_path, cfg):
     fresh, warm = tmp_path / "fresh", tmp_path / "warm"
     assert run_command("lyapunov", cfg, fresh) == ["numpy", "scipy"]

@@ -1,5 +1,6 @@
 """The compiled and pure-Python kernels must produce bit-identical output,
-and the compiled CSV formatter the bytes of repr."""
+and the compiled CSV formatter the bytes of repr (of math.exp, in its exp
+and phi columns)."""
 
 import json
 import math
@@ -30,7 +31,11 @@ CYCLIC_ONE = [[0, 1, 1, -1], [-1, 0, 1, 1],
 
 
 def deep_equal(a, b) -> bool:
-    """Exact equality, with NaN == NaN (bit-identity for our value set)."""
+    """Exact equality, with NaN == NaN (bit-identity for our value set);
+    arrays are equal when their typecodes and raw bytes are."""
+    if isinstance(a, array):
+        return (isinstance(b, array) and a.typecode == b.typecode
+                and a.tobytes() == b.tobytes())
     if isinstance(a, dict):
         return (isinstance(b, dict) and a.keys() == b.keys()
                 and all(deep_equal(a[k], b[k]) for k in a))
@@ -48,7 +53,12 @@ def run_both(m, a_rows, logx0, steps, log_eps, coord_obs, mono_obs,
              checkpoints, stride, want_phi):
     args = (m, a_rows, logx0, steps, log_eps, coord_obs, mono_obs,
             checkpoints, stride, want_phi)
-    return get_kernel("compiled")(*args), get_kernel("python")(*args)
+    rc, rp = get_kernel("compiled")(*args), get_kernel("python")(*args)
+    # perfbench compares the results with ==, and an array never equals a
+    # list
+    assert {k: type(v) for k, v in rc.items()} == \
+        {k: type(v) for k, v in rp.items()}
+    return rc, rp
 
 
 def logs_of(coords):
@@ -63,7 +73,7 @@ def crosses_underflow(rc):
     # |a| = 1: coordinates cross the linear-double underflow threshold and
     # the log-domain factor fallback is exercised
     assert rc["error"] is None
-    assert min(min(row) for row in rc["trace_logx"]) < -1000.0
+    assert min(rc["trace_logx"]) < -1000.0
 
 
 def keeps_zero_slot(rc):
@@ -183,8 +193,8 @@ def from_bits(bits: int) -> float:
 def assert_reprs(values):
     """The compiled formatter writes each double as repr does, one a row."""
     values = list(values)
-    got = get_formatter("compiled")(len(values), array("q"),
-                                    array("d", values))
+    got = get_formatter("compiled")(len(values),
+                                    [(array("d", values), 0, 1, "")])
     expected = "".join(repr(v) + "\r\n" for v in values).encode()
     if got != expected:
         bad = [(v, g) for v, g in zip(values, got.decode().split("\r\n"))
@@ -247,25 +257,94 @@ class TestFormatter:
     def test_int_columns(self):
         ints = [-2 ** 63, 2 ** 63 - 1, 0, -1, 7, -10 ** 18, 10 ** 18]
         floats = [0.5, -0.0, math.nan, 1e300, -2.5e-310, 3.0, 1 / 3]
-        got = get_formatter("compiled")(
-            len(ints), array("q", ints), array("d", floats))
+        columns = [(array("q", ints), 0, 1, ""),
+                   (array("d", floats), 0, 1, "")]
+        got = get_formatter("compiled")(len(ints), columns)
         assert got == "".join(f"{n},{x!r}\r\n"
                               for n, x in zip(ints, floats)).encode()
-        assert got == get_formatter("python")(
-            len(ints), array("q", ints), array("d", floats))
+        assert got == get_formatter("python")(len(ints), columns)
 
     def test_rows_of_several_columns(self):
         ints = array("q", range(-6, 6))
         floats = array("d", [v / 7 for v in range(-9, 9)])
         for n_rows in (1, 2, 3, 6):
-            assert get_formatter("compiled")(n_rows, ints, floats) == \
-                get_formatter("python")(n_rows, ints, floats)
+            n_int, n_float = len(ints) // n_rows, len(floats) // n_rows
+            # row-major blocks, read back to front and interleaved
+            columns = [
+                *((floats, j, n_float, op) for j, op
+                  in zip(range(n_float), ["exp", "", "phi"] * n_float)),
+                *((ints, j, n_int, "") for j in reversed(range(n_int))),
+                (floats, n_float - 1, n_float, "phi")]
+            assert get_formatter("compiled")(n_rows, columns) == \
+                get_formatter("python")(n_rows, columns)
 
     def test_bad_sizes_rejected(self):
         fmt = get_formatter("compiled")
+        three = array("q", [1, 2, 3])
+        for columns in ([(three, 2, 1, "")], [(three, 1, 2, "")],
+                        [(three, -1, 1, "")], [(three, 0, 0, "")], []):
+            with pytest.raises(ValueError):
+                fmt(2, columns)
         with pytest.raises(ValueError):
-            fmt(2, array("q", [1, 2, 3]), array("d"))
-        with pytest.raises(ValueError):
-            fmt(0, array("q"), array("d"))
-        with pytest.raises(TypeError):
-            fmt(1, array("l", [1]), array("d"))
+            fmt(0, [(three, 0, 1, "")])
+        for columns in ([(array("l", [1]), 0, 1, "")], [([1.0], 0, 1, "")],
+                        [(three, 0, 1, "exp")],
+                        [(array("d", [1.0]), 0, 1, "log")]):
+            with pytest.raises(TypeError):
+                fmt(1, columns)
+
+
+# ---------------------------------------------------------------------------
+# the exp and phi columns against math.exp and the phi rule
+
+
+def phi_rule(lp: float) -> float:
+    return math.exp(lp) if lp <= 0.0 else math.nan
+
+
+def log_values() -> list:
+    """Trace-like logs: the edge cases, the range where exp is subnormal
+    and seeded random logs."""
+    rng = random.Random(1729)
+    edges = [-math.inf, 0.0, -0.0, math.nan, -5e-324, -1e-300, -1.0,
+             -708.3964185322641, -708.4, -745.1332191019411, -745.14,
+             -746.0, -1e308]
+    subnormal = [-708.4 - 36.74 * i / 20_000 for i in range(20_001)]
+    subnormal += [math.nextafter(v, d) for v in (-708.4, -745.1332191019411)
+                  for d in (-math.inf, math.inf)]
+    return (edges + subnormal
+            + [rng.uniform(-800.0, 0.0) for _ in range(100_000)]
+            + [-rng.expovariate(1.0) for _ in range(20_000)])
+
+
+@pytest.fixture(params=["compiled", "python"])
+def formatter(request):
+    if request.param not in available_backends():
+        pytest.skip("compiled kernel not built")
+    return get_formatter(request.param)
+
+
+class TestExpColumns:
+    def test_exp_column_is_math_exp(self, formatter):
+        logs = log_values() + [5e-324, 1e-300, 0.5, 700.0, 709.78]
+        got = formatter(len(logs), [(array("d", logs), 0, 1, "exp")])
+        assert got == "".join(
+            repr(math.exp(v)) + "\r\n" for v in logs).encode()
+
+    def test_phi_column_is_the_phi_rule(self, formatter):
+        logs = log_values() + [5e-324, 1e-300, 0.5, 709.78, 1e300, math.inf]
+        got = formatter(len(logs), [(array("d", logs), 0, 1, "phi")])
+        assert got == "".join(
+            repr(phi_rule(v)) + "\r\n" for v in logs).encode()
+
+    def test_strided_columns_of_one_block(self, formatter):
+        # a trace block read as trajectory.csv and phi.csv read it: every
+        # row, from an offset, by a stride
+        logs = array("d", log_values()[:30_000])
+        steps = array("q", range(10_000))
+        got = formatter(9_999, [(steps, 1, 1, ""), (logs, 4, 3, "exp"),
+                                (logs, 5, 3, "phi"), (logs, 3, 3, "")])
+        assert got == "".join(
+            f"{n},{math.exp(logs[3 * n + 1])!r},"
+            f"{phi_rule(logs[3 * n + 2])!r},{logs[3 * n]!r}\r\n"
+            for n in range(1, 10_000)).encode()
