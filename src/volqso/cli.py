@@ -58,6 +58,7 @@ from .fixed_points import all_fixed_points
 from .lyapunov import (
     MIN_VERIFY_STEPS,
     VERIFY_STEPS,
+    VERIFY_STRIDE,
     VERIFY_TRANSIENT,
     synthesize,
     verify_along_trajectory,
@@ -229,8 +230,8 @@ def _verify(node, name: str, m: int, tols: dict, fallback: SimplexPoint):
              if "start" in node else fallback)
     steps = _int(node.get("steps", VERIFY_STEPS), f"{name}.steps",
                  MIN_VERIFY_STEPS)
-    # verify_along_trajectory traces every 10th step with one monomial
-    _check_size((steps // 10 + 2) * (m + 2), f"{name}.steps",
+    # verify_along_trajectory traces one monomial: m + 2 values a row
+    _check_size((steps // VERIFY_STRIDE + 2) * (m + 2), f"{name}.steps",
                 f"lower {name}.steps")
     return start, steps, _int(node.get("transient", VERIFY_TRANSIENT),
                               f"{name}.transient", 0)
@@ -255,10 +256,11 @@ def _parse(cfg: dict, command: str) -> _Config:
     accepted or rejected as a whole before any work.  Only the random
     starts `command` reads are drawn: all of them for simulate, the first
     for lyapunov's verify fallback, none for the other commands."""
+    if ("matrix" in cfg) == ("canonical_params" in cfg):
+        raise ValidationError("config needs exactly one of 'matrix' and "
+                              "'canonical_params'")
     matrix = _read(cfg, "matrix", _matrix,
                    _read(cfg, "canonical_params", _canonical))
-    if matrix is None:
-        raise ValidationError("config needs 'matrix' or 'canonical_params'")
     m = matrix.m
     if _read(cfg, "m", _int, m) != m:
         raise ValidationError(f"declared m={cfg['m']}, matrix has m={m}")

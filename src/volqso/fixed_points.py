@@ -202,37 +202,36 @@ def _continuum_record(a: SkewMatrix, face: FaceId) -> FixedPointRecord:
 
 
 def _interior_kernel_record(a: SkewMatrix) -> FixedPointRecord | None:
-    """Representative interior fixed point of a singular 4x4 matrix: a
-    strictly positive, sum-1 vector in the 2-dimensional kernel, found by
-    maximizing the smallest coordinate (tiny LP)."""
-    import numpy as np
-    from scipy.optimize import linprog
-
-    arr = a.as_array()
-    _, svals, vh = np.linalg.svd(arr)
-    scale = max(svals[0], 1.0)
-    basis = [vh[r] for r in range(4) if svals[r] <= 1e-10 * scale]
-    if not basis:
+    """Interior fixed point of a singular 4x4 matrix: the rows of the dual
+    matrix D (A D = -Pf(A) I) span the kernel, whose sum-1 points form a line
+    p + t d; the centre of the segment maximizing min_i x_i represents it."""
+    (_, a12, a13, a14), (_, _, a23, a24), (_, _, _, a34) = a.rows[:3]
+    dual = ((0.0, a34, -a24, a23), (-a34, 0.0, a14, -a13),
+            (a24, -a14, 0.0, a12), (-a23, a13, -a12, 0.0))
+    sums = [math.fsum(row) for row in dual]
+    k = max(range(4), key=lambda j: abs(sums[j]))
+    if sums[k] == 0.0:
+        return None         # no kernel vector sums to 1
+    p = [v / sums[k] for v in dual[k]]
+    # sums[k] (row j - sums[j] p), undivided so that exact zeros stay 0.0
+    d = max(([sums[k] * v - s * w for v, w in zip(dual[j], dual[k])]
+             for j, s in enumerate(sums) if j != k),
+            key=lambda w: math.fsum(v * v for v in w))
+    pairs = [(i, j) for i in range(4) for j in range(4) if d[i] > 0.0 > d[j]]
+    t, best = 0.0, min(p)   # no such pair: d = 0, the line is the point p
+    if pairs:
+        # the lowest crossing of a rising and a falling coordinate, or of a
+        # constant one (t None): then the maximum is flat; take its centre
+        best, t = min([(p[i], None) for i in range(4) if d[i] == 0.0] + [
+            ((p[j] * d[i] - p[i] * d[j]) / (d[i] - d[j]),
+             (p[j] - p[i]) / (d[i] - d[j])) for i, j in pairs],
+            key=lambda peak: (peak[0], peak[1] is None))
+        if t is None:
+            t = 0.5 * (max((best - p[i]) / d[i] for i, _ in pairs)
+                       + min((best - p[j]) / d[j] for _, j in pairs))
+    if best <= _INTERIOR_MARGIN:
         return None
-    nb = len(basis)
-    a_ub = np.zeros((4, nb + 1))
-    for i in range(4):
-        for b in range(nb):
-            a_ub[i, b] = -basis[b][i]
-        a_ub[i, nb] = 1.0
-    a_eq = np.zeros((1, nb + 1))
-    for b in range(nb):
-        a_eq[0, b] = basis[b].sum()
-    c = np.zeros(nb + 1)
-    c[nb] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(4), A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(None, None)] * (nb + 1), method="highs")
-    if not res.success or res.x[nb] <= _INTERIOR_MARGIN:
-        return None
-    x = np.zeros(4)
-    for b in range(nb):
-        x += res.x[b] * basis[b]
-    point = SimplexPoint(_renormalized([max(0.0, float(v)) for v in x]))
+    point = SimplexPoint(_renormalized([q + t * w for q, w in zip(p, d)]))
     try:
         return _record_for(a, point, FaceId((1, 2, 3, 4)), degenerate=True)
     except NotAFixedPoint:

@@ -35,6 +35,7 @@ LAMBDA_BOUND = 1.0
 MIN_VERIFY_STEPS = 1000   # shortest run with a decade window to compare
 VERIFY_STEPS = 100_000    # default length of the check along a trajectory
 VERIFY_TRANSIENT = 100    # default steps before the first judged decade
+VERIFY_STRIDE = 10        # the check traces log F every this many steps
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def verify_along_trajectory(candidate, a: SkewMatrix, start: SimplexPoint,
         raise ValidationError(
             f"need steps >= {MIN_VERIFY_STEPS} for a decade comparison")
     cfg = TrajectoryConfig(matrix=a, start=start, steps=steps,
-                           record_stride=10)
+                           record_stride=VERIFY_STRIDE)
     result = run_trajectory(
         cfg, [MonomialObservable(exponents, name="F")])
     trace = dict(zip(result.trace_steps, result.monomial_traces["F"]))

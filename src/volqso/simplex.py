@@ -28,7 +28,6 @@ from .errors import (
 SUM_TOL = 1e-12           # |sum - 1| after construction
 VALIDATE_SUM_TOL = 1e-9   # |sum - 1| accepted on raw input
 NEG_CLAMP_TOL = 1e-12     # raw negatives above -this are clamped to 0
-LSE_TOL = 1e-12           # |logsumexp| after log-point construction
 
 _INF = float("inf")
 
@@ -193,9 +192,6 @@ class FaceId:
     def indices(self) -> tuple[int, ...]:
         """0-based coordinate indices."""
         return tuple(i - 1 for i in self.support)
-
-    def __contains__(self, label: int) -> bool:
-        return label in self.support
 
 
 def phi(p: SimplexPoint) -> float:

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import volqso
+from volqso import cli
 from volqso.cli import main
+from volqso.ergodic import run_trajectory
+from volqso.lyapunov import verify_along_trajectory
 from volqso.sampling import interior_points
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -451,6 +454,22 @@ class TestConfigParse:
                      "--out", str(tmp_path / "out")]) == 0
         assert counts == drawn
 
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_matrix_and_canonical_params_together_exit_2(self, tmp_path,
+                                                         capsys, command):
+        # the all-1/2 matrix and other parameters: neither wins silently
+        config = dict(SIMULATE_BASE, canonical_params=[
+            0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        assert not jsonschema.Draft7Validator(
+            schema("config.schema.json")).is_valid(config)
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config needs exactly one of 'matrix' and "
+            "'canonical_params'"]
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_steps_same_bytes(self, tmp_path):
         outs = []
         for steps in (2000, 2000.0):
@@ -562,6 +581,64 @@ class TestStorageLimit:
                        "600000000012 values, more than 5000000; "
                        "lower verify.steps"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        dict(SIMULATE_BASE, verify={"steps": 1000}),
+        dict(SIMULATE_BASE, steps=105, starts={
+            "points": [[0.4, 0.3, 0.2, 0.1]], "count": 2, "seed": 5},
+            observables={"coordinates": [2], "monomials": [
+                [0.25] * 4, [1, 0, 0, 0]]}, verify={"steps": 1234}),
+        dict(SIMULATE_BASE, steps=7, starts={"count": 2, "seed": 1},
+             observables={"monomials": [[0.5, 0, 0.5, 0]]},
+             verify={"steps": 1001}),
+        {"matrix": [[0, 0.5, -0.5], [-0.5, 0, 0.5], [0.5, -0.5, 0]],
+         "steps": 50, "record_stride": 7,
+         "starts": {"points": [[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]]},
+         "observables": {"monomials": [[0.2, 0.3, 0.5]]},
+         "verify": {"steps": 1005}},
+        {"matrix": [[0, 0.5, -0.5], [-0.5, 0, 0.5], [0.5, -0.5, 0]],
+         "steps": 20, "record_stride": 1,
+         "starts": {"points": [[0.5, 0.3, 0.2]]}, "verify": {"steps": 1010}},
+    ], ids=["stride-divides", "remainder-3-starts-2-monomials",
+            "stride-above-steps", "m3-remainder", "m3-stride-1"])
+    def test_counted_values_are_what_the_runs_store(self, monkeypatch,
+                                                    config):
+        # both counts reserve steps // stride + 2 rows a run, as the
+        # compiled kernel does: every row a run keeps, plus one spare row
+        # when the stride divides the steps (the last step is then a
+        # stride multiple)
+        counted = {}
+        check = cli._check_size
+
+        def recording(stored, name, advice):
+            counted[name] = stored
+            check(stored, name, advice)
+
+        runs = []
+
+        def keeping(cfg, observables):
+            runs.append((cfg, run_trajectory(cfg, observables)))
+            return runs[-1][1]
+
+        monkeypatch.setattr("volqso.cli._check_size", recording)
+        monkeypatch.setattr("volqso.lyapunov.run_trajectory", keeping)
+        parsed = cli._parse(config, "simulate")
+        m = parsed.matrix.m
+        verify_along_trajectory((1.0 / m,) * m, parsed.matrix,
+                                *parsed.verify)
+        for run in parsed.runs:
+            keeping(run, parsed.observables)
+
+        def reserved(cfg, result):
+            width = m + 1 + len(result.monomial_traces)
+            kept = (len(result.trace_log_coords) + len(result.trace_log_phi)
+                    + sum(map(len, result.monomial_traces.values())))
+            assert kept == len(result.trace_steps) * width
+            return kept + width * (cfg.steps % cfg.record_stride == 0)
+
+        assert len(runs) == 1 + len(parsed.runs)
+        assert counted == {"verify.steps": reserved(*runs[0]),
+                           "steps": sum(reserved(*r) for r in runs[1:])}
 
     def test_no_steps_draws_only_the_first_start(self, tmp_path, capsys,
                                                  monkeypatch):

@@ -1,4 +1,7 @@
 import math
+import random
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -74,6 +77,64 @@ def assert_same_spectrum(got, expected, tol=1e-8):
         j = min(range(len(expected)), key=lambda i: abs(a - expected[i]))
         assert abs(a - expected[j]) <= tol
         expected.pop(j)
+
+
+# --- exact oracle for the interior of a singular 4x4 matrix ----------------
+# A = u v^T - v u^T fixes the sum-1 points with u.x = v.x = 0, a line; its
+# representative is the centre of the segment maximizing min_i x_i
+
+
+def solve_exact(rows, rhs):
+    """The unique solution of a square Fraction system, or None."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    n = len(aug)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c] / aug[c][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [aug[r][n] / aug[r][r] for r in range(n)]
+
+
+def exact_interior_centre(u, v):
+    """(centre, min coordinate there, whether the maximizing segment has
+    positive length), or None when no sum-1 point of the kernel exists.
+    The concave min_i x_i is largest along the line where two coordinates
+    are equal; the maximizing such points include both ends of the
+    maximizing segment, the extremes of the lexicographic order along the
+    line."""
+    ones = [Fraction(1)] * 4
+    points = []
+    for i, j in combinations(range(4), 2):
+        tie = [Fraction(int(c == i) - int(c == j)) for c in range(4)]
+        x = solve_exact([u, v, ones, tie], [0, 0, 1, 0])
+        if x is not None:
+            points.append(tuple(x))
+    if not points:
+        return None
+    best = max(min(x) for x in points)
+    ends = [x for x in points if min(x) == best]
+    lo, hi = min(ends), max(ends)
+    return [(a + b) / 2 for a, b in zip(lo, hi)], best, lo != hi
+
+
+def rank2_matrix(u, v) -> SkewMatrix | None:
+    """u v^T - v u^T, or None when it is zero or has an entry off [-1, 1]."""
+    rows = [[u[i] * v[j] - v[i] * u[j] for j in range(4)] for i in range(4)]
+    entries = [abs(x) for row in rows for x in row]
+    if max(entries) == 0 or max(entries) > 1:
+        return None
+    return SkewMatrix(tuple(tuple(float(x) for x in row) for row in rows))
+
+
+def interior_record(a: SkewMatrix):
+    found = [r for r in all_fixed_points(a).records if r.support.size == 4]
+    assert len(found) <= 1
+    return found[0] if found else None
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +355,59 @@ class TestAllFixedPoints:
         assert max(abs(x - y) for x, y in
                    zip(img.coords, rec.point.coords)) <= FIXED_TOL
         assert rec.degenerate
+        assert rec.point.coords == (0.25, 0.25, 0.25, 0.25)
+
+    def test_singular_interior_matches_exact_centre(self):
+        # dyadic u, v: the float matrix is exactly u v^T - v u^T (Pf 0.0);
+        # every other pair shares a coordinate, so two rows are equal, the
+        # line runs along e_i - e_j and its maximum is often a segment
+        rng = random.Random(2012)
+        checked = found = segments = 0
+        while checked < 250:
+            den = rng.choice((2, 4, 8))
+            u, v = ([Fraction(rng.randint(-den, den), den) for _ in range(4)]
+                    for _ in range(2))
+            if checked % 2 == 0:
+                i, j = rng.sample(range(4), 2)
+                u[j], v[j] = u[i], v[i]
+            a = rank2_matrix(u, v)
+            if a is None:
+                continue
+            checked += 1
+            exact = exact_interior_centre(u, v)
+            rec = interior_record(a)
+            assert (rec is not None) == (exact is not None and exact[1] > 0)
+            if rec is None:
+                continue
+            found += 1
+            segments += exact[2]
+            assert max(abs(Fraction(x) - c) for x, c in
+                       zip(rec.point.coords, exact[0])) <= 1e-15
+        assert found >= 50 and segments >= 5
+
+    def test_interior_tie_keeps_equal_rows_symmetric(self):
+        # rows 1 and 4 are equal, so e1 - e4 spans the fixed segment's
+        # direction; both ends, (3/16, 3/16, 3/8, 1/4) and (1/4, 3/16, 3/8,
+        # 3/16), are optimal, and the centre keeps x1 = x4
+        a = SkewMatrix(((0.0, -0.375, 0.1875, 0.0),
+                        (0.375, 0.0, -0.4375, 0.375),
+                        (-0.1875, 0.4375, 0.0, -0.1875),
+                        (0.0, -0.375, 0.1875, 0.0)))
+        assert interior_record(a).point.coords == (
+            0.21875, 0.1875, 0.375, 0.21875)
+        rng = random.Random(7)
+        found = 0
+        for _ in range(200):
+            u, v = ([Fraction(rng.randint(-8, 8), 8) for _ in range(4)]
+                    for _ in range(2))
+            u[3], v[3] = u[0], v[0]
+            a = rank2_matrix(u, v)
+            rec = None if a is None else interior_record(a)
+            if rec is not None:
+                found += 1
+                x = rec.point.coords
+                assert abs(x[0] - x[3]) <= 1e-15
+        assert found >= 20
 
     def test_every_record_is_fixed(self, rng):
         for _ in range(30):

@@ -71,6 +71,19 @@ def test_command_footprint(tmp_path, cfg, command, expected):
     assert any(out.iterdir())
 
 
+def test_fixed_points_on_singular_matrix_loads_numpy_only(tmp_path):
+    # u v^T - v u^T with u = (1, -1, 0, 0) / 2, v = (0, 0, 1, -1) / 2:
+    # Pf 0, so the interior kernel branch runs, without an LP solver
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"matrix": [
+        [0, 0, 0.25, -0.25], [0, 0, -0.25, 0.25],
+        [-0.25, 0.25, 0, 0], [0.25, -0.25, 0, 0]]}))
+    out = tmp_path / "out"
+    assert run_command("fixed-points", path, out) == ["numpy"]
+    assert json.loads((out / "fixed_points.json").read_text())[
+        "degenerate_interior"]
+
+
 def test_classify_draws_no_random_starts(tmp_path):
     # classify reads no start, so the random ones a config asks for are
     # neither drawn nor is numpy loaded to draw them

@@ -88,6 +88,15 @@ def boundary_face_start(rc):
     assert len(rc["trace_steps"]) == 3001
 
 
+def factor_above_guard(rc):
+    # a step factor between 1e-280 (the underflow guard) and 1e-200, where
+    # a direct log and the log-domain sum round differently: both kernels
+    # must switch branches at the same guard
+    logx, m = rc["trace_logx"], 3
+    assert any(math.log(1e-280) < logx[i + m] - logx[i] < math.log(1e-200)
+               for i in range(len(logx) - m))
+
+
 def switches_neighbourhood(rc):
     # the point leaves U_1 straight into U_2: one step closes the first
     # event and opens the next
@@ -120,6 +129,11 @@ CASES = {
          [[0.1, 0.25, 0.4, 0.05], [0.0, 0.3, 0.2, 0.45]],
          [2 ** k for k in range(12)], 1, True),
         boundary_face_start),
+    "factor_above_underflow_guard": (
+        (3, [[0.0, -1.0, 0.5], [1.0, 0.0, 1.0], [-0.5, -1.0, 0.0]],
+         logs_of([0.02, 0.9, 0.08]), 20, math.log(0.05), [0, 1, 2], [],
+         [20], 1, False),
+        factor_above_guard),
     # eps = 0.4 > 1/4 lets two neighbourhoods touch; only the kernel
     # accepts it (TrajectoryConfig keeps eps below 1/4)
     "direct_switch": (
@@ -180,6 +194,37 @@ class TestParity:
                           for p in sorted(out.rglob("*")) if p.is_file()})
         assert len(trees[0]) == 11      # summary.json + 2 starts x 5 CSVs
         assert trees[0] == trees[1]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Arguments of a short kernel run: an exact-skew matrix with entries
+    from {-1, 0, 1} or uniform in [-1, 1], a start that may have zero
+    coordinates, a stride of 1-7, explicit checkpoints and 0-2 monomials."""
+    m = draw(st.integers(2, 4))
+    entry = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+    a = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            a[i][j] = draw(entry)
+            a[j][i] = -a[i][j]
+    weights = draw(st.lists(st.just(0.0) | st.floats(0.01, 1.0),
+                            min_size=m, max_size=m).filter(any))
+    start = [w / math.fsum(weights) for w in weights]
+    steps = draw(st.integers(1, 2000))
+    checkpoints = sorted(draw(st.sets(st.integers(1, steps), max_size=12)))
+    monomials = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=m,
+                                       max_size=m), max_size=2))
+    log_eps = math.log(draw(st.floats(0.01, 0.24)))
+    return (m, a, logs_of(start), steps, log_eps, list(range(m)), monomials,
+            checkpoints, draw(st.integers(1, 7)), m == 4)
+
+
+@needs_compiled
+@settings(max_examples=100, deadline=None)
+@given(args=kernel_inputs())
+def test_fuzzed_runs_bit_identical(args):
+    assert deep_equal(*run_both(*args))
 
 
 # ---------------------------------------------------------------------------
