@@ -3,9 +3,9 @@ simplex: operator evaluation, classification of 4x4 interaction matrices,
 fixed-point inventories, monomial Lyapunov synthesis, and long-horizon
 ergodicity diagnostics.
 
-numpy and scipy are imported inside the functions that use them, so
-`import volqso` loads neither: `classify` and `simulate` on explicit starts
-run without them."""
+numpy is imported inside the functions that use it, so `import volqso`
+does not load it: `classify`, `lyapunov` and `simulate` on explicit starts
+run without it.  scipy is not used."""
 
 from .classify import (
     CanonicalParams,

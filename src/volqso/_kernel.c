@@ -81,8 +81,9 @@ static int push_event(vq_result *r, long long *cap, long long vertex,
  * [0, m)), mono_obs (n_mono x m exponents), checkpoints (n_cp, ascending).
  * Outputs, sized by the caller: trace_steps, trace_logx (x m),
  * trace_logphi and trace_mono (x n_mono), each with room for
- * steps / stride + 2 rows; cesaro (n_cp x n_obs); final_logx (m); scratch
- * (2 n_obs + n_mono).
+ * floor((steps - 1) / stride) + 2 rows, the number written (steps 0,
+ * stride, 2 stride, ... and steps); cesaro (n_cp x n_obs); final_logx (m);
+ * scratch (2 n_obs + n_mono).
  * Requires 1 <= m <= 4, stride >= 1, and m == 4 when want_phi.
  * Returns 0, or -1 when the event array cannot grow (nothing left to free).
  */

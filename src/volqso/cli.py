@@ -231,8 +231,8 @@ def _verify(node, name: str, m: int, tols: dict, fallback: SimplexPoint):
     steps = _int(node.get("steps", VERIFY_STEPS), f"{name}.steps",
                  MIN_VERIFY_STEPS)
     # verify_along_trajectory traces one monomial: m + 2 values a row
-    _check_size((steps // VERIFY_STRIDE + 2) * (m + 2), f"{name}.steps",
-                f"lower {name}.steps")
+    _check_size(((steps - 1) // VERIFY_STRIDE + 2) * (m + 2),
+                f"{name}.steps", f"lower {name}.steps")
     return start, steps, _int(node.get("transient", VERIFY_TRANSIENT),
                               f"{name}.transient", 0)
 
@@ -286,7 +286,8 @@ def _parse(cfg: dict, command: str) -> _Config:
                    or coordinate_observables(m))
     # trace rows per run times the values per row (see kernel.run)
     stored = 0 if steps is None else (
-        (len(points) + count) * (steps // settings["record_stride"] + 2)
+        (len(points) + count)
+        * ((steps - 1) // settings["record_stride"] + 2)
         * (m + 1 + sum(isinstance(o, MonomialObservable)
                        for o in observables)))
     _check_size(stored, "steps", "raise record_stride or run fewer starts")

@@ -84,7 +84,3 @@ class NoCanonicalForm(NumericalDiagnostic):
     """No vertex relabeling brings the matrix to the cyclic sign pattern.
     Surfaced rather than ignored; not expected to occur."""
 
-
-class InfeasibleNumerics(NumericalDiagnostic):
-    """The feasibility solver failed to converge (solver failure, distinct
-    from a genuinely infeasible system, which is a regular return value)."""

@@ -174,7 +174,7 @@ def _bind(lib):
         cp = list(checkpoints)
         n_coord, n_mono, n_cp = len(coord_obs), len(mono_obs), len(cp)
         n_obs = n_coord + n_mono
-        n_trace = steps // stride + 2
+        n_trace = (steps - 1) // stride + 2    # steps 0, stride, ..., steps
         # One array per dtype for the inputs and one for the double outputs;
         # the C function gets pointers to consecutive segments.  Plain
         # arrays keep the fixed cost of a call low, which one-step calls

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     WrongDimension,
 )
-from .simplex import LogSimplexPoint, SimplexPoint, _renormalized
+from .simplex import LogSimplexPoint, SimplexPoint, _renormalized, _trusted
 
 TENSOR_SUM_TOL = 1e-12   # |sum_k p[i][j][k] - 1|
 VOLTERRA_TOL = 1e-15     # mass allowed outside parental types
@@ -205,7 +205,7 @@ def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
 def apply_volterra(a: SkewMatrix, x: SimplexPoint) -> SimplexPoint:
     """One step of x_k -> x_k (1 + (Ax)_k), renormalized.  Zero coordinates
     stay exactly zero (faces are invariant)."""
-    return SimplexPoint(_renormalized(raw_volterra_image(a, x)))
+    return _trusted(SimplexPoint, _renormalized(raw_volterra_image(a, x)))
 
 
 def apply_volterra_log(a: SkewMatrix, x: LogSimplexPoint) -> LogSimplexPoint:

@@ -8,9 +8,9 @@ surely) off the exceptional invariant curves.
 from __future__ import annotations
 
 from .classify import CanonicalParams, matrix_from_canonical
-from .errors import ValidationError
+from .errors import ValidationError, WrongDimension
 from .qso import SkewMatrix
-from .simplex import SimplexPoint, validate
+from .simplex import SimplexPoint, _trusted, validate
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -40,15 +40,19 @@ def interior_points(m: int, count: int, seed_or_rng,
 
 
 def random_skew_matrix(m: int, seed_or_rng) -> SkewMatrix:
-    """Skew matrix with i.i.d. uniform [-1, 1] upper-triangle entries."""
+    """Skew matrix with i.i.d. uniform [-1, 1) upper-triangle entries, drawn
+    row by row."""
+    if not 2 <= m <= 4:
+        raise WrongDimension(f"m={m} outside supported range 2..4")
     rng = _as_rng(seed_or_rng)
+    upper = iter(rng.random(m * (m - 1) // 2).tolist())
     rows = [[0.0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            v = float(2.0 * rng.random() - 1.0)
+            v = 2.0 * next(upper) - 1.0
             rows[i][j] = v
             rows[j][i] = -v
-    return SkewMatrix(tuple(tuple(r) for r in rows))
+    return _trusted(SkewMatrix, tuple(map(tuple, rows)))
 
 
 def random_canonical_params(seed_or_rng, low: float = 0.1,

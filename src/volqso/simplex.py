@@ -58,6 +58,16 @@ def _renormalized(coords) -> tuple[float, ...]:
     return tuple(coords)
 
 
+def _trusted(cls, value):
+    """`cls(value)` for a one-field frozen dataclass (SimplexPoint,
+    SkewMatrix) without re-running its __post_init__ checks.  Only for values
+    built to pass them: a tuple of floats from _renormalized of nonnegative
+    finite coordinates, or a matrix skew by construction."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, next(iter(cls.__dataclass_fields__)), value)
+    return obj
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     """Probability vector on S^(m-1); immutable, coordinates sum to 1."""
@@ -122,7 +132,10 @@ def validate(p, *, sum_tol: float = VALIDATE_SUM_TOL,
     s = math.fsum(coords)
     if abs(s - 1.0) > sum_tol:
         raise SumNotOne(f"coordinates sum to {s}")
-    return SimplexPoint(_renormalized(coords))
+    coords = _renormalized(coords)
+    if not 2 <= len(coords) <= 4:
+        raise WrongDimension(f"m={len(coords)} outside supported range 2..4")
+    return _trusted(SimplexPoint, coords)
 
 
 @dataclass(frozen=True)

@@ -546,39 +546,41 @@ class TestStorageLimit:
 
     def test_stored_values_against_limit(self, tmp_path, capsys,
                                          monkeypatch):
-        # SIMULATE_BASE stores 1 start x (100 // 10 + 2) rows x 5 values;
-        # verify off, as the default Lyapunov check is held to the limit too
+        # SIMULATE_BASE stores 1 start x 11 rows (steps 0, 10, ..., 100) x
+        # 5 values; verify off, as the default Lyapunov check is held to
+        # the limit too
         config = dict(SIMULATE_BASE, verify=False)
-        monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 60)
+        monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 55)
         assert self.run(tmp_path, capsys, "simulate", config)[0] == 0
-        monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 59)
+        monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 54)
         self.forbid_work(monkeypatch)
         code, err, _ = self.run(tmp_path, capsys, "simulate", config)
         assert code == 2
-        assert err == ["error: steps: the runs would store 60 values, more "
-                       "than 59; raise record_stride or run fewer starts"]
+        assert err == ["error: steps: the runs would store 55 values, more "
+                       "than 54; raise record_stride or run fewer starts"]
 
     def test_default_verify_checked_like_empty_object(self, tmp_path, capsys,
                                                       monkeypatch):
         # no verify key: the defaults, 100000 steps traced every 10th step
+        # (10001 rows of 6 values)
         self.forbid_work(monkeypatch)
-        monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 60011)
+        monkeypatch.setattr("volqso.cli.MAX_STORED_VALUES", 60005)
         for config in ({"matrix": ALL_HALF_ROWS},
                        {"matrix": ALL_HALF_ROWS, "verify": {}}):
             code, err, _ = self.run(tmp_path, capsys, "classify", config)
             assert code == 2
-            assert err == ["error: verify.steps: the runs would store 60012 "
-                           "values, more than 60011; lower verify.steps"]
+            assert err == ["error: verify.steps: the runs would store 60006 "
+                           "values, more than 60005; lower verify.steps"]
 
     def test_oversize_verify_rejected_by_arithmetic(self, tmp_path, capsys,
                                                     monkeypatch):
-        # the Lyapunov check records (1e12 // 10 + 2) rows x 6 values
+        # the Lyapunov check records (1e11 + 1) rows x 6 values
         self.forbid_work(monkeypatch)
         code, err, out = self.run(tmp_path, capsys, "lyapunov", dict(
             SIMULATE_BASE, verify={"steps": 1e12}))
         assert code == 2
         assert err == ["error: verify.steps: the runs would store "
-                       "600000000012 values, more than 5000000; "
+                       "600000000006 values, more than 5000000; "
                        "lower verify.steps"]
         assert not out.exists()
 
@@ -603,10 +605,8 @@ class TestStorageLimit:
             "stride-above-steps", "m3-remainder", "m3-stride-1"])
     def test_counted_values_are_what_the_runs_store(self, monkeypatch,
                                                     config):
-        # both counts reserve steps // stride + 2 rows a run, as the
-        # compiled kernel does: every row a run keeps, plus one spare row
-        # when the stride divides the steps (the last step is then a
-        # stride multiple)
+        # both counts are (steps - 1) // stride + 2 rows a run, as the
+        # compiled kernel reserves: exactly the rows a run keeps
         counted = {}
         check = cli._check_size
 
@@ -617,8 +617,8 @@ class TestStorageLimit:
         runs = []
 
         def keeping(cfg, observables):
-            runs.append((cfg, run_trajectory(cfg, observables)))
-            return runs[-1][1]
+            runs.append(run_trajectory(cfg, observables))
+            return runs[-1]
 
         monkeypatch.setattr("volqso.cli._check_size", recording)
         monkeypatch.setattr("volqso.lyapunov.run_trajectory", keeping)
@@ -629,16 +629,16 @@ class TestStorageLimit:
         for run in parsed.runs:
             keeping(run, parsed.observables)
 
-        def reserved(cfg, result):
+        def kept(result):
             width = m + 1 + len(result.monomial_traces)
-            kept = (len(result.trace_log_coords) + len(result.trace_log_phi)
-                    + sum(map(len, result.monomial_traces.values())))
-            assert kept == len(result.trace_steps) * width
-            return kept + width * (cfg.steps % cfg.record_stride == 0)
+            values = (len(result.trace_log_coords) + len(result.trace_log_phi)
+                      + sum(map(len, result.monomial_traces.values())))
+            assert values == len(result.trace_steps) * width
+            return values
 
         assert len(runs) == 1 + len(parsed.runs)
-        assert counted == {"verify.steps": reserved(*runs[0]),
-                           "steps": sum(reserved(*r) for r in runs[1:])}
+        assert counted == {"verify.steps": kept(runs[0]),
+                           "steps": sum(map(kept, runs[1:]))}
 
     def test_no_steps_draws_only_the_first_start(self, tmp_path, capsys,
                                                  monkeypatch):

@@ -1,8 +1,8 @@
 """Start-up footprint: which of numpy and scipy each command loads.
 
 Each case runs in a fresh interpreter, so what other tests imported does not
-count.  numpy and scipy are imported inside the functions that use them;
-these cases pin which commands reach such a function."""
+count.  numpy is imported inside the functions that use it, and scipy by
+none; these cases pin which commands reach such a function."""
 
 import json
 import os
@@ -93,9 +93,9 @@ def test_classify_draws_no_random_starts(tmp_path):
     assert run_command("classify", path, tmp_path / "out") == []
 
 
-def test_lyapunov_loads_both_and_writes_same_bytes(tmp_path, cfg):
+def test_lyapunov_loads_neither_and_writes_same_bytes(tmp_path, cfg):
     fresh, warm = tmp_path / "fresh", tmp_path / "warm"
-    assert run_command("lyapunov", cfg, fresh) == ["numpy", "scipy"]
+    assert run_command("lyapunov", cfg, fresh) == []
     assert main(["lyapunov", "--config", str(cfg), "--out", str(warm)]) == 0
     payload = (fresh / "lyapunov.json").read_bytes()
     assert payload == (warm / "lyapunov.json").read_bytes()

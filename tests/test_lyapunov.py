@@ -1,10 +1,15 @@
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from volqso import lyapunov
 from volqso.errors import SingularEntry, ValidationError
 from volqso.lyapunov import (
+    MARGIN_TOL,
     DecayVerdict,
     build_b,
     synthesize,
@@ -138,6 +143,160 @@ class TestSynthesize:
             if cand is not None:
                 assert cand.margin > 0.0
                 assert all(g < 1.0 for g in cand.vertex_gains)
+
+
+def _solve(system):
+    """Solution of a square linear system given as augmented Fraction rows;
+    None when it is singular."""
+    rows = [list(r) for r in system]
+    n = len(rows)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [v / p for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [r[n] for r in rows]
+
+
+def exact_vertices(lg):
+    """Optimal t and every optimal vertex lam of: maximize t subject to
+    sum_i lg[i][j] lam_i + t <= 0 and -1 <= lam_i <= 1, with the float
+    entries of lg taken as exact rationals.  Each (m+1)-subset of the 3m
+    constraints (m rows, lam_i = -1, lam_i = 1) is solved as equalities in
+    Fractions and kept when feasible."""
+    m = len(lg)
+    exact = [[Fraction(v) for v in row] for row in lg]
+    found = []
+    for subset in itertools.combinations(range(3 * m), m + 1):
+        at = {}
+        for c in subset:
+            if c >= m:
+                at.setdefault((c - m) % m, []).append(-1 if c < 2 * m else 1)
+        if any(len(v) > 1 for v in at.values()):
+            continue    # lam_i = -1 and lam_i = 1 at once
+        free = [i for i in range(m) if i not in at]
+        sol = _solve([[exact[i][j] for i in free] + [Fraction(1)]
+                      + [-sum(exact[i][j] * v[0] for i, v in at.items())]
+                      for j in subset if j < m])
+        if sol is None:
+            continue
+        lam = [Fraction(at[i][0]) if i in at else sol[free.index(i)]
+               for i in range(m)]
+        t = sol[-1]
+        if all(abs(v) <= 1 for v in lam) and all(
+                sum(exact[i][j] * lam[i] for i in range(m)) + t <= 0
+                for j in range(m)):
+            found.append((t, tuple(lam)))
+    best = max(t for t, _ in found)
+    return best, sorted({lam for t, lam in found if t == best})
+
+
+def _skew_rows(m, draw):
+    rows = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            rows[i][j] = draw()
+            rows[j][i] = -rows[i][j]
+    return rows
+
+
+# a 2-face of exponent vectors is optimal, with four vertices; the simplex's
+# first optimal vertex is (0.368..., -1, -1), the lexicographically smallest
+# is (-0.046..., 1, -1)
+TIE_M3 = [[0, 0, -0.75], [0, 0, -0.25], [0.75, 0.25, 0]]
+
+
+def _oracle_cases():
+    rnd = random.Random(2012)
+    dyadic = [0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75]
+    cases = {"all-half": [[0, 0.5, 0.5, -0.5], [-0.5, 0, 0.5, 0.5],
+                          [-0.5, -0.5, 0, 0.5], [0.5, -0.5, -0.5, 0]],
+             "tie-m3": TIE_M3,
+             "tie-m4": [[0, 0.75, -0.75, -0.5], [-0.75, 0, -0.5, 0],
+                        [0.75, 0.5, 0, -0.25], [0.5, 0, 0.25, 0]]}
+    for m in (2, 3, 4):
+        cases[f"zero-m{m}"] = [[0.0] * m for _ in range(m)]
+        for k in range(6 if m == 4 else 8):
+            cases[f"random-m{m}-{k}"] = _skew_rows(
+                m, lambda: rnd.uniform(-1.0, 1.0))
+            cases[f"dyadic-m{m}-{k}"] = _skew_rows(
+                m, lambda: rnd.choice(dyadic))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+_ORACLE = {}
+
+
+def oracle(name):
+    """(log-gain rows, exact optimum t, optimal vertices) of a named case."""
+    if name not in _ORACLE:
+        rows = ORACLE_CASES[name]
+        lg = [[math.log1p(v) for v in row] for row in rows]
+        _ORACLE[name] = (lg, *exact_vertices(lg))
+    return _ORACLE[name]
+
+
+class TestExactOptimum:
+    """synthesize against an exact vertex enumeration: the solver's optimum
+    is the exact rational one, ties go to the lexicographically smallest
+    exponents, and the float exponents are that optimum correctly rounded."""
+
+    @pytest.mark.parametrize("setting", [
+        {}, {"FLOAT_PIVOTS": 0}, {"FLOAT_PIVOTS": 2}, {"FLOAT_TOL": 0.5}],
+        ids=["default", "exact-from-start", "exact-repivots",
+             "float-basis-dropped"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_solver_equals_oracle(self, monkeypatch, name, setting):
+        # the settings hand the exact phase an unfinished float basis (it
+        # must pivot on exactly) or one infeasible in exact arithmetic
+        for key, value in setting.items():
+            monkeypatch.setattr(lyapunov, key, value)
+        lg, t, optimal = oracle(name)
+        assert lyapunov._lex_max_min(lg) == (t, list(optimal[0]))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_synthesize_rounds_oracle(self, name):
+        lg, t, optimal = oracle(name)
+        a = SkewMatrix(ORACLE_CASES[name])
+        cand = synthesize(a)
+        exponents = tuple(float(v) for v in optimal[0])
+        margin = min(-v for v in vertex_constraint_values(a, exponents))
+        if t <= MARGIN_TOL or margin <= 0.0:
+            assert cand is None
+        else:
+            assert cand.exponents == exponents
+            assert cand.margin == margin
+
+    def test_cases_include_ties_and_degenerate_vertices(self):
+        ties = [n for n in ORACLE_CASES if len(oracle(n)[2]) > 1
+                and oracle(n)[1] > MARGIN_TOL]
+        degenerate = 0
+        for name in ORACLE_CASES:
+            lg, t, optimal = oracle(name)
+            lam = optimal[0]
+            active = sum(abs(v) == 1 for v in lam) + sum(
+                sum(Fraction(lg[i][j]) * lam[i] for i in range(len(lam)))
+                + t == 0 for j in range(len(lam)))
+            degenerate += active > len(lam) + 1
+        assert len(ties) >= 3 and degenerate >= 3
+
+    def test_tie_goes_to_smallest_exponents(self):
+        lg, t, optimal = oracle("tie-m3")
+        assert len(optimal) == 4
+        cand = synthesize(SkewMatrix(TIE_M3))
+        assert cand.exponents == (-0.04655470219574071, 1.0, -1.0)
+        assert cand.exponents == tuple(map(float, optimal[0]))
+
+    def test_zero_matrix_optimum_is_the_smallest_corner(self):
+        for m in (2, 3, 4):
+            assert lyapunov._lex_max_min([[0.0] * m] * m) == (0, [-1] * m)
 
 
 class TestVerifyAlongTrajectory:

@@ -9,6 +9,7 @@ from volqso.errors import (
     NonFiniteInput,
     NotVolterra,
     ValidationError,
+    WrongDimension,
 )
 from volqso.qso import (
     HeredityTensor,
@@ -320,3 +321,50 @@ class TestVolterra3:
     def test_parameter_bound(self):
         with pytest.raises(ValidationError):
             skew3(1.5, 0.0, 0.0)
+
+
+class TestTrustedConstruction:
+    """random_skew_matrix, apply_volterra and validate build their results
+    without re-running the dataclass checks; the checked constructors must
+    accept those values and give equal objects."""
+
+    @staticmethod
+    def floats(values):
+        return all(type(v) is float for v in values)
+
+    def test_trusted_sites_equal_checked_constructors(self, rng):
+        for k in range(3000):
+            m = int(rng.integers(2, 5))
+            a = random_skew_matrix(m, rng)
+            assert SkewMatrix(a.rows) == a
+            assert all(self.floats(row) for row in a.rows)
+            raw = rng.random(m)
+            raw[rng.random(m) < 0.3] = 0.0      # faces
+            dust = k % 7 == 0                   # a -1e-13 that validate clamps
+            if dust:
+                raw[0] = 0.0
+            if raw.sum() == 0.0:
+                continue
+            p = raw / raw.sum()
+            if dust:
+                p[0] = -1e-13
+            x = validate(p)
+            assert SimplexPoint(x.coords) == x and self.floats(x.coords)
+            y = apply_volterra(a, x)
+            assert SimplexPoint(y.coords) == y and self.floats(y.coords)
+            assert validate(y.coords) == y
+
+    def test_boundary_matrices(self):
+        x = SimplexPoint((0.5, 0.25, 0.25))
+        for a in (skew3(1.0, 1.0, 1.0), skew3(-1.0, 1.0, 0.0),
+                  SkewMatrix.zero(3)):
+            y = apply_volterra(a, x)
+            assert SimplexPoint(y.coords) == y
+
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    def test_dimension_still_checked(self, rng, m):
+        with pytest.raises(WrongDimension):
+            random_skew_matrix(m, rng)
+        if m:
+            with pytest.raises(WrongDimension):
+                validate([1.0 / m] * m)
