@@ -13,62 +13,41 @@ schema's types and bounds, and every object it describes built, before any
 work, whatever the command; `delta_conv < delta_osc`, the observables,
 `min_coord < 1/m` and the size of the runs (MAX_STORED_VALUES) are checked
 there too.  Random starts are drawn only by the commands that read them.
+Each subsystem is imported inside the command or parse reader that uses it,
+so a process loads only what its command and config need.
 Exit codes: 0 success, 2 validation error (a malformed config value names
-its key), 3 numerical diagnostic.  Set VOLQSO_LOG=debug|info|... for logging.
+its key), 3 numerical diagnostic.  VOLQSO_LOG=debug|info|... sets the log
+level of `simulate`, the only command that logs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import kernel
-from .classify import PARAM_NAMES, classify, matrix_from_canonical
-from .ergodic import (
-    CoordinateObservable,
-    MonomialObservable,
-    TrajectoryConfig,
-    coordinate_observables,
-    ergodic_verdict,
-    route_check,
-    run_ensemble,
-    sojourn_growth,
-    split_observables,
-    write_cesaro_csv,
-    write_outside_csv,
-    write_phi_csv,
-    write_sojourn_csv,
-    write_trajectory_csv,
-    DELTA_CONV,
-    DELTA_OSC,
-)
+from .classify import PARAM_NAMES, matrix_from_canonical
 from .errors import (
     NumericalDiagnostic,
     TooFewCheckpoints,
     TooFewSojourns,
     ValidationError,
 )
-from .fixed_points import all_fixed_points
-from .lyapunov import (
+from .qso import SkewMatrix
+from .simplex import (
+    DELTA_CONV,
+    DELTA_OSC,
     MIN_VERIFY_STEPS,
     VERIFY_STEPS,
     VERIFY_STRIDE,
     VERIFY_TRANSIENT,
-    synthesize,
-    verify_along_trajectory,
-    vertex_constraint_values,
+    SimplexPoint,
+    validate,
 )
-from .qso import SkewMatrix
-from .sampling import interior_points
-from .simplex import SimplexPoint, validate
-
-log = logging.getLogger("volqso")
 
 # Most trace values a config may make one command store, over all its runs.
 # The largest perfbench workload (simulate-dense) stores 350k.
@@ -198,6 +177,9 @@ def _checkpoints(node, name: str):
 
 
 def _observables(node, name: str, m: int) -> tuple:
+    from .ergodic import (CoordinateObservable, MonomialObservable,
+                          split_observables)
+
     node = _of(dict, node, name)
     labels = _of(list, node.get("coordinates", []), f"{name}.coordinates")
     obs = [CoordinateObservable(_int(v, f"{name}.coordinates[{i}]"))
@@ -243,7 +225,7 @@ class _Config:
 
     matrix: SkewMatrix
     runs: tuple[TrajectoryConfig, ...]      # simulate: one per start
-    observables: tuple
+    observables: tuple                      # empty: the coordinates
     workers: int
     delta_conv: float
     delta_osc: float
@@ -282,27 +264,31 @@ def _parse(cfg: dict, command: str) -> _Config:
     if delta_conv >= delta_osc:
         raise ValidationError(f"delta_conv must be below delta_osc, got "
                               f"{delta_conv!r} >= {delta_osc!r}")
-    observables = (_read(cfg, "observables", _observables, (), m)
-                   or coordinate_observables(m))
-    # trace rows per run times the values per row (see kernel.run)
-    stored = 0 if steps is None else (
-        (len(points) + count)
-        * ((steps - 1) // settings["record_stride"] + 2)
-        * (m + 1 + sum(isinstance(o, MonomialObservable)
-                       for o in observables)))
-    _check_size(stored, "steps", "raise record_stride or run fewer starts")
-    # the run settings, checked at a stand-in start whatever the command
-    run = None if steps is None else TrajectoryConfig(
-        matrix=matrix, start=SimplexPoint.barycenter(m), steps=steps,
-        **settings)
+    observables = _read(cfg, "observables", _observables, (), m)
+    run = None
+    if steps is not None:
+        from .ergodic import MonomialObservable, TrajectoryConfig
+
+        # trace rows per run times the values per row (see kernel.run)
+        _check_size((len(points) + count)
+                    * ((steps - 1) // settings["record_stride"] + 2)
+                    * (m + 1 + sum(isinstance(o, MonomialObservable)
+                                   for o in observables)),
+                    "steps", "raise record_stride or run fewer starts")
+        # the run settings, checked at a stand-in start whatever the command
+        run = TrajectoryConfig(matrix=matrix, start=SimplexPoint.barycenter(m),
+                               steps=steps, **settings)
     if command == "simulate" and run is not None:
         drawn = count
     elif command == "lyapunov" and not points:
         drawn = min(count, 1)
     else:
         drawn = 0
-    starts = points + tuple(interior_points(m, drawn, seed, min_coord)
-                            if drawn > 0 else ())
+    starts = points
+    if drawn > 0:
+        from .sampling import interior_points
+
+        starts += tuple(interior_points(m, drawn, seed, min_coord))
     fallback = starts[0] if starts else SimplexPoint.barycenter(m)
     return _Config(
         matrix=matrix,
@@ -349,6 +335,8 @@ def _write_json(payload: dict, out_dir: Path, name: str,
 
 
 def cmd_classify(parsed: _Config, out_dir: Path) -> int:
+    from .classify import classify
+
     a = parsed.matrix
     report = classify(a)
     params = report.canonical_params
@@ -369,6 +357,8 @@ def cmd_classify(parsed: _Config, out_dir: Path) -> int:
 
 
 def cmd_fixed_points(parsed: _Config, out_dir: Path) -> int:
+    from .fixed_points import all_fixed_points
+
     a = parsed.matrix
     inventory = all_fixed_points(a)
     payload = {
@@ -396,6 +386,9 @@ def cmd_fixed_points(parsed: _Config, out_dir: Path) -> int:
 
 
 def cmd_lyapunov(parsed: _Config, out_dir: Path) -> int:
+    from .lyapunov import (synthesize, verify_along_trajectory,
+                           vertex_constraint_values)
+
     a = parsed.matrix
     candidate = synthesize(a)
     payload = {
@@ -428,6 +421,8 @@ def cmd_lyapunov(parsed: _Config, out_dir: Path) -> int:
 
 def _start_summary(index: int, start: SimplexPoint, result, coord_names,
                    delta_conv: float, delta_osc: float) -> dict:
+    from .ergodic import ergodic_verdict, route_check, sojourn_growth
+
     verdict_value = None
     oscillation = {}
     series = ([s for s in result.cesaro if s.function_id in coord_names]
@@ -461,11 +456,24 @@ def _start_summary(index: int, start: SimplexPoint, result, coord_names,
 
 
 def cmd_simulate(parsed: _Config, out_dir: Path) -> int:
-    a, runs, observables = parsed.matrix, parsed.runs, parsed.observables
+    a, runs = parsed.matrix, parsed.runs
     if not runs:
         raise ValidationError("simulate needs 'steps' and at least one start")
-    log.info("simulate: %d starts, %d steps, backend=%s (%s)",
-             len(runs), runs[0].steps, kernel.BACKEND, kernel.BACKEND_REASON)
+    import logging
+
+    from . import kernel
+    from .ergodic import (CoordinateObservable, coordinate_observables,
+                          run_ensemble, write_cesaro_csv, write_outside_csv,
+                          write_phi_csv, write_sojourn_csv,
+                          write_trajectory_csv)
+
+    observables = parsed.observables or coordinate_observables(a.m)
+    level = os.environ.get("VOLQSO_LOG", "warning").upper()
+    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+                        format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("volqso").info(
+        "simulate: %d starts, %d steps, backend=%s (%s)", len(runs),
+        runs[0].steps, kernel.BACKEND, kernel.BACKEND_REASON)
     results = run_ensemble(runs, observables, workers=parsed.workers)
 
     coord_names = {o.name for o in observables
@@ -526,9 +534,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("VOLQSO_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
         parsed = _parse(_load_config(args.config), args.command)

@@ -14,17 +14,15 @@ two expose it at logarithmic storage cost.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from . import kernel
+# `kernel`, which builds or loads the compiled library, is imported by the
+# functions that run it: the CLI checks configs with this module's classes.
 from .classify import CanonicalParams
 from .errors import (
     DegenerateFactor,
@@ -36,10 +34,7 @@ from .errors import (
     WrongDimension,
 )
 from .qso import SkewMatrix
-from .simplex import LogSimplexPoint, SimplexPoint
-
-DELTA_CONV = 1e-3   # trailing oscillation below this: converged at scale
-DELTA_OSC = 5e-2    # trailing oscillation above this: oscillating at scale
+from .simplex import DELTA_CONV, DELTA_OSC, LogSimplexPoint, SimplexPoint
 
 _INF = float("inf")
 
@@ -283,6 +278,8 @@ class TrajectoryResult:
 def run_trajectory(cfg: TrajectoryConfig, observables=None) -> TrajectoryResult:
     """Iterate the operator for cfg.steps steps (always in log space) and
     collect running means, sojourn events and traces in one pass."""
+    from . import kernel
+
     m = cfg.m
     if observables is None:
         observables = coordinate_observables(m)
@@ -330,9 +327,13 @@ def run_ensemble(configs, observables=None, workers: int = 1):
     per CPU); results come back in input order regardless of scheduling.
     Threads only pay off with the compiled kernel, which releases the GIL,
     so the pure-Python kernel always runs serially."""
+    from . import kernel
+
     workers = min(workers, len(configs), os.cpu_count() or 1)
     if workers <= 1 or kernel.BACKEND == "python":
         return [run_trajectory(cfg, observables) for cfg in configs]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda c: run_trajectory(c, observables),
                              configs))
@@ -480,6 +481,11 @@ def _write_csv(path, header, n_rows, columns) -> None:
     """Write `header` as csv.writer quotes it, then `n_rows` rows of one
     value from each of `columns` (see _columns), all UTF-8.  The kernel
     backend formats the rows, a chunk at a time, straight from the arrays."""
+    import csv
+    import io
+
+    from . import kernel
+
     head = io.StringIO()
     csv.writer(head).writerow(header)
     chunk = max(1, _CHUNK_VALUES // len(columns))

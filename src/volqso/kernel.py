@@ -27,8 +27,6 @@ import struct
 from array import array
 from pathlib import Path
 
-from . import _kernel_py
-
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # -ffp-contract=off: the pure-Python kernel is the bit-for-bit reference;
 # fused multiply-adds would break kernel parity.
@@ -259,6 +257,8 @@ def available_backends() -> tuple[str, ...]:
 def _functions(name: str):
     """(run, format_rows) of backend `name`."""
     if name == "python":
+        from . import _kernel_py
+
         return _kernel_py.run, _kernel_py.format_rows
     if name == "compiled":
         functions, reason = _compiled()

@@ -22,20 +22,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SingularEntry, ValidationError
-from .ergodic import (
-    MonomialObservable,
-    TrajectoryConfig,
-    decade_windows,
-    run_trajectory,
-)
 from .qso import SkewMatrix
-from .simplex import SimplexPoint
+from .simplex import (
+    MIN_VERIFY_STEPS,
+    VERIFY_STEPS,
+    VERIFY_STRIDE,
+    VERIFY_TRANSIENT,
+    SimplexPoint,
+)
 
 MARGIN_TOL = 1e-9     # solver optimum below this: report infeasible
-MIN_VERIFY_STEPS = 1000   # shortest run with a decade window to compare
-VERIFY_STEPS = 100_000    # default length of the check along a trajectory
-VERIFY_TRANSIENT = 100    # default steps before the first judged decade
-VERIFY_STRIDE = 10        # the check traces log F every this many steps
 FLOAT_TOL = 1e-12         # float simplex: reduced costs and pivots below are 0
 FLOAT_PIVOTS = 50         # float simplex pivots before Fractions take over
 
@@ -321,6 +317,9 @@ def verify_along_trajectory(candidate, a: SkewMatrix, start: SimplexPoint,
     a net decrease; G exceeds 1 away from the vertices, so per-step or
     pre-transient increases are expected and ignored.
     """
+    from .ergodic import (MonomialObservable, TrajectoryConfig,
+                          decade_windows, run_trajectory)
+
     exponents = candidate.exponents if isinstance(candidate, LyapunovCandidate) \
         else tuple(float(v) for v in candidate)
     if steps < MIN_VERIFY_STEPS:

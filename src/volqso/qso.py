@@ -17,7 +17,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-from . import kernel
 from .errors import (
     DegenerateFactor,
     DimensionMismatch,
@@ -220,6 +219,8 @@ def apply_volterra_log(a: SkewMatrix, x: LogSimplexPoint) -> LogSimplexPoint:
     sum underflows."""
     if a.m != x.m:
         raise DimensionMismatch(f"matrix m={a.m}, point m={x.m}")
+    from . import kernel
+
     raw = kernel.run(a.m, a.rows, x.log_coords, 1, 0.0, [], [], [], 1, False)
     if raw["error"] is not None:
         raise DegenerateFactor(f"log step failed: {raw['error'][0]}")

@@ -29,6 +29,17 @@ SUM_TOL = 1e-12           # |sum - 1| after construction
 VALIDATE_SUM_TOL = 1e-9   # |sum - 1| accepted on raw input
 NEG_CLAMP_TOL = 1e-12     # raw negatives above -this are clamped to 0
 
+# Defaults of ergodic_verdict and verify_along_trajectory, which the CLI
+# config may override.  They live in this, the lowest module, because every
+# command checks them while parsing its config, before it loads the code
+# that runs them.
+DELTA_CONV = 1e-3   # trailing oscillation below this: converged at scale
+DELTA_OSC = 5e-2    # trailing oscillation above this: oscillating at scale
+MIN_VERIFY_STEPS = 1000   # shortest run with a decade window to compare
+VERIFY_STEPS = 100_000    # default length of the check along a trajectory
+VERIFY_TRANSIENT = 100    # default steps before the first judged decade
+VERIFY_STRIDE = 10        # the check traces log F every this many steps
+
 _INF = float("inf")
 
 

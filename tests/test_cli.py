@@ -1,4 +1,7 @@
+import contextlib
 import copy
+import importlib
+import io
 import json
 import os
 import subprocess
@@ -32,6 +35,19 @@ def write_config(tmp_path, payload, name="cfg.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# The module that defines each function a command calls.  The CLI imports it
+# from there when the command runs, so that is where a test replaces it.
+# (The package attribute `volqso.classify` is the function, so the dotted
+# path "volqso.classify.classify" cannot name the module.)
+HOMES = {"interior_points": "volqso.sampling", "classify": "volqso.classify",
+         "all_fixed_points": "volqso.fixed_points",
+         "synthesize": "volqso.lyapunov", "run_ensemble": "volqso.ergodic"}
+
+
+def replace_at_home(monkeypatch, name, value):
+    monkeypatch.setattr(importlib.import_module(HOMES[name]), name, value)
 
 
 def tree_bytes(root: Path, skip=()) -> dict:
@@ -289,6 +305,26 @@ class TestSimulateCommand:
         assert (d / "phi.csv").read_bytes().startswith(
             "step,phi,log_phi,log_\u03c61\r\n".encode("utf-8"))
 
+    @pytest.mark.parametrize("command", ["simulate", "classify"])
+    def test_log_line_only_from_simulate(self, tmp_path, command):
+        # VOLQSO_LOG=info: simulate logs its one line (starts, steps,
+        # backend and reason) to stderr; no other command logs
+        cfg = write_config(tmp_path, SIMULATE_BASE)
+        env = dict(os.environ, VOLQSO_LOG="info",
+                   PYTHONPATH=str(Path(volqso.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from volqso.cli import main; code = main(); "
+             "import volqso.kernel as k; print(k.BACKEND, k.BACKEND_REASON, "
+             "sep='\\n'); sys.exit(code)",
+             command, "--config", cfg, "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        backend, reason = proc.stdout.splitlines()[-2:]
+        assert proc.stderr == ("" if command == "classify" else
+                               f"INFO volqso: simulate: 1 starts, 100 steps, "
+                               f"backend={backend} ({reason})\n")
+
     def test_m3_simulation(self, tmp_path):
         cfg = write_config(tmp_path, {
             "matrix": [[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
@@ -421,7 +457,7 @@ class TestConfigParse:
 
         for name in ("interior_points", "classify", "all_fixed_points",
                      "synthesize", "run_ensemble"):
-            monkeypatch.setattr(f"volqso.cli.{name}", forbidden)
+            replace_at_home(monkeypatch, name, forbidden)
         self.test_malformed_value_exits_2_naming_key(tmp_path, capsys,
                                                      command, config, key)
 
@@ -446,7 +482,7 @@ class TestConfigParse:
             counts.append(count)
             return interior_points(m, count, *args)
 
-        monkeypatch.setattr("volqso.cli.interior_points", recording)
+        replace_at_home(monkeypatch, "interior_points", recording)
         cfg = write_config(tmp_path, dict(
             SIMULATE_BASE, starts={"count": 3, "seed": 1},
             verify={"steps": 1000}))
@@ -484,8 +520,8 @@ class TestConfigParse:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the config was parsed")
 
-        monkeypatch.setattr("volqso.cli.synthesize", forbidden)
-        monkeypatch.setattr("volqso.cli.run_ensemble", forbidden)
+        replace_at_home(monkeypatch, "synthesize", forbidden)
+        replace_at_home(monkeypatch, "run_ensemble", forbidden)
         lyapunov = write_config(tmp_path, {
             "matrix": ALL_HALF_ROWS,
             "verify": {"start": [0.4, "x", 0.2, 0.1]}}, "lyapunov.json")
@@ -509,7 +545,7 @@ class TestConfigParse:
 
         for name in ("classify", "all_fixed_points", "synthesize",
                      "run_ensemble"):
-            monkeypatch.setattr(f"volqso.cli.{name}", forbidden)
+            replace_at_home(monkeypatch, name, forbidden)
         cfg = write_config(tmp_path, config)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -525,7 +561,7 @@ class TestStorageLimit:
 
         for name in ("interior_points", "classify", "all_fixed_points",
                      "synthesize", "run_ensemble"):
-            monkeypatch.setattr(f"volqso.cli.{name}", forbidden)
+            replace_at_home(monkeypatch, name, forbidden)
 
     def run(self, tmp_path, capsys, command, config):
         out = tmp_path / "out"
@@ -621,7 +657,7 @@ class TestStorageLimit:
             return runs[-1]
 
         monkeypatch.setattr("volqso.cli._check_size", recording)
-        monkeypatch.setattr("volqso.lyapunov.run_trajectory", keeping)
+        monkeypatch.setattr("volqso.ergodic.run_trajectory", keeping)
         parsed = cli._parse(config, "simulate")
         m = parsed.matrix.m
         verify_along_trajectory((1.0 / m,) * m, parsed.matrix,
@@ -650,7 +686,7 @@ class TestStorageLimit:
             drawn.append(count)
             return interior_points(m, count, *args)
 
-        monkeypatch.setattr("volqso.cli.interior_points", counting)
+        replace_at_home(monkeypatch, "interior_points", counting)
         config = {"matrix": ALL_HALF_ROWS, "verify": {"steps": 1000},
                   "starts": {"count": 10 ** 9, "seed": 3}}
         assert self.run(tmp_path, capsys, "lyapunov", config)[0] == 0
@@ -688,13 +724,20 @@ def mutated_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(cfg=mutated_configs())
 def test_fuzzed_config_exits_cleanly(tmp_path_factory, cfg):
+    # the parse loads what a config's keys need, so a rejection must not
+    # depend on the command: same exit code, same message, for every one
     valid = jsonschema.Draft7Validator(
         schema("config.schema.json")).is_valid(cfg)
     root = tmp_path_factory.mktemp("fuzz")
     path = write_config(root, cfg)
-    for command in ("classify", "lyapunov", "simulate"):
-        code = main([command, "--config", path,
-                     "--out", str(root / command)])
+    errors = set()
+    for command in ALL_COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path,
+                         "--out", str(root / command)])
         assert code in (0, 2, 3)
         if not valid:
             assert code == 2, command
+            errors.add(err.getvalue())
+    assert len(errors) <= 1, errors

@@ -146,7 +146,9 @@ class TestRunBasics:
                 sizes.append(max_workers)
                 super().__init__(max_workers=min(max_workers, 2))
 
-        monkeypatch.setattr(ergodic, "ThreadPoolExecutor", RecordingPool)
+        # run_ensemble imports the pool class once it has chosen threads
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor",
+                            RecordingPool)
         monkeypatch.setattr(ergodic.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(kernel, "BACKEND", backend)
         configs = [TrajectoryConfig(all_half, s, 2000, record_stride=500)

@@ -1,8 +1,11 @@
-"""Start-up footprint: which of numpy and scipy each command loads.
+"""Start-up footprint: which volqso submodules, and which of numpy, scipy
+and a few standard-library packages, each command loads.
 
 Each case runs in a fresh interpreter, so what other tests imported does not
-count.  numpy is imported inside the functions that use it, and scipy by
-none; these cases pin which commands reach such a function."""
+count.  The package re-exports its names lazily and the CLI imports each
+subsystem inside the command or parse reader that uses it; numpy is imported
+inside the functions that use it, and scipy by none.  These cases pin which
+commands reach such an import."""
 
 import json
 import os
@@ -13,14 +16,16 @@ from pathlib import Path
 import pytest
 
 import volqso
+from volqso import kernel
 from volqso.cli import main
 
 PKG_PARENT = str(Path(volqso.__file__).resolve().parents[1])
 PROBE = """\
 import json, sys
 {body}
-print(json.dumps(sorted({{name.split(".")[0] for name in sys.modules}}
-                        & {{"numpy", "scipy"}})))
+print(json.dumps([sorted(set(sys.modules) & {names!r}),
+                  sorted(name for name in sys.modules
+                         if name.startswith("volqso."))]))
 """
 ALL_HALF_ROWS = [[0, 0.5, 0.5, -0.5], [-0.5, 0, 0.5, 0.5],
                  [-0.5, -0.5, 0, 0.5], [0.5, -0.5, -0.5, 0]]
@@ -31,22 +36,40 @@ CONFIG = {
     "steps": 2000,
     "verify": {"steps": 2000},
 }
+M3 = [[0, 0.5, -0.3], [-0.5, 0, 0.7], [0.3, -0.7, 0]]
+LIBS = frozenset({"concurrent.futures", "fractions", "logging", "numpy",
+                  "scipy"})
+CORE = ["classify", "errors", "qso", "simplex"]     # what `import volqso` loads
+# what runs a trajectory: the pure-Python kernel only where it is the backend
+KERNEL = ["ergodic", "kernel"] + (["_kernel_py"] if kernel.BACKEND == "python"
+                                  else [])
 
 
-def loaded(body: str) -> list:
-    """The heavy libraries in sys.modules after `body` runs in a fresh
-    interpreter that imports volqso from the package under test."""
+def footprint(body: str, names=frozenset({"numpy", "scipy"})):
+    """(the modules of `names`, the volqso submodules without the package
+    prefix) in sys.modules after `body` runs in a fresh interpreter that
+    imports volqso from the package under test."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(body=body)],
+        [sys.executable, "-c", PROBE.format(body=body, names=set(names))],
         env=dict(os.environ, PYTHONPATH=PKG_PARENT),
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    libs, submodules = json.loads(proc.stdout.splitlines()[-1])
+    return libs, [name.removeprefix("volqso.") for name in submodules]
+
+
+def loaded(body: str) -> list:
+    """numpy and scipy, where loaded, after `body` (see footprint)."""
+    return footprint(body)[0]
+
+
+def command_body(command: str, cfg: Path, out: Path) -> str:
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    return f"from volqso.cli import main\nassert main({argv!r}) == 0"
 
 
 def run_command(command: str, cfg: Path, out: Path) -> list:
-    argv = [command, "--config", str(cfg), "--out", str(out)]
-    return loaded(f"from volqso.cli import main\nassert main({argv!r}) == 0")
+    return loaded(command_body(command, cfg, out))
 
 
 @pytest.fixture
@@ -57,7 +80,10 @@ def cfg(tmp_path):
 
 
 def test_import_loads_neither():
-    assert loaded("import volqso, volqso.cli") == []
+    # nor the kernel, ergodic or any of LIBS
+    assert footprint("import volqso", LIBS) == ([], CORE)
+    assert footprint("import volqso, volqso.cli", LIBS) == (
+        [], sorted(CORE + ["cli"]))
 
 
 @pytest.mark.parametrize("command,expected", [
@@ -100,3 +126,107 @@ def test_lyapunov_loads_neither_and_writes_same_bytes(tmp_path, cfg):
     payload = (fresh / "lyapunov.json").read_bytes()
     assert payload == (warm / "lyapunov.json").read_bytes()
     assert json.loads(payload)["verify"]["verdict"] == "decaying"
+
+
+
+# cli-cold-style configs (the matrix alone, or with a Lyapunov check), and
+# CONFIG
+@pytest.mark.parametrize("command,config,libs,submodules", [
+    ("classify", {"matrix": ALL_HALF_ROWS}, [], ["cli"]),
+    # `steps` is checked by building a run's settings: ergodic, no kernel
+    ("classify", CONFIG, [], ["cli", "ergodic"]),
+    ("fixed-points", {"matrix": ALL_HALF_ROWS}, ["numpy"],
+     ["cli", "fixed_points"]),
+    ("fixed-points", {"matrix": M3}, ["numpy"], ["cli", "fixed_points"]),
+    ("lyapunov", {"matrix": ALL_HALF_ROWS, "verify": {
+        "start": [0.4, 0.3, 0.2, 0.1], "steps": 2000}}, ["fractions"],
+     ["cli", "lyapunov", *KERNEL]),
+    ("lyapunov", {"matrix": M3, "verify": {"start": [0.5, 0.3, 0.2],
+                                           "steps": 2000}},
+     ["fractions"], ["cli", "lyapunov", *KERNEL]),
+    # simulate sets up logging, the only code that logs; one start runs
+    # without a thread pool
+    ("simulate", CONFIG, ["logging"], ["cli", *KERNEL]),
+], ids=["classify", "classify-steps", "fixed-points", "fixed-points-m3",
+        "lyapunov", "lyapunov-m3", "simulate"])
+def test_command_module_footprint(tmp_path, command, config, libs,
+                                  submodules):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert footprint(command_body(command, path, out), LIBS) == (
+        libs, sorted(CORE + submodules))
+    assert any(out.iterdir())
+
+
+def test_thread_pool_loaded_only_to_run_starts_in_parallel(tmp_path):
+    # two starts on two workers: a pool only where threads can overlap
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(CONFIG, workers=2, starts={"points": [
+        [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]]})))
+    libs, _ = footprint(command_body("simulate", path, tmp_path / "out"),
+                        LIBS)
+    threads = kernel.BACKEND == "compiled" and (os.cpu_count() or 1) > 1
+    assert libs == (["concurrent.futures"] if threads else []) + ["logging"]
+
+
+# Every public name and the module that defines it, as `volqso/__init__`
+# imported them eagerly before its names became lazy.
+PUBLIC = {
+    "classify": "CanonicalParams ClassReport VolterraClass classify "
+                "invariant_i matrix_from_canonical pfaffian4",
+    "ergodic": "CesaroSeries CoordinateObservable ErgodicVerdict "
+               "MonomialObservable SojournEvent SojournTable TrajectoryConfig "
+               "TrajectoryResult Verdict c_abs coordinate_observables "
+               "decade_windows dyadic_checkpoints ergodic_verdict "
+               "escape_bound outside_fraction_trend route_check run_ensemble "
+               "run_trajectory sojourn_growth",
+    "fixed_points": "FixedPointInventory FixedPointRecord RepellerLyapunov "
+                    "StabilityType all_fixed_points face_fixed_point "
+                    "jacobian_spectrum lyapunov_from_repeller "
+                    "volterra_jacobian",
+    "kernel": "BACKEND available_backends",
+    "lyapunov": "DecayReport DecayVerdict LogGainMatrix LyapunovCandidate "
+                "build_b synthesize verify_along_trajectory "
+                "vertex_constraint_values vertex_gains",
+    "qso": "HeredityTensor SkewMatrix apply_qso apply_volterra "
+           "apply_volterra_log is_volterra skew3 skewize to_skew_matrix "
+           "to_tensor",
+    "sampling": "interior_points random_canonical_matrix "
+                "random_canonical_params random_skew_matrix",
+    "simplex": "FaceId LogSimplexPoint SimplexPoint log_phi monomial phi "
+               "validate",
+}
+PUBLIC_API_CHECK = f"""\
+import importlib
+import volqso
+
+# submodules resolve on the package itself, as the benchmark reads them
+assert volqso.kernel.BACKEND in ("compiled", "python")
+assert callable(volqso.qso.raw_volterra_image)
+assert callable(volqso.cli.main)
+# `classify` is the function, not its submodule
+report = volqso.classify(volqso.SkewMatrix({ALL_HALF_ROWS!r}))
+assert isinstance(report, volqso.ClassReport), report
+names = []
+for module, listed in {PUBLIC!r}.items():
+    home = importlib.import_module("volqso." + module)
+    for name in listed.split():
+        assert getattr(volqso, name) is getattr(home, name), name
+        names.append(name)
+assert len(names) == 68
+assert sorted(volqso.__all__) == sorted(names), volqso.__all__
+assert set(names) <= set(dir(volqso))
+assert volqso.__version__ == "0.1.0"
+for missing in ("no_such_name", "_kernel", "scipy"):
+    try:
+        getattr(volqso, missing)
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(missing)
+"""
+
+
+def test_public_api_after_bare_import():
+    footprint(PUBLIC_API_CHECK)
