@@ -9,7 +9,8 @@ name's first use, which binds it here, so later lookups are plain attribute
 reads.  The submodules resolve the same way (`volqso.kernel`, `volqso.cli`).
 The trajectory kernel, and with it the build of `_kernel.c`, loads with the
 first code that runs it.  numpy is imported inside the functions that use
-it.  scipy is not used."""
+it: those drawing random starts, the tensor helpers and the `as_array`
+methods.  scipy is not used."""
 
 from importlib import import_module as _import_module
 

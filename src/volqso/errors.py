@@ -46,6 +46,12 @@ class NotRepelling(ValidationError):
     pass
 
 
+class KernelUnavailable(ValidationError, ImportError):
+    """VOLQSO_KERNEL names no backend, or forces the compiled one where it
+    cannot be built.  Raised while `volqso.kernel` loads, hence also an
+    ImportError."""
+
+
 class TooFewCheckpoints(ValidationError):
     pass
 

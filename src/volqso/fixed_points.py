@@ -11,11 +11,19 @@ a continuum.
 The Jacobian of x_k -> x_k (1 + (Ax)_k) is J_kl = d_kl (1 + (Ap)_k) + p_k a_kl;
 its column sums are all 1, so it preserves the tangent space {sum v = 0} and
 the spectrum is taken there (the sum direction's eigenvalue 1 is excluded).
+
+All of it is plain Python, so every value is the same on every machine: each
+(Ap)_k is the `math.fsum` of its products, as in `raw_volterra_image`, and
+each spectrum is computed from the exact integers behind the matrix entries
+(`_spectrum`).  A 2x2 spectrum is within about an ulp per part of the exact
+eigenvalues of its float matrix, a 3x3 spectrum within a few 1e-16.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -34,6 +42,10 @@ FIXED_TOL = 1e-10       # |V(p) - p|_inf for a point to count as fixed
 NONHYP_TOL = 1e-9       # multiplier modulus within this of 1: nonhyperbolic
 PFAFFIAN_TOL = 1e-12    # |Pf| below this: treat the 4x4 matrix as singular
 _INTERIOR_MARGIN = 1e-9  # strict positivity margin for kernel points
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+_SIGN = 1 << 63
+
+Matrix = tuple[tuple[float, ...], ...]
 
 
 class StabilityType(Enum):
@@ -81,28 +93,141 @@ class RepellerLyapunov:
         return monomial(p, self.exponents)
 
 
-def volterra_jacobian(a: SkewMatrix, p: SimplexPoint) -> np.ndarray:
-    import numpy as np
+def _factor(row: tuple[float, ...], x: tuple[float, ...]) -> float:
+    """1 + (Ax)_k for row k of A, summed as `raw_volterra_image` sums it."""
+    return 1.0 + math.fsum(map(operator.mul, row, x))
 
+
+def _jacobian(rows, x) -> Matrix:
+    """J_rc = d_rc (1 + (Sx)_r) + x_r s_rc for the square matrix S = rows."""
+    out = []
+    for r, row in enumerate(rows):
+        f = _factor(row, x)
+        out.append(tuple((f if c == r else 0.0) + x[r] * s
+                         for c, s in enumerate(row)))
+    return tuple(out)
+
+
+def volterra_jacobian(a: SkewMatrix, p: SimplexPoint) -> Matrix:
+    """The Jacobian of the Volterra step at p, as a tuple of rows."""
     if a.m != p.m:
         raise WrongDimension(f"matrix m={a.m}, point m={p.m}")
-    arr = a.as_array()
-    x = np.array(p.coords)
-    return np.diag(1.0 + arr @ x) + x[:, None] * arr
+    return _jacobian(a.rows, p.coords)
 
 
-def tangent_restriction(j: np.ndarray) -> np.ndarray:
+def tangent_restriction(j) -> Matrix:
     """Restrict a column-sum-1 matrix to {sum v = 0} in the basis
     t_c = e_c - e_n: since J t_c stays in the tangent space, the coefficient
     on t_r is simply (J t_c)_r = J[r,c] - J[r,n]."""
-    return j[:-1, :-1] - j[:-1, -1:]
+    return tuple(tuple(v - row[-1] for v in row[:-1]) for row in j[:-1])
 
 
-def _sorted_eigs(mat: np.ndarray) -> tuple[complex, ...]:
-    import numpy as np
+def _quadratic(s: int, d: int, k: int) -> list[complex]:
+    """Roots of z^2 - (s / 2**k) z + d / 4**k for integers s and d.  The
+    mean, the imaginary part and the larger real root are correctly
+    rounded; the smaller real root is the exact product of the roots,
+    d / 4**k, over the larger, so nothing cancels."""
+    den = 1 << (k + 1)
+    disc = s * s - 4 * d
+    if disc == 0:
+        return [complex(s / den)] * 2
+    # r = floor(sqrt|disc| 2**f), 56 bits or more, and its last bit set when
+    # the root is inexact: a sum or quotient of r then rounds as the exact
+    # value would
+    f = max(56 - abs(disc).bit_length() // 2, 0)
+    n = abs(disc) << 2 * f
+    r = math.isqrt(n)
+    inexact = r * r != n
+    if disc < 0:
+        mean, im = s / den, (r | inexact) / (den << f)
+        return [complex(mean, -im), complex(mean, im)]
+    big = (((abs(s) << f) + r) | inexact) / (den << f)
+    if s < 0:
+        big = -big
+    num, big_den = big.as_integer_ratio()
+    small = d * big_den / (num << 2 * k) if num else 0.0
+    return [complex(small), complex(big)]
 
-    eigs = [complex(z) for z in np.linalg.eigvals(mat)]
-    return tuple(sorted(eigs, key=lambda z: (z.real, z.imag)))
+
+def _key(x: float) -> int:
+    """An integer that orders doubles as their values do, 0.0 and -0.0 at
+    0, adjacent doubles at adjacent integers."""
+    i = _I64.unpack(_F64.pack(x))[0]
+    return i if i >= 0 else -(i + _SIGN)
+
+
+def _double(key: int) -> float:
+    return _F64.unpack(_I64.pack(key if key >= 0 else -key - _SIGN))[0]
+
+
+def _cubic(m: list[int], k: int) -> list[complex]:
+    """Eigenvalues of the 3x3 matrix m / 2**k, m given as 9 integers by rows.
+
+    The characteristic polynomial z^3 - e1 z^2 + e2 z - e3 is exact.  One
+    real root is bisected, each sign test exact, first over the doubles and
+    then 64 bits further, so that dividing it out leaves a quadratic whose
+    coefficients are off by far less than a double's rounding, which keeps
+    a close pair of roots of that quadratic accurate.  The quadratic is
+    solved by `_quadratic`."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    e1 = m0 + m4 + m8
+    e2 = m0 * m4 - m1 * m3 + m0 * m8 - m2 * m6 + m4 * m8 - m5 * m7
+    e3 = (m0 * (m4 * m8 - m5 * m7) - m1 * (m3 * m8 - m5 * m6)
+          + m2 * (m3 * m7 - m4 * m6))
+
+    def value(u: int, j: int) -> int:
+        # 8**k 8**j p(u / 2**j), whose sign is that of p(u / 2**j)
+        u <<= k
+        q = 1 << j
+        return ((u - e1 * q) * u + e2 * q * q) * u - e3 * q * q * q
+
+    def bisect(lo: int, hi: int, at) -> tuple[int, int]:
+        # p(at(lo)) < 0 < p(at(hi)) with at increasing: adjacent lo, hi
+        # keeping the signs, or lo = hi where p is 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            v = value(*at(mid))
+            if v == 0:
+                return mid, mid
+            lo, hi = (mid, hi) if v < 0 else (lo, mid)
+        return lo, hi
+
+    def ratio(key: int) -> tuple[int, int]:
+        u, q = _double(key).as_integer_ratio()
+        return u, q.bit_length() - 1
+
+    # Cauchy's bound on the roots, with room for rounding: p(-b) < 0 < p(b)
+    bound = 2.0 + max(abs(e1) / (1 << k), abs(e2) / (1 << 2 * k),
+                      abs(e3) / (1 << 3 * k))
+    (u_lo, j_lo), (u_hi, j_hi) = map(ratio, bisect(_key(-bound), _key(bound),
+                                                   ratio))
+    j = max(j_lo, j_hi) + 64
+    u, _ = bisect(u_lo << (j - j_lo), u_hi << (j - j_hi), lambda u: (u, j))
+
+    # z^3 - e1 z^2 + e2 z - e3 = (z - r)(z^2 - s z + d) + rest, r = u / 2**j
+    kk = max(k, j)
+    s = (e1 << (kk - k)) - (u << (kk - j))
+    d = (e2 << 2 * (kk - k)) - ((u * s) << (kk - j))
+    return [complex(u / (1 << j)), *_quadratic(s, d, kk)]
+
+
+def _spectrum(t: Matrix) -> tuple[complex, ...]:
+    """Eigenvalues of a real n x n matrix, n <= 3, sorted by real then
+    imaginary part.  The entries are put over one power-of-two denominator
+    2**k, which makes every step after that integer arithmetic until the
+    last rounding: no result depends on summation order or BLAS."""
+    if len(t) == 1:
+        return (complex(t[0][0]),)
+    ratios = [v.as_integer_ratio() for row in t for v in row]
+    den = max(q for _, q in ratios)
+    k = den.bit_length() - 1
+    m = [u * (den // q) for u, q in ratios]
+    if len(t) == 2:
+        a, b, c, d = m
+        roots = _quadratic(a + d, a * d - b * c, k)
+    else:
+        roots = _cubic(m, k)
+    return tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
 
 
 def _classify_moduli(moduli) -> StabilityType:
@@ -126,27 +251,20 @@ def jacobian_spectrum(a: SkewMatrix, p: SimplexPoint) -> tuple[complex, ...]:
     """Multipliers of the linearization at a fixed point, on the tangent
     space of the simplex (m-1 values, sorted by real then imaginary part)."""
     _check_fixed(a, p)
-    return _sorted_eigs(tangent_restriction(volterra_jacobian(a, p)))
+    return _spectrum(tangent_restriction(volterra_jacobian(a, p)))
 
 
 def _record_for(a: SkewMatrix, point: SimplexPoint, support: FaceId,
                 degenerate: bool = False) -> FixedPointRecord:
-    import numpy as np
-
-    m = a.m
     _check_fixed(a, point)
-    arr = a.as_array()
-    x = np.array(point.coords)
-    ap = arr @ x
+    x = point.coords
     idx = support.indices()
-    idx_set = set(idx)
-    transverse = tuple(
-        (k + 1, float(1.0 + ap[k])) for k in range(m) if k not in idx_set)
+    transverse = tuple((k + 1, _factor(row, x))
+                       for k, row in enumerate(a.rows) if k not in idx)
     if len(idx) >= 2:
-        sub = arr[np.ix_(idx, idx)]
-        q = x[list(idx)]
-        jf = np.diag(1.0 + sub @ q) + q[:, None] * sub
-        in_face = _sorted_eigs(tangent_restriction(jf))
+        sub = [[a.rows[i][j] for j in idx] for i in idx]
+        in_face = _spectrum(tangent_restriction(
+            _jacobian(sub, [x[i] for i in idx])))
     else:
         in_face = ()
     moduli = [abs(z) for z in in_face] + [abs(v) for _, v in transverse]

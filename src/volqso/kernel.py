@@ -11,9 +11,10 @@ build deletes the libraries built from older sources.  Without a working
 compiler or a writable `__pycache__/` the pure-Python backend takes over.
 
 BACKEND names the selected backend and BACKEND_REASON says why.  Set
-VOLQSO_KERNEL=python|compiled to force a backend for both functions (forcing
-`compiled` raises ImportError, with the reason, when the library cannot be
-built).
+VOLQSO_KERNEL=python|compiled to force a backend for both functions.  Any
+other value, or forcing `compiled` where the library cannot be built, makes
+loading this module raise `KernelUnavailable` (a `ValidationError` and an
+`ImportError`) with the reason, so the CLI exits 2.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import os
 import struct
 from array import array
 from pathlib import Path
+
+from .errors import KernelUnavailable
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # -ffp-contract=off: the pure-Python kernel is the bit-for-bit reference;
@@ -263,11 +266,11 @@ def _functions(name: str):
     if name == "compiled":
         functions, reason = _compiled()
         if functions is None:
-            raise ImportError(
+            raise KernelUnavailable(
                 f"compiled trajectory kernel unavailable: {reason}; install "
                 "a C compiler (or set CC), or set VOLQSO_KERNEL=python")
         return functions
-    raise ValueError(f"unknown kernel backend {name!r}")
+    raise KernelUnavailable(f"unknown kernel backend {name!r}")
 
 
 def get_kernel(name: str):
@@ -287,7 +290,7 @@ def _select():
         return (_functions("compiled"), "compiled",
                 f"forced by VOLQSO_KERNEL=compiled; {_compiled()[1]}")
     if choice not in ("", "auto"):
-        raise ValueError(
+        raise KernelUnavailable(
             f"VOLQSO_KERNEL={choice!r}; expected auto, python or compiled")
     functions, reason = _compiled()
     if functions is None:

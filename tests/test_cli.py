@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -340,6 +341,48 @@ class TestSimulateCommand:
         header = (out / "start_000" / "trajectory.csv").read_text() \
             .splitlines()[0]
         assert header == "step,x1,x2,x3"
+
+
+class TestKernelChoice:
+    """A VOLQSO_KERNEL that names no backend, or forces the compiled one
+    where no compiler exists, is a validation error of the commands that
+    run the kernel: one `error:` line, exit 2, no output.  The commands
+    that never load the kernel ignore the variable."""
+
+    CONFIG = {"matrix": ALL_HALF_ROWS,
+              "starts": {"points": [[0.4, 0.3, 0.2, 0.1]]}, "steps": 2000,
+              "verify": {"start": [0.4, 0.3, 0.2, 0.1], "steps": 2000}}
+
+    @pytest.mark.parametrize("command,choice", [
+        ("simulate", "bogus"), ("simulate", "compiled"),
+        ("lyapunov", "bogus"), ("lyapunov", "compiled"),
+        ("classify", "bogus"), ("fixed-points", "bogus")])
+    def test_unusable_kernel_choice(self, tmp_path, command, choice):
+        # a copy of the package without a built library, and no compiler
+        shutil.copytree(Path(volqso.__file__).parent,
+                        tmp_path / "pkg" / "volqso",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, VOLQSO_KERNEL=choice,
+                   CC=str(tmp_path / "no-such-cc"),
+                   PYTHONPATH=str(tmp_path / "pkg"))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "volqso.cli", command, "--config",
+             write_config(tmp_path, self.CONFIG), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        if command in ("classify", "fixed-points"):
+            assert proc.returncode == 0, proc.stderr
+            assert any(out.iterdir())
+            return
+        reason = ("VOLQSO_KERNEL='bogus'; expected auto, python or compiled"
+                  if choice == "bogus" else
+                  "compiled trajectory kernel unavailable: compiler "
+                  f"{str(tmp_path / 'no-such-cc')!r} not found")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {reason}")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+        assert not out.exists()
 
 
 class TestDeclaredDimension:

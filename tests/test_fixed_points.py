@@ -3,14 +3,19 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volqso.classify import matrix_from_canonical
 from volqso.errors import NotAFixedPoint, NotRepelling, ValidationError
 from volqso.fixed_points import (
     FIXED_TOL,
     StabilityType,
+    _classify_moduli,
+    _spectrum,
     all_fixed_points,
     face_fixed_point,
     jacobian_spectrum,
@@ -137,6 +142,128 @@ def interior_record(a: SkewMatrix):
     return found[0] if found else None
 
 
+def restricted(a: SkewMatrix, rec):
+    """The matrix and the point on rec's support alone: their tangent
+    Jacobian is rec's in-face matrix."""
+    idx = rec.support.indices()
+    return (SkewMatrix(tuple(tuple(a.rows[i][j] for j in idx) for i in idx)),
+            SimplexPoint(tuple(rec.point.coords[i] for i in idx)))
+
+
+# --- mpmath oracle for the spectra -------------------------------------------
+
+
+def exact_eigenvalues(t) -> list:
+    """Eigenvalues of the float matrix t (n = 2 or 3), to 50 digits."""
+    with mpmath.workdps(50):
+        return list(mpmath.eig(mpmath.matrix([list(row) for row in t]),
+                               left=False, right=False))
+
+
+def assert_near_exact(got, t):
+    """`got` is sorted by real, then imaginary part, and is the spectrum of
+    the float matrix t: for n = 2 each part within 4 ulps of the exact
+    value, and a complex pair or the larger real root correctly rounded;
+    for n = 3 within 1e-13; for n = 1 the entry itself."""
+    assert list(got) == sorted(got, key=lambda z: (z.real, z.imag))
+    if len(t) == 1:
+        assert got == (complex(t[0][0]),)
+        return
+    exact = exact_eigenvalues(t)
+    assert len(got) == len(exact) == len(t)
+    rounded = got if got[0].imag else [
+        max(got, key=lambda z: (abs(z.real), z.real))]
+    for z in got:
+        e = exact.pop(min(range(len(exact)),
+                          key=lambda i: abs(z - complex(exact[i]))))
+        if len(t) == 3:
+            assert abs(z - complex(e)) <= 1e-13, (t, got)
+            continue
+        for part, exact_part in ((z.real, mpmath.re(e)),
+                                 (z.imag, mpmath.im(e))):
+            assert abs(mpmath.mpf(part) - exact_part) <= 4 * math.ulp(
+                float(exact_part)), (t, got)
+        if z in rounded:
+            # a pair's real part is the dyadic mean (t00 + t11) / 2, often a
+            # tie between two doubles: rounded exactly here
+            real = (float((Fraction(t[0][0]) + Fraction(t[1][1])) / 2)
+                    if z.imag else float(mpmath.re(e)))
+            assert (z.real, z.imag) == (real, float(mpmath.im(e))), (t, got)
+
+
+def assert_records_near_exact(a: SkewMatrix) -> int:
+    """Each record's in-face spectrum against the oracle, on the record's
+    own tangent matrix; returns how many records have one."""
+    checked = 0
+    for rec in all_fixed_points(a).records:
+        if rec.support.size >= 2:
+            sub, q = restricted(a, rec)
+            assert jacobian_spectrum(sub, q) == rec.in_face_eigenvalues
+            assert_near_exact(rec.in_face_eigenvalues,
+                              tangent_restriction(volterra_jacobian(sub, q)))
+            checked += 1
+    return checked
+
+
+# --- LAPACK as the oracle of the stability verdicts --------------------------
+
+
+def discriminant(t) -> Fraction:
+    """The exact discriminant of the characteristic polynomial of the float
+    matrix t (n = 2 or 3): the product of the squared eigenvalue gaps."""
+    f = [[Fraction(v) for v in row] for row in t]
+    if len(f) == 2:
+        (a, b), (c, d) = f
+        return (a - d) ** 2 + 4 * b * c
+    (p, q, r), (u, v, w), (x, y, z) = f
+    e1 = p + v + z
+    e2 = p * v - q * u + p * z - r * x + v * z - w * y
+    e3 = p * (v * z - w * y) - q * (u * z - w * x) + r * (u * y - v * x)
+    # z^3 + b z^2 + c z + d with b = -e1, c = e2, d = -e3
+    b, c, d = -e1, e2, -e3
+    return 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 \
+        - 27 * d * d
+
+
+def assert_lapack_parity(a: SkewMatrix):
+    """Each record's verdict is the one a reference spectrum of the
+    record's own tangent matrix gives, and the spectra agree to 1e-12.  The
+    reference is LAPACK's, except where two eigenvalues nearly coincide
+    (exact discriminant below 1e-8): LAPACK's error there grows toward 1e-8,
+    the square root of a double's rounding, and the 50-digit oracle stands
+    in."""
+    for rec in all_fixed_points(a).records:
+        reference = []
+        if rec.support.size >= 2:
+            t = tangent_restriction(volterra_jacobian(*restricted(a, rec)))
+            if len(t) > 1 and abs(discriminant(t)) < 1e-8:
+                reference = [complex(z) for z in exact_eigenvalues(t)]
+            else:
+                reference = [complex(z)
+                             for z in np.linalg.eigvals(np.array(t))]
+            assert_same_spectrum(rec.in_face_eigenvalues, reference,
+                                 tol=1e-12)
+        moduli = [abs(z) for z in reference] + [
+            abs(v) for _, v in rec.transverse_multipliers]
+        assert _classify_moduli(moduli) == rec.stability
+
+
+# zero, the extremes, 1e-300 next to them, and dyadic fractions
+BOUNDARY_ENTRY = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e-300, -1e-300]),
+    st.integers(-64, 64).map(lambda i: i / 64))
+
+
+@st.composite
+def boundary_matrices(draw):
+    m = draw(st.sampled_from((3, 4)))
+    rows = [[0.0] * m for _ in range(m)]
+    for i, j in combinations(range(m), 2):
+        rows[i][j] = draw(BOUNDARY_ENTRY)
+        rows[j][i] = -rows[i][j]
+    return SkewMatrix(tuple(map(tuple, rows)))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -207,7 +334,7 @@ class TestJacobian:
     def test_column_sums_are_one(self, rng):
         a = random_skew_matrix(4, rng)
         p = interior_points(4, 1, rng)[0]
-        j = volterra_jacobian(a, p)
+        j = np.array(volterra_jacobian(a, p))
         assert np.allclose(j.sum(axis=0), 1.0, atol=1e-14)
 
     def test_zero_matrix_at_barycenter_all_ones(self):
@@ -241,7 +368,7 @@ class TestJacobian:
             a = matrix_from_canonical(random_canonical_params(rng))
             rec = face_fixed_point(a, FaceId((1, 3, 4)))
             spec = jacobian_spectrum(a, rec.point)
-            r = tangent_restriction(volterra_jacobian(a, rec.point))
+            r = np.array(tangent_restriction(volterra_jacobian(a, rec.point)))
             oracle = durand_kerner(char_poly(r))
             assert_same_spectrum(spec, oracle, tol=1e-8)
 
@@ -254,7 +381,8 @@ class TestJacobian:
                 for r in range(n - 1):
                     for c in range(n - 1):
                         ref[r, c] = j[r, c] - j[r, n - 1]
-                assert tangent_restriction(j).tobytes() == ref.tobytes()
+                got = np.array(tangent_restriction(j.tolist()))
+                assert got.tobytes() == ref.tobytes()
 
     def test_face_spectrum_embeds_in_full_spectrum(self, rng):
         # full tangent spectrum = in-face pair + the transverse multiplier
@@ -265,6 +393,110 @@ class TestJacobian:
             expected = list(rec.in_face_eigenvalues) + [
                 complex(rec.multiplier_at(2))]
             assert_same_spectrum(full, expected, tol=1e-9)
+
+
+class TestSpectrum:
+    def test_face_records_of_random_and_canonical_matrices(self, rng):
+        checked = 0
+        for m in (3, 4):
+            for _ in range(40):
+                checked += assert_records_near_exact(random_skew_matrix(m, rng))
+        for _ in range(40):
+            checked += assert_records_near_exact(
+                matrix_from_canonical(random_canonical_params(rng)))
+        assert checked >= 100
+
+    def test_vertex_spectra_are_the_diagonal_exactly(self, rng):
+        # the tangent Jacobian at e_j is triangular up to one row, and its
+        # eigenvalues 1 + a[k][j] are doubles, which bisection lands on
+        for m in (3, 4):
+            for _ in range(40):
+                a = random_skew_matrix(m, rng)
+                for j in range(m):
+                    p = SimplexPoint.vertex(m, j + 1)
+                    spec = jacobian_spectrum(a, p)
+                    assert spec == tuple(complex(v) for v in sorted(
+                        1.0 + a.rows[k][j] for k in range(m) if k != j))
+                    assert all(z.imag == 0.0 for z in spec)
+                    assert_near_exact(
+                        spec, tangent_restriction(volterra_jacobian(a, p)))
+
+    def test_zero_matrix_spectrum_is_exactly_one(self):
+        for m in (2, 3, 4):
+            assert jacobian_spectrum(SkewMatrix.zero(m),
+                                     SimplexPoint.barycenter(m)) == (
+                (1 + 0j,) * (m - 1))
+
+    def test_degenerate_edges(self):
+        a = SkewMatrix(((0.0, 0.0, 0.5, -0.5),
+                        (0.0, 0.0, 0.5, 0.5),
+                        (-0.5, -0.5, 0.0, 0.5),
+                        (0.5, -0.5, -0.5, 0.0)))
+        assert assert_records_near_exact(a) >= 2
+        assert assert_records_near_exact(
+            SkewMatrix(((0.0, 0.0, 0.25), (0.0, 0.0, -0.75),
+                        (-0.25, 0.75, 0.0)))) >= 1
+
+    def test_singular_interior_records(self):
+        rng = random.Random(2013)
+        found = 0
+        while found < 30:
+            den = rng.choice((2, 4, 8))
+            u, v = ([Fraction(rng.randint(-den, den), den) for _ in range(4)]
+                    for _ in range(2))
+            a = rank2_matrix(u, v)
+            rec = None if a is None else interior_record(a)
+            if rec is not None:
+                found += 1
+                assert_near_exact(rec.in_face_eigenvalues, tangent_restriction(
+                    volterra_jacobian(a, rec.point)))
+
+    @pytest.mark.parametrize("t,expected", [
+        # discriminant exactly 0: a Jordan block, and a multiple of I
+        (((2.0, 1.0), (-1.0, 0.0)), (1, 1)),
+        (((0.75, 0.0), (0.0, 0.75)), (0.75, 0.75)),
+        # b = 0 or c = 0, roots far apart: the smaller cannot cancel
+        (((1.0, 0.0), (5.0, 2.0)), (1, 2)),
+        (((1e-20, 3.0), (0.0, 1.0)), (1e-20, 1)),
+        (((-1.0, 0.0), (0.5, 1e-17)), (-1, 1e-17)),
+        # 1e-300 next to 1
+        (((1.0, 1e-300), (1e-300, 1.0)), (1, 1)),
+        (((1.0, 1e-300), (-1e-300, 1.0)), (1 - 1e-300j, 1 + 1e-300j)),
+        (((1e-300, 1.0), (-1.0, 1e-300)), (1e-300 - 1j, 1e-300 + 1j)),
+        (((1e-300, 1e-300), (1e-300, 0.0)), None),
+        (((1e-300, 1.0, 0.0), (0.0, 2e-300, 1.0), (0.0, 0.0, 3e-300)),
+         (1e-300, 2e-300, 3e-300)),
+        (((1.0, 1e-300, 0.0), (0.0, 1.0, 1e-300), (1e-300, 0.0, 1.0)),
+         None),
+        # P diag(1/2, 1/3, 1/3) P^-1, P = [[2,1,1],[1,2,1],[1,1,2]], rounded:
+        # a close pair near 1/3 that dividing out a rounded root would split
+        (((0.5833333333333334, -0.08333333333333333, -0.08333333333333333),
+          (0.125, 0.2916666666666667, -0.041666666666666664),
+          (0.125, -0.041666666666666664, 0.2916666666666667)), None),
+    ])
+    def test_by_hand(self, t, expected):
+        # an exact expected value where the 50-digit oracle cannot resolve
+        # the eigenvalues: 1e-300 next to 1, or a Jordan block
+        got = _spectrum(t)
+        if expected is None:
+            assert_near_exact(got, t)
+        else:
+            assert got == tuple(complex(z) for z in expected)
+
+
+class TestLapackParity:
+    def test_random_and_canonical_matrices(self, rng):
+        for m in (3, 4):
+            for _ in range(1000):
+                assert_lapack_parity(random_skew_matrix(m, rng))
+        for _ in range(100):
+            assert_lapack_parity(
+                matrix_from_canonical(random_canonical_params(rng)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(boundary_matrices())
+    def test_boundary_matrices(self, a):
+        assert_lapack_parity(a)
 
 
 class TestAllFixedPoints:

@@ -5,7 +5,8 @@ Each case runs in a fresh interpreter, so what other tests imported does not
 count.  The package re-exports its names lazily and the CLI imports each
 subsystem inside the command or parse reader that uses it; numpy is imported
 inside the functions that use it, and scipy by none.  These cases pin which
-commands reach such an import."""
+commands reach such an import; `fixed-points` reaches none, and writes the
+same bytes with numpy blocked."""
 
 import json
 import os
@@ -37,6 +38,12 @@ CONFIG = {
     "verify": {"steps": 2000},
 }
 M3 = [[0, 0.5, -0.3], [-0.5, 0, 0.7], [0.3, -0.7, 0]]
+# u v^T - v u^T with u = (1, -1, 0, 0) / 2, v = (0, 0, 1, -1) / 2: Pf 0
+SINGULAR = [[0, 0, 0.25, -0.25], [0, 0, -0.25, 0.25],
+            [-0.25, 0.25, 0, 0], [0.25, -0.25, 0, 0]]
+# a zero skew entry: the edge {1, 2} is a continuum of fixed points
+DEGENERATE_EDGE = [[0, 0, 0.5, -0.5], [0, 0, 0.5, 0.5],
+                   [-0.5, -0.5, 0, 0.5], [0.5, -0.5, -0.5, 0]]
 LIBS = frozenset({"concurrent.futures", "fractions", "logging", "numpy",
                   "scipy"})
 CORE = ["classify", "errors", "qso", "simplex"]     # what `import volqso` loads
@@ -89,7 +96,7 @@ def test_import_loads_neither():
 @pytest.mark.parametrize("command,expected", [
     ("classify", []),
     ("simulate", []),
-    ("fixed-points", ["numpy"]),
+    ("fixed-points", []),
 ])
 def test_command_footprint(tmp_path, cfg, command, expected):
     out = tmp_path / "out"
@@ -97,17 +104,33 @@ def test_command_footprint(tmp_path, cfg, command, expected):
     assert any(out.iterdir())
 
 
-def test_fixed_points_on_singular_matrix_loads_numpy_only(tmp_path):
-    # u v^T - v u^T with u = (1, -1, 0, 0) / 2, v = (0, 0, 1, -1) / 2:
-    # Pf 0, so the interior kernel branch runs, without an LP solver
+def test_fixed_points_on_singular_matrix_loads_no_numpy(tmp_path):
+    # Pf 0, so the interior kernel branch runs and its 3x3 in-face
+    # spectrum is found in integer arithmetic
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"matrix": [
-        [0, 0, 0.25, -0.25], [0, 0, -0.25, 0.25],
-        [-0.25, 0.25, 0, 0], [0.25, -0.25, 0, 0]]}))
+    path.write_text(json.dumps({"matrix": SINGULAR}))
     out = tmp_path / "out"
-    assert run_command("fixed-points", path, out) == ["numpy"]
+    assert footprint(command_body("fixed-points", path, out), LIBS) == (
+        [], sorted(CORE + ["cli", "fixed_points"]))
     assert json.loads((out / "fixed_points.json").read_text())[
         "degenerate_interior"]
+
+
+@pytest.mark.parametrize("matrix", [
+    ALL_HALF_ROWS, M3, SINGULAR, DEGENERATE_EDGE, [[0] * 4] * 4],
+    ids=["all-half", "m3", "singular", "degenerate-edge", "zero"])
+def test_fixed_points_bytes_with_numpy_blocked(tmp_path, matrix):
+    # what `fixed-points` writes depends on no numpy or BLAS build
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix": matrix}))
+    blocked, ordinary = tmp_path / "blocked", tmp_path / "ordinary"
+    body = 'sys.modules["numpy"] = None\n' + command_body(
+        "fixed-points", cfg, blocked)
+    footprint(body)     # exits 0: an import of numpy would have raised
+    assert main(["fixed-points", "--config", str(cfg), "--out",
+                 str(ordinary)]) == 0
+    assert (blocked / "fixed_points.json").read_bytes() == (
+        ordinary / "fixed_points.json").read_bytes()
 
 
 def test_classify_draws_no_random_starts(tmp_path):
@@ -135,9 +158,8 @@ def test_lyapunov_loads_neither_and_writes_same_bytes(tmp_path, cfg):
     ("classify", {"matrix": ALL_HALF_ROWS}, [], ["cli"]),
     # `steps` is checked by building a run's settings: ergodic, no kernel
     ("classify", CONFIG, [], ["cli", "ergodic"]),
-    ("fixed-points", {"matrix": ALL_HALF_ROWS}, ["numpy"],
-     ["cli", "fixed_points"]),
-    ("fixed-points", {"matrix": M3}, ["numpy"], ["cli", "fixed_points"]),
+    ("fixed-points", {"matrix": ALL_HALF_ROWS}, [], ["cli", "fixed_points"]),
+    ("fixed-points", {"matrix": M3}, [], ["cli", "fixed_points"]),
     ("lyapunov", {"matrix": ALL_HALF_ROWS, "verify": {
         "start": [0.4, 0.3, 0.2, 0.1], "steps": 2000}}, ["fractions"],
      ["cli", "lyapunov", *KERNEL]),
