@@ -21,12 +21,12 @@ rather than being ignored (no example is known).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from itertools import permutations
 
 from .errors import NoCanonicalForm, ValidationError, WrongDimension
 from .qso import SkewMatrix
+from .simplex import _Record
 
 PARAM_NAMES = ("a12", "a13", "a14", "a23", "a24", "a34")
 
@@ -37,8 +37,7 @@ class VolterraClass(IntEnum):
     CYCLIC = 3           # reducible to the canonical sign pattern
 
 
-@dataclass(frozen=True)
-class CanonicalParams:
+class CanonicalParams(_Record):
     """The six nonnegative parameters of the canonical sign pattern."""
 
     a12: float
@@ -48,9 +47,9 @@ class CanonicalParams:
     a24: float
     a34: float
 
-    def __post_init__(self):
-        for name in PARAM_NAMES:
-            v = float(getattr(self, name)) + 0.0   # normalizes -0.0
+    def __init__(self, a12, a13, a14, a23, a24, a34):
+        for name, v in zip(PARAM_NAMES, (a12, a13, a14, a23, a24, a34)):
+            v = float(v) + 0.0   # normalizes -0.0
             if v < 0.0:
                 raise ValidationError(f"{name} = {v} is negative")
             object.__setattr__(self, name, v)
@@ -87,13 +86,19 @@ def pfaffian4(a: SkewMatrix) -> float:
     return r[0][1] * r[2][3] - r[0][2] * r[1][3] + r[0][3] * r[1][2]
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(_Record):
     volterra_class: VolterraClass
-    witness_row: int | None = None                  # 1-based, classes 1/2
-    permutation: tuple[int, ...] | None = None      # class 3; see classify()
-    canonical_params: CanonicalParams | None = None
-    invariant: float | None = None
+    witness_row: int | None                  # 1-based, classes 1/2
+    permutation: tuple[int, ...] | None      # class 3; see classify()
+    canonical_params: CanonicalParams | None
+    invariant: float | None
+
+    def __init__(self, volterra_class, witness_row=None, permutation=None,
+                 canonical_params=None, invariant=None):
+        self.__dict__.update(volterra_class=volterra_class,
+                             witness_row=witness_row, permutation=permutation,
+                             canonical_params=canonical_params,
+                             invariant=invariant)
 
 
 _SIGN_PATTERN = (

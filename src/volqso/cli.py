@@ -15,9 +15,13 @@ work, whatever the command; `delta_conv < delta_osc`, the observables,
 there too.  Random starts are drawn only by the commands that read them.
 Each subsystem is imported inside the command or parse reader that uses it,
 so a process loads only what its command and config need.
+`--out` must be a directory or a path that can be made into one; that is
+checked before any work too, and nothing is created for a rejected config.
 Exit codes: 0 success, 2 validation error (a malformed config value names
-its key), 3 numerical diagnostic.  VOLQSO_LOG=debug|info|... sets the log
-level of `simulate`, the only command that logs.
+its key; an unusable `--out`, or a failure to write an output, is one too),
+3 numerical diagnostic.  VOLQSO_LOG=debug|info|... sets the log level of
+`simulate`, the only command that logs; logging is imported and set up only
+when the variable is set.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .classify import PARAM_NAMES, matrix_from_canonical
@@ -46,6 +49,7 @@ from .simplex import (
     VERIFY_STRIDE,
     VERIFY_TRANSIENT,
     SimplexPoint,
+    _Record,
     validate,
 )
 
@@ -64,7 +68,8 @@ def _load_config(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
-    except ValueError as exc:       # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, or nesting deeper than the parser recurses
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config root must be a JSON object")
@@ -219,8 +224,7 @@ def _verify(node, name: str, m: int, tols: dict, fallback: SimplexPoint):
                               f"{name}.transient", 0)
 
 
-@dataclass(frozen=True)
-class _Config:
+class _Config(_Record):
     """Everything a config describes, type-checked and built by _parse."""
 
     matrix: SkewMatrix
@@ -265,7 +269,6 @@ def _parse(cfg: dict, command: str) -> _Config:
         raise ValidationError(f"delta_conv must be below delta_osc, got "
                               f"{delta_conv!r} >= {delta_osc!r}")
     observables = _read(cfg, "observables", _observables, (), m)
-    run = None
     if steps is not None:
         from .ergodic import MonomialObservable, TrajectoryConfig
 
@@ -276,9 +279,9 @@ def _parse(cfg: dict, command: str) -> _Config:
                                    for o in observables)),
                     "steps", "raise record_stride or run fewer starts")
         # the run settings, checked at a stand-in start whatever the command
-        run = TrajectoryConfig(matrix=matrix, start=SimplexPoint.barycenter(m),
-                               steps=steps, **settings)
-    if command == "simulate" and run is not None:
+        settings.update(matrix=matrix, steps=steps)
+        TrajectoryConfig(start=SimplexPoint.barycenter(m), **settings)
+    if command == "simulate" and steps is not None:
         drawn = count
     elif command == "lyapunov" and not points:
         drawn = min(count, 1)
@@ -292,8 +295,8 @@ def _parse(cfg: dict, command: str) -> _Config:
     fallback = starts[0] if starts else SimplexPoint.barycenter(m)
     return _Config(
         matrix=matrix,
-        runs=() if command != "simulate" or run is None else tuple(
-            replace(run, start=s) for s in starts),
+        runs=() if command != "simulate" or steps is None else tuple(
+            TrajectoryConfig(start=s, **settings) for s in starts),
         observables=observables,
         workers=_read(cfg, "workers", _int, 1, 1),
         delta_conv=delta_conv,
@@ -321,11 +324,30 @@ def _jsonable(value):
     return value
 
 
+def _check_out(out_dir: Path) -> None:
+    """Check, creating nothing, that `out_dir` is a directory or can be made
+    into one: its nearest existing ancestor must be a directory we may
+    write in."""
+    try:
+        existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        is_dir = existing.is_dir()
+    except OSError as exc:
+        raise ValidationError(f"--out {out_dir}: {exc}") from exc
+    if not is_dir:
+        raise ValidationError(f"--out {out_dir}: {existing} is not a "
+                              "directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ValidationError(f"--out {out_dir}: {existing} is not writable")
+
+
 def _write_json(payload: dict, out_dir: Path, name: str,
                 echo: bool = True) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(_jsonable(payload), indent=2) + "\n"
-    (out_dir / name).write_text(text, encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output: {exc}") from exc
     if echo:
         sys.stdout.write(text)
 
@@ -459,8 +481,6 @@ def cmd_simulate(parsed: _Config, out_dir: Path) -> int:
     a, runs = parsed.matrix, parsed.runs
     if not runs:
         raise ValidationError("simulate needs 'steps' and at least one start")
-    import logging
-
     from . import kernel
     from .ergodic import (CoordinateObservable, coordinate_observables,
                           run_ensemble, write_cesaro_csv, write_outside_csv,
@@ -468,12 +488,16 @@ def cmd_simulate(parsed: _Config, out_dir: Path) -> int:
                           write_trajectory_csv)
 
     observables = parsed.observables or coordinate_observables(a.m)
-    level = os.environ.get("VOLQSO_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("volqso").info(
-        "simulate: %d starts, %d steps, backend=%s (%s)", len(runs),
-        runs[0].steps, kernel.BACKEND, kernel.BACKEND_REASON)
+    level = os.environ.get("VOLQSO_LOG")
+    if level:   # unset, the level is WARNING and nothing would be logged
+        import logging
+
+        logging.basicConfig(
+            level=getattr(logging, level.upper(), logging.WARNING),
+            format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("volqso").info(
+            "simulate: %d starts, %d steps, backend=%s (%s)", len(runs),
+            runs[0].steps, kernel.BACKEND, kernel.BACKEND_REASON)
     results = run_ensemble(runs, observables, workers=parsed.workers)
 
     coord_names = {o.name for o in observables
@@ -481,12 +505,15 @@ def cmd_simulate(parsed: _Config, out_dir: Path) -> int:
     summaries = []
     for i, (run, result) in enumerate(zip(runs, results)):
         run_dir = out_dir / f"start_{i:03d}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(run_dir / "trajectory.csv", result)
-        write_cesaro_csv(run_dir / "cesaro.csv", result)
-        write_sojourn_csv(run_dir / "sojourn.csv", result)
-        write_phi_csv(run_dir / "phi.csv", result)
-        write_outside_csv(run_dir / "outside.csv", result)
+        try:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            write_trajectory_csv(run_dir / "trajectory.csv", result)
+            write_cesaro_csv(run_dir / "cesaro.csv", result)
+            write_sojourn_csv(run_dir / "sojourn.csv", result)
+            write_phi_csv(run_dir / "phi.csv", result)
+            write_outside_csv(run_dir / "outside.csv", result)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output: {exc}") from exc
         summaries.append(_start_summary(i, run.start, result, coord_names,
                                         parsed.delta_conv, parsed.delta_osc))
 
@@ -535,9 +562,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out_dir = Path(args.out)
     try:
+        _check_out(out_dir)
         parsed = _parse(_load_config(args.config), args.command)
-        return _COMMANDS[args.command](parsed, Path(args.out))
+        return _COMMANDS[args.command](parsed, out_dir)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

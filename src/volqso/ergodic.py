@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
@@ -34,7 +33,13 @@ from .errors import (
     WrongDimension,
 )
 from .qso import SkewMatrix
-from .simplex import DELTA_CONV, DELTA_OSC, LogSimplexPoint, SimplexPoint
+from .simplex import (
+    DELTA_CONV,
+    DELTA_OSC,
+    LogSimplexPoint,
+    SimplexPoint,
+    _Record,
+)
 
 _INF = float("inf")
 
@@ -43,8 +48,7 @@ _INF = float("inf")
 # observables
 
 
-@dataclass(frozen=True)
-class CoordinateObservable:
+class CoordinateObservable(_Record):
     """Coordinate x_label (1-based) as a trajectory observable."""
 
     label: int
@@ -54,16 +58,15 @@ class CoordinateObservable:
         return f"x{self.label}"
 
 
-@dataclass(frozen=True)
-class MonomialObservable:
+class MonomialObservable(_Record):
     """prod x_i^lam_i as a trajectory observable; traced in log scale."""
 
     exponents: tuple[float, ...]
-    name: str = ""
+    name: str
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "exponents", tuple(float(v) for v in self.exponents))
+    def __init__(self, exponents, name=""):
+        self.__dict__.update(exponents=tuple(float(v) for v in exponents),
+                             name=name)
 
 
 def coordinate_observables(m: int) -> tuple[CoordinateObservable, ...]:
@@ -117,33 +120,35 @@ def dyadic_checkpoints(steps: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TrajectoryConfig:
+class TrajectoryConfig(_Record):
     matrix: SkewMatrix
     start: SimplexPoint
     steps: int
-    epsilon: float = 0.05
-    checkpoints: tuple[int, ...] | None = None   # None -> dyadic
-    record_stride: int = 1000
+    epsilon: float
+    checkpoints: tuple[int, ...] | None   # None -> dyadic
+    record_stride: int
 
-    def __post_init__(self):
-        if self.matrix.m != self.start.m:
-            raise WrongDimension(
-                f"matrix m={self.matrix.m}, start m={self.start.m}")
-        if self.steps < 1:
+    def __init__(self, matrix, start, steps, epsilon=0.05, checkpoints=None,
+                 record_stride=1000):
+        if matrix.m != start.m:
+            raise WrongDimension(f"matrix m={matrix.m}, start m={start.m}")
+        if steps < 1:
             raise ValidationError("steps must be >= 1")
-        if not 0.0 < self.epsilon < 0.25:
+        if not 0.0 < epsilon < 0.25:
             # eps < 1/4 keeps the four vertex neighbourhoods disjoint
-            raise ValidationError(f"epsilon {self.epsilon} outside (0, 1/4)")
-        if self.record_stride < 1:
+            raise ValidationError(f"epsilon {epsilon} outside (0, 1/4)")
+        if record_stride < 1:
             raise ValidationError("record_stride must be >= 1")
-        if self.checkpoints is not None:
-            cps = tuple(int(n) for n in self.checkpoints)
-            if any(b <= a for a, b in zip(cps, cps[1:])) or not cps:
+        if checkpoints is not None:
+            checkpoints = tuple(int(n) for n in checkpoints)
+            if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) \
+                    or not checkpoints:
                 raise ValidationError("checkpoints must be ascending")
-            if cps[0] < 1 or cps[-1] > self.steps:
+            if checkpoints[0] < 1 or checkpoints[-1] > steps:
                 raise ValidationError("checkpoints outside [1, steps]")
-            object.__setattr__(self, "checkpoints", cps)
+        self.__dict__.update(matrix=matrix, start=start, steps=steps,
+                             epsilon=epsilon, checkpoints=checkpoints,
+                             record_stride=record_stride)
 
     @property
     def m(self) -> int:
@@ -155,8 +160,7 @@ class TrajectoryConfig:
         return dyadic_checkpoints(self.steps)
 
 
-@dataclass(frozen=True)
-class CesaroSeries:
+class CesaroSeries(_Record):
     """Running means c_n = (1/n) sum_{k<n} f(V^k x) at checkpoint n's."""
 
     function_id: str
@@ -171,8 +175,7 @@ class CesaroSeries:
         return tuple(v for _, v in self.checkpoints)
 
 
-@dataclass(frozen=True)
-class SojournEvent:
+class SojournEvent(_Record):
     """Maximal run of consecutive iterates inside one vertex neighbourhood.
 
     entry_step is the first iterate inside, exit_step the first iterate
@@ -205,8 +208,7 @@ class SojournEvent:
         return math.exp(self.log_phi_entry)
 
 
-@dataclass(frozen=True)
-class SojournTable:
+class SojournTable(_Record):
     events: tuple[SojournEvent, ...]
     total_steps: int
     epsilon: float
@@ -241,8 +243,7 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ErgodicVerdict:
+class ErgodicVerdict(_Record):
     oscillation: tuple[tuple[str, float], ...]   # per observable, max-min
     verdict: Verdict
 
@@ -251,8 +252,7 @@ class ErgodicVerdict:
         return max(v for _, v in self.oscillation)
 
 
-@dataclass(frozen=True)
-class TrajectoryResult:
+class TrajectoryResult(_Record):
     m: int
     steps: int
     epsilon: float
@@ -324,7 +324,8 @@ def run_trajectory(cfg: TrajectoryConfig, observables=None) -> TrajectoryResult:
 
 def run_ensemble(configs, observables=None, workers: int = 1):
     """Run independent trajectories, on up to `workers` threads (at most one
-    per CPU); results come back in input order regardless of scheduling.
+    per CPU), thread k running configs k, k + workers, ...; results come
+    back in input order, and the first failure in input order is raised.
     Threads only pay off with the compiled kernel, which releases the GIL,
     so the pure-Python kernel always runs serially."""
     from . import kernel
@@ -332,11 +333,28 @@ def run_ensemble(configs, observables=None, workers: int = 1):
     workers = min(workers, len(configs), os.cpu_count() or 1)
     if workers <= 1 or kernel.BACKEND == "python":
         return [run_trajectory(cfg, observables) for cfg in configs]
-    from concurrent.futures import ThreadPoolExecutor
+    # plain threads: concurrent.futures would import logging on every run
+    import threading
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: run_trajectory(c, observables),
-                             configs))
+    results = [None] * len(configs)
+
+    def work(first: int) -> None:
+        for i in range(first, len(configs), workers):
+            try:
+                results[i] = run_trajectory(configs[i], observables)
+            except BaseException as exc:    # re-raised below, in order
+                results[i] = exc
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
@@ -36,7 +35,7 @@ from .errors import (
     WrongDimension,
 )
 from .qso import SkewMatrix, apply_volterra
-from .simplex import FaceId, SimplexPoint, monomial, _renormalized
+from .simplex import FaceId, SimplexPoint, _Record, _renormalized, monomial
 
 FIXED_TOL = 1e-10       # |V(p) - p|_inf for a point to count as fixed
 NONHYP_TOL = 1e-9       # multiplier modulus within this of 1: nonhyperbolic
@@ -55,8 +54,7 @@ class StabilityType(Enum):
     NON_HYPERBOLIC = "non_hyperbolic"
 
 
-@dataclass(frozen=True)
-class FixedPointRecord:
+class FixedPointRecord(_Record):
     point: SimplexPoint
     support: FaceId
     # (coordinate label, 1 + (Ap)_k) for each label off the support
@@ -64,7 +62,14 @@ class FixedPointRecord:
     # spectrum of the in-face Jacobian on the face's tangent space
     in_face_eigenvalues: tuple[complex, ...]
     stability: StabilityType
-    degenerate: bool = False   # representative of a continuum of fixed points
+    degenerate: bool   # representative of a continuum of fixed points
+
+    def __init__(self, point, support, transverse_multipliers,
+                 in_face_eigenvalues, stability, degenerate=False):
+        self.__dict__.update(point=point, support=support,
+                             transverse_multipliers=transverse_multipliers,
+                             in_face_eigenvalues=in_face_eigenvalues,
+                             stability=stability, degenerate=degenerate)
 
     def multiplier_at(self, label: int) -> float:
         for lb, v in self.transverse_multipliers:
@@ -73,17 +78,23 @@ class FixedPointRecord:
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
-class FixedPointInventory:
+class FixedPointInventory(_Record):
     records: tuple[FixedPointRecord, ...]
-    everywhere_fixed: bool = False
-    degenerate_edges: tuple[FaceId, ...] = ()
-    degenerate_faces: tuple[FaceId, ...] = ()
-    degenerate_interior: bool = False
+    everywhere_fixed: bool
+    degenerate_edges: tuple[FaceId, ...]
+    degenerate_faces: tuple[FaceId, ...]
+    degenerate_interior: bool
+
+    def __init__(self, records, everywhere_fixed=False, degenerate_edges=(),
+                 degenerate_faces=(), degenerate_interior=False):
+        self.__dict__.update(records=records,
+                             everywhere_fixed=everywhere_fixed,
+                             degenerate_edges=degenerate_edges,
+                             degenerate_faces=degenerate_faces,
+                             degenerate_interior=degenerate_interior)
 
 
-@dataclass(frozen=True)
-class RepellerLyapunov:
+class RepellerLyapunov(_Record):
     """Monomial exponents taken from a repelling fixed point; the monomial
     tends to 0 along generic trajectories."""
 

@@ -18,7 +18,6 @@ margin and gains are always recomputed from the float exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SingularEntry, ValidationError
@@ -29,6 +28,7 @@ from .simplex import (
     VERIFY_STRIDE,
     VERIFY_TRANSIENT,
     SimplexPoint,
+    _Record,
 )
 
 MARGIN_TOL = 1e-9     # solver optimum below this: report infeasible
@@ -36,8 +36,7 @@ FLOAT_TOL = 1e-12         # float simplex: reduced costs and pivots below are 0
 FLOAT_PIVOTS = 50         # float simplex pivots before Fractions take over
 
 
-@dataclass(frozen=True)
-class LogGainMatrix:
+class LogGainMatrix(_Record):
     """b[i][j] = -log(1 - a[i][j]); finite exactly when |a[i][j]| < 1."""
 
     b: tuple[tuple[float, ...], ...]
@@ -52,8 +51,7 @@ class LogGainMatrix:
         return np.array(self.b)
 
 
-@dataclass(frozen=True)
-class LyapunovCandidate:
+class LyapunovCandidate(_Record):
     """Exponent vector with its recomputed feasibility margin
     (min over vertices of -log G(e_j)) and the four vertex gains G(e_j)."""
 
@@ -67,8 +65,7 @@ class DecayVerdict(Enum):
     NOT_DECAYING = "not_decaying"
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(_Record):
     verdict: DecayVerdict
     # (n0, n1, log F(V^n1 x) - log F(V^n0 x)) per decade window
     decade_drifts: tuple[tuple[int, int, float], ...]

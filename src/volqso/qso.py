@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateFactor,
@@ -25,15 +24,20 @@ from .errors import (
     ValidationError,
     WrongDimension,
 )
-from .simplex import LogSimplexPoint, SimplexPoint, _renormalized, _trusted
+from .simplex import (
+    LogSimplexPoint,
+    SimplexPoint,
+    _Record,
+    _renormalized,
+    _trusted,
+)
 
 TENSOR_SUM_TOL = 1e-12   # |sum_k p[i][j][k] - 1|
 VOLTERRA_TOL = 1e-15     # mass allowed outside parental types
 FACTOR_CLAMP = 1e-12     # rounding dust allowed below 0 in a step factor
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
+class SkewMatrix(_Record):
     """Skew-symmetric interaction matrix with entries in [-1, 1].
 
     Skew-symmetry is required exactly (a[i][j] == -a[j][i] as floats); use
@@ -42,8 +46,8 @@ class SkewMatrix:
 
     rows: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(float(v) for v in row) for row in rows)
         object.__setattr__(self, "rows", rows)
         m = len(rows)
         if not 2 <= m <= 4:
@@ -99,17 +103,16 @@ def skewize(arr) -> SkewMatrix:
     return SkewMatrix(tuple(tuple(r) for r in out))
 
 
-@dataclass(frozen=True)
-class HeredityTensor:
+class HeredityTensor(_Record):
     """Coefficients p[i][j][k] of a quadratic stochastic operator:
     nonnegative, sum_k p[i][j][k] == 1 for every parent pair (i,j)."""
 
     p: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, p):
         import numpy as np
 
-        p = np.array(self.p, dtype=float)
+        p = np.array(p, dtype=float)
         if p.ndim != 3 or len(set(p.shape)) != 1:
             raise WrongDimension(f"tensor shape {p.shape} is not (m,m,m)")
         m = p.shape[0]

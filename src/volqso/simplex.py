@@ -12,7 +12,6 @@ labels in reports and in `FaceId` are 1-based (x1..x4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
@@ -70,23 +69,73 @@ def _renormalized(coords) -> tuple[float, ...]:
 
 
 def _trusted(cls, value):
-    """`cls(value)` for a one-field frozen dataclass (SimplexPoint,
-    SkewMatrix) without re-running its __post_init__ checks.  Only for values
-    built to pass them: a tuple of floats from _renormalized of nonnegative
-    finite coordinates, or a matrix skew by construction."""
+    """`cls(value)` for a one-field record (SimplexPoint, SkewMatrix) without
+    re-running its constructor's checks.  Only for values built to pass
+    them: a tuple of floats from _renormalized of nonnegative finite
+    coordinates, or a matrix skew by construction."""
     obj = object.__new__(cls)
-    object.__setattr__(obj, next(iter(cls.__dataclass_fields__)), value)
+    object.__setattr__(obj, cls._fields[0], value)
     return obj
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record declares its fields as class annotations, in order; a subclass
+    adds its own after its parent's.  This base's __init__ takes every
+    field, positionally or by keyword.  A record with defaults, checks or
+    conversions, or one built in hot loops, writes its own, which stores
+    the fields in `__dict__`.  Equality, hash and repr are field-wise, with
+    a frozen dataclass's text and hash; assigning or deleting an attribute
+    raises AttributeError.  Nothing is generated when a record class is
+    defined, so importing costs nothing beyond the class bodies."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        # too many, repeated, unknown or missing arguments
+        if len(args) + len(kwargs) != len(fields) \
+                or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"{', '.join(fields)}")
+        self.__dict__.update((field, values[field]) for field in fields)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{field}={value!r}" for field, value
+            in zip(self._fields, self._values())) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SimplexPoint(_Record):
     """Probability vector on S^(m-1); immutable, coordinates sum to 1."""
 
     coords: tuple[float, ...]
 
-    def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
+    def __init__(self, coords):
+        coords = tuple(float(c) for c in coords)
         object.__setattr__(self, "coords", coords)
         if not 2 <= len(coords) <= 4:
             raise WrongDimension(f"m={len(coords)} outside supported range 2..4")
@@ -149,15 +198,14 @@ def validate(p, *, sum_tol: float = VALIDATE_SUM_TOL,
     return _trusted(SimplexPoint, coords)
 
 
-@dataclass(frozen=True)
-class LogSimplexPoint:
+class LogSimplexPoint(_Record):
     """Simplex point stored as natural logs of the coordinates; -inf encodes
     an exact zero.  Construction normalizes so logsumexp == 0."""
 
     log_coords: tuple[float, ...]
 
-    def __post_init__(self):
-        logs = tuple(float(c) for c in self.log_coords)
+    def __init__(self, log_coords):
+        logs = tuple(float(c) for c in log_coords)
         if not 2 <= len(logs) <= 4:
             raise WrongDimension(f"m={len(logs)} outside supported range 2..4")
         for c in logs:
@@ -192,15 +240,14 @@ def log_sum_exp(logs) -> float:
     return mx + math.log(s)
 
 
-@dataclass(frozen=True)
-class FaceId:
+class FaceId(_Record):
     """Boundary face of the simplex, identified by its support set
     (1-based coordinate labels, e.g. {1,3,4})."""
 
     support: tuple[int, ...]
 
-    def __post_init__(self):
-        labels = tuple(sorted(int(i) for i in self.support))
+    def __init__(self, support):
+        labels = tuple(sorted(int(i) for i in support))
         if not labels:
             raise ValidationError("empty face support")
         if len(set(labels)) != len(labels):

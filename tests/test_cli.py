@@ -118,6 +118,17 @@ class TestClassifyCommand:
         assert main(["classify", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        # nested deeper than the JSON parser recurses: once a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(path),
+                     "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: config is not valid JSON: ")
+        assert not out.exists()
+
 
 class TestFixedPointsCommand:
     def test_inventory_shape(self, tmp_path):
@@ -416,6 +427,71 @@ SIMULATE_BASE = {
 }
 HALF_PARAMS = {k: 0.5 for k in ("a12", "a13", "a14", "a23", "a24", "a34")}
 ALL_COMMANDS = ["classify", "fixed-points", "lyapunov", "simulate"]
+
+
+class TestOutputDirectory:
+    """`--out` must be a directory or a path that can be made into one.
+    Anything else is rejected before any work, with one `error:` line and
+    exit 2, and so is a failure to write an output; both once ended in a
+    traceback, `simulate` only after running its whole ensemble."""
+
+    CONFIG = dict(SIMULATE_BASE, verify={"steps": 1000})
+    REPORTS = {"classify": "classification.json",
+               "fixed-points": "fixed_points.json",
+               "lyapunov": "lyapunov.json", "simulate": "start_000"}
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    @pytest.mark.parametrize("below", ["", "a/b"], ids=["file", "below-file"])
+    def test_file_in_the_way_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, below):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("classify", "all_fixed_points", "synthesize",
+                     "run_ensemble"):
+            replace_at_home(monkeypatch, name, forbidden)
+        blocker = tmp_path / "F"
+        blocker.write_text("kept")
+        out = blocker / below if below else blocker
+        assert main([command, "--config", write_config(tmp_path, self.CONFIG),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --out {out}: {blocker} is not a directory\n")
+        assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_write_failure_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        report = out / self.REPORTS[command]
+        # a file where simulate makes a directory, and the reverse
+        if command == "simulate":
+            report.write_text("kept")
+        else:
+            report.mkdir()
+        assert main([command, "--config", write_config(tmp_path, self.CONFIG),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: cannot write output: ")
+        assert str(report) in line
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_missing_parents_are_made(self, tmp_path, command):
+        out = tmp_path / "a" / "b"
+        assert main([command, "--config", write_config(tmp_path, self.CONFIG),
+                     "--out", str(out)]) == 0
+        assert any(out.iterdir())
+
+    def test_rejected_config_makes_no_directory(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        cfg = write_config(tmp_path, dict(self.CONFIG, steps=0))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not (tmp_path / "a").exists()
+
 
 # (command, config, key the error must name); each config once ended in a
 # traceback or ran although the schema rejects it.

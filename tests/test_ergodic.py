@@ -1,8 +1,8 @@
 import csv
 import io
 import math
+import threading
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -35,6 +35,7 @@ from volqso.ergodic import (
 )
 from volqso.errors import (
     EpsilonTooLarge,
+    NumericalBreakdown,
     TooFewCheckpoints,
     TooFewSojourns,
     ValidationError,
@@ -138,27 +139,43 @@ class TestRunBasics:
     @pytest.mark.parametrize("backend", ["compiled", "python"])
     def test_ensemble_pool_capped_at_cpu_count(self, all_half, rng,
                                                monkeypatch, backend):
-        # the recording pool runs at most 2 real threads whatever it is asked
-        sizes = []
+        started = []
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 2))
+        class RecordingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        # run_ensemble imports the pool class once it has chosen threads
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor",
-                            RecordingPool)
+        # run_ensemble imports threading once it has chosen threads
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
         monkeypatch.setattr(ergodic.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(kernel, "BACKEND", backend)
         configs = [TrajectoryConfig(all_half, s, 2000, record_stride=500)
                    for s in interior_points(4, 6, rng)]
         seq = run_ensemble(configs, workers=1)
-        assert sizes == []
+        assert started == []
         par = run_ensemble(configs, workers=64)
         assert par == seq
         # threads only help a kernel that releases the GIL
-        assert sizes == ([3] if backend == "compiled" else [])
+        assert len(started) == (3 if backend == "compiled" else 0)
+        assert not any(t.is_alive() for t in started)
+
+    def test_ensemble_raises_first_failure_in_input_order(
+            self, all_half, generic_start4, monkeypatch):
+        # thread k runs configs k, k + 3: steps 3 and 5 fail on two threads
+        def run(cfg, observables=None):
+            if cfg.steps in (3, 5):
+                raise NumericalBreakdown(f"at {cfg.steps} steps")
+            return cfg.steps
+
+        monkeypatch.setattr(ergodic, "run_trajectory", run)
+        monkeypatch.setattr(ergodic.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(kernel, "BACKEND", "compiled")
+        configs = [TrajectoryConfig(all_half, generic_start4, n)
+                   for n in range(1, 7)]
+        with pytest.raises(NumericalBreakdown, match="at 3 steps"):
+            run_ensemble(configs, workers=3)
+        assert run_ensemble(configs[:2] + configs[5:], workers=3) == [1, 2, 6]
 
 
 class TestCesaroAccuracy:

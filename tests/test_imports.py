@@ -1,5 +1,6 @@
 """Start-up footprint: which volqso submodules, and which of numpy, scipy
-and a few standard-library packages, each command loads.
+and a few standard-library packages, each command loads.  No command loads
+`dataclasses` or `inspect`: the records generate no code at import.
 
 Each case runs in a fresh interpreter, so what other tests imported does not
 count.  The package re-exports its names lazily and the CLI imports each
@@ -44,24 +45,32 @@ SINGULAR = [[0, 0, 0.25, -0.25], [0, 0, -0.25, 0.25],
 # a zero skew entry: the edge {1, 2} is a continuum of fixed points
 DEGENERATE_EDGE = [[0, 0, 0.5, -0.5], [0, 0, 0.5, 0.5],
                    [-0.5, -0.5, 0, 0.5], [0.5, -0.5, -0.5, 0]]
-LIBS = frozenset({"concurrent.futures", "fractions", "logging", "numpy",
-                  "scipy"})
+LIBS = frozenset({"concurrent.futures", "dataclasses", "fractions", "inspect",
+                  "logging", "numpy", "scipy"})
 CORE = ["classify", "errors", "qso", "simplex"]     # what `import volqso` loads
 # what runs a trajectory: the pure-Python kernel only where it is the backend
 KERNEL = ["ergodic", "kernel"] + (["_kernel_py"] if kernel.BACKEND == "python"
                                   else [])
 
 
-def footprint(body: str, names=frozenset({"numpy", "scipy"})):
-    """(the modules of `names`, the volqso submodules without the package
-    prefix) in sys.modules after `body` runs in a fresh interpreter that
-    imports volqso from the package under test."""
+def probe(body: str, names, **env):
+    """Run `body` in a fresh interpreter that imports volqso from the
+    package under test, with `env` added to the environment and
+    VOLQSO_LOG unset unless given; the process, after it exits 0."""
+    base = {k: v for k, v in os.environ.items() if k != "VOLQSO_LOG"}
     proc = subprocess.run(
         [sys.executable, "-c", PROBE.format(body=body, names=set(names))],
-        env=dict(os.environ, PYTHONPATH=PKG_PARENT),
+        env=dict(base, PYTHONPATH=PKG_PARENT, **env),
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    libs, submodules = json.loads(proc.stdout.splitlines()[-1])
+    return proc
+
+
+def footprint(body: str, names=frozenset({"numpy", "scipy"})):
+    """(the modules of `names`, the volqso submodules without the package
+    prefix) in sys.modules after `body` runs (see probe)."""
+    libs, submodules = json.loads(
+        probe(body, names).stdout.splitlines()[-1])
     return libs, [name.removeprefix("volqso.") for name in submodules]
 
 
@@ -166,9 +175,9 @@ def test_lyapunov_loads_neither_and_writes_same_bytes(tmp_path, cfg):
     ("lyapunov", {"matrix": M3, "verify": {"start": [0.5, 0.3, 0.2],
                                            "steps": 2000}},
      ["fractions"], ["cli", "lyapunov", *KERNEL]),
-    # simulate sets up logging, the only code that logs; one start runs
-    # without a thread pool
-    ("simulate", CONFIG, ["logging"], ["cli", *KERNEL]),
+    # simulate imports logging only when VOLQSO_LOG is set (below); one
+    # start runs on the calling thread
+    ("simulate", CONFIG, [], ["cli", *KERNEL]),
 ], ids=["classify", "classify-steps", "fixed-points", "fixed-points-m3",
         "lyapunov", "lyapunov-m3", "simulate"])
 def test_command_module_footprint(tmp_path, command, config, libs,
@@ -182,14 +191,39 @@ def test_command_module_footprint(tmp_path, command, config, libs,
 
 
 def test_thread_pool_loaded_only_to_run_starts_in_parallel(tmp_path):
-    # two starts on two workers: a pool only where threads can overlap
+    # two starts on two workers: threads only where they can overlap, and
+    # plain ones, since concurrent.futures imports logging
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(CONFIG, workers=2, starts={"points": [
         [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]]})))
-    libs, _ = footprint(command_body("simulate", path, tmp_path / "out"),
-                        LIBS)
+    count_starts = (
+        "import threading\nstarted = []\nstart = threading.Thread.start\n"
+        "threading.Thread.start = lambda t: (started.append(t), start(t))\n")
+    proc = probe(count_starts + command_body("simulate", path,
+                                             tmp_path / "out")
+                 + "\nprint(len(started))", LIBS)
+    started, libs = proc.stdout.splitlines()[-2:]
     threads = kernel.BACKEND == "compiled" and (os.cpu_count() or 1) > 1
-    assert libs == (["concurrent.futures"] if threads else []) + ["logging"]
+    assert int(started) == (2 if threads else 0)
+    assert json.loads(libs)[0] == []
+
+
+@pytest.mark.parametrize("level,logged", [("info", True), ("warning", False)])
+def test_simulate_sets_up_logging_when_asked(tmp_path, cfg, level, logged):
+    # VOLQSO_LOG set: simulate imports logging and, at info, logs its one
+    # line to stderr; unset (every case above), logging is never imported
+    out = tmp_path / "out"
+    proc = probe(command_body("simulate", cfg, out), LIBS, VOLQSO_LOG=level)
+    libs, _ = json.loads(proc.stdout.splitlines()[-1])
+    assert libs == ["logging"]
+    if logged:      # the reason names the library that process loaded
+        assert proc.stderr.startswith(
+            "INFO volqso: simulate: 1 starts, 2000 steps, "
+            f"backend={kernel.BACKEND} (")
+        assert proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
+    assert any(out.iterdir())
 
 
 # Every public name and the module that defines it, as `volqso/__init__`

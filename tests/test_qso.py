@@ -325,8 +325,8 @@ class TestVolterra3:
 
 class TestTrustedConstruction:
     """random_skew_matrix, apply_volterra and validate build their results
-    without re-running the dataclass checks; the checked constructors must
-    accept those values and give equal objects."""
+    without re-running the constructors' checks; the checked constructors
+    must accept those values and give equal objects."""
 
     @staticmethod
     def floats(values):
