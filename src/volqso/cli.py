@@ -62,10 +62,15 @@ MAX_STORED_VALUES = 5_000_000
 # config parsing: the only code that reads the raw dict
 
 
+def _reject_constant(name: str):
+    # json.load reads NaN, Infinity and -Infinity, which JSON does not have
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
     except (ValueError, RecursionError) as exc:

@@ -12,6 +12,12 @@ The Jacobian of x_k -> x_k (1 + (Ax)_k) is J_kl = d_kl (1 + (Ap)_k) + p_k a_kl;
 its column sums are all 1, so it preserves the tangent space {sum v = 0} and
 the spectrum is taken there (the sum direction's eigenvalue 1 is excluded).
 
+Each record is built from one pass of step factors f_k = 1 + (Ap)_k: they
+give the image p_k f_k for the check that p is fixed, the transverse
+multipliers (f off the support) and the diagonal of the in-face Jacobian (f
+on it).  At a vertex e_l they are the column f_k = 1 + a_kl in closed form,
+which is what the sum of a_kl and exact zeros gives.
+
 All of it is plain Python, so every value is the same on every machine: each
 (Ap)_k is the `math.fsum` of its products, as in `raw_volterra_image`, and
 each spectrum is computed from the exact integers behind the matrix entries
@@ -29,13 +35,21 @@ from itertools import combinations
 
 from .classify import pfaffian4
 from .errors import (
+    DimensionMismatch,
     NotAFixedPoint,
     NotRepelling,
     ValidationError,
     WrongDimension,
 )
-from .qso import SkewMatrix, apply_volterra
-from .simplex import FaceId, SimplexPoint, _Record, _renormalized, monomial
+from .qso import SkewMatrix, _image, _step_factors
+from .simplex import (
+    FaceId,
+    SimplexPoint,
+    _Record,
+    _renormalized,
+    _trusted,
+    monomial,
+)
 
 FIXED_TOL = 1e-10       # |V(p) - p|_inf for a point to count as fixed
 NONHYP_TOL = 1e-9       # multiplier modulus within this of 1: nonhyperbolic
@@ -104,26 +118,28 @@ class RepellerLyapunov(_Record):
         return monomial(p, self.exponents)
 
 
-def _factor(row: tuple[float, ...], x: tuple[float, ...]) -> float:
-    """1 + (Ax)_k for row k of A, summed as `raw_volterra_image` sums it."""
-    return 1.0 + math.fsum(map(operator.mul, row, x))
+def _check_fixed(x, factors) -> None:
+    """Raise NotAFixedPoint unless x is fixed, judged on the image x_k f_k
+    of its step factors f, renormalized as `apply_volterra` does it."""
+    image = _renormalized(_image(x, factors))
+    residual = max(map(abs, map(operator.sub, image, x)))
+    if residual > FIXED_TOL:
+        raise NotAFixedPoint(f"|V(p) - p|_inf = {residual:.3e}")
 
 
-def _jacobian(rows, x) -> Matrix:
-    """J_rc = d_rc (1 + (Sx)_r) + x_r s_rc for the square matrix S = rows."""
-    out = []
-    for r, row in enumerate(rows):
-        f = _factor(row, x)
-        out.append(tuple((f if c == r else 0.0) + x[r] * s
-                         for c, s in enumerate(row)))
-    return tuple(out)
+def _jacobian(rows, x, factors) -> Matrix:
+    """J_rc = d_rc f_r + x_r s_rc for the square matrix S = rows and its
+    step factors f at x."""
+    return tuple(tuple((f if c == r else 0.0) + x[r] * s
+                       for c, s in enumerate(row))
+                 for r, (row, f) in enumerate(zip(rows, factors)))
 
 
 def volterra_jacobian(a: SkewMatrix, p: SimplexPoint) -> Matrix:
     """The Jacobian of the Volterra step at p, as a tuple of rows."""
     if a.m != p.m:
         raise WrongDimension(f"matrix m={a.m}, point m={p.m}")
-    return _jacobian(a.rows, p.coords)
+    return _jacobian(a.rows, p.coords, _step_factors(a.rows, p.coords))
 
 
 def tangent_restriction(j) -> Matrix:
@@ -242,40 +258,44 @@ def _spectrum(t: Matrix) -> tuple[complex, ...]:
 
 
 def _classify_moduli(moduli) -> StabilityType:
-    if any(abs(v - 1.0) <= NONHYP_TOL for v in moduli):
+    if min(abs(v - 1.0) for v in moduli) <= NONHYP_TOL:
         return StabilityType.NON_HYPERBOLIC
-    if all(v > 1.0 for v in moduli):
+    if min(moduli) > 1.0:
         return StabilityType.REPELLING
-    if all(v < 1.0 for v in moduli):
+    if max(moduli) < 1.0:
         return StabilityType.ATTRACTING
     return StabilityType.SADDLE
-
-
-def _check_fixed(a: SkewMatrix, p: SimplexPoint) -> None:
-    image = apply_volterra(a, p)
-    residual = max(abs(u - v) for u, v in zip(image.coords, p.coords))
-    if residual > FIXED_TOL:
-        raise NotAFixedPoint(f"|V(p) - p|_inf = {residual:.3e}")
 
 
 def jacobian_spectrum(a: SkewMatrix, p: SimplexPoint) -> tuple[complex, ...]:
     """Multipliers of the linearization at a fixed point, on the tangent
     space of the simplex (m-1 values, sorted by real then imaginary part)."""
-    _check_fixed(a, p)
-    return _spectrum(tangent_restriction(volterra_jacobian(a, p)))
+    if a.m != p.m:
+        raise DimensionMismatch(f"matrix m={a.m}, point m={p.m}")
+    x = p.coords
+    factors = _step_factors(a.rows, x)
+    _check_fixed(x, factors)
+    return _spectrum(tangent_restriction(_jacobian(a.rows, x, factors)))
 
 
 def _record_for(a: SkewMatrix, point: SimplexPoint, support: FaceId,
-                degenerate: bool = False) -> FixedPointRecord:
-    _check_fixed(a, point)
+                degenerate: bool = False,
+                factors: list[float] | None = None) -> FixedPointRecord:
+    """The record of a fixed point of `a` on `support`, from the step
+    factors f at the point: the transverse multipliers are f off the
+    support, and f on it is the diagonal of the in-face Jacobian.  The
+    factors are computed unless given."""
     x = point.coords
+    if factors is None:
+        factors = _step_factors(a.rows, x)
+    _check_fixed(x, factors)
     idx = support.indices()
-    transverse = tuple((k + 1, _factor(row, x))
-                       for k, row in enumerate(a.rows) if k not in idx)
+    transverse = tuple((k + 1, f) for k, f in enumerate(factors)
+                       if k not in idx)
     if len(idx) >= 2:
         sub = [[a.rows[i][j] for j in idx] for i in idx]
-        in_face = _spectrum(tangent_restriction(
-            _jacobian(sub, [x[i] for i in idx])))
+        in_face = _spectrum(tangent_restriction(_jacobian(
+            sub, [x[i] for i in idx], [factors[i] for i in idx])))
     else:
         in_face = ()
     moduli = [abs(z) for z in in_face] + [abs(v) for _, v in transverse]
@@ -373,8 +393,16 @@ def all_fixed_points(a: SkewMatrix) -> FixedPointInventory:
     m = a.m
     if m not in (3, 4):
         raise WrongDimension(f"m={m} not supported")
-    records = [_record_for(a, SimplexPoint.vertex(m, label), FaceId((label,)))
-               for label in range(1, m + 1)]
+    records = []
+    for l in range(m):
+        # at e_l each step factor 1 + (Ae_l)_k, the fsum of a[k][l] and
+        # exact zeros, is 1 + a[k][l]
+        vertex = [0.0] * m
+        vertex[l] = 1.0
+        records.append(_record_for(
+            a, _trusted(SimplexPoint, tuple(vertex)),
+            _trusted(FaceId, (l + 1,)),
+            factors=[1.0 + row[l] for row in a.rows]))
     if all(v == 0.0 for row in a.rows for v in row):
         return FixedPointInventory(records=tuple(records),
                                    everywhere_fixed=True)
@@ -387,7 +415,7 @@ def all_fixed_points(a: SkewMatrix) -> FixedPointInventory:
 
     degenerate_faces = []
     for combo in combinations(range(m), 3):
-        face = FaceId(tuple(i + 1 for i in combo))
+        face = _trusted(FaceId, tuple(i + 1 for i in combo))
         i, j, k = combo
         if (a.rows[i][j] == 0.0 and a.rows[i][k] == 0.0
                 and a.rows[j][k] == 0.0):

@@ -5,7 +5,7 @@ Two backends produce bit-identical results: the pure-Python reference
 provides the trajectory kernel `run` and `format_rows`, the formatter of CSV
 body rows.  The C file is compiled on first use with `$CC` (default: the
 compiler Python was built with) into the package's `__pycache__/`, under a
-name keyed on the sha256 of the source and flags, and loaded with ctypes;
+name keyed on the CRC-32 of the source and flags, and loaded with ctypes;
 later imports load the cached library without starting a process, and a
 build deletes the libraries built from older sources.  Without a working
 compiler or a writable `__pycache__/` the pure-Python backend takes over.
@@ -19,9 +19,9 @@ loading this module raise `KernelUnavailable` (a `ValidationError` and an
 
 from __future__ import annotations
 
+import binascii
 import ctypes
 import functools
-import hashlib
 import itertools
 import os
 import struct
@@ -103,12 +103,14 @@ def _build(lib: Path) -> str | None:
 def _compiled():
     """((run, format_rows) or None, reason); builds the library on first
     use."""
+    # binascii, unlike hashlib, is loaded at interpreter start; an edit
+    # keeps the CRC-32, and so a stale library, only by a 2**-32 chance
     try:
-        key = hashlib.sha256(_SOURCE.read_bytes()
+        key = binascii.crc32(_SOURCE.read_bytes()
                              + " ".join(_CFLAGS + _LIBS).encode())
     except OSError as exc:
         return None, f"cannot read {_SOURCE}: {exc}"
-    lib = _SOURCE.parent / "__pycache__" / f"_kernel-{key.hexdigest()[:16]}.so"
+    lib = _SOURCE.parent / "__pycache__" / f"_kernel-{key:08x}.so"
     verb = "loaded"
     if not lib.exists():
         failure = _build(lib)

@@ -187,21 +187,36 @@ def to_tensor(a: SkewMatrix) -> HeredityTensor:
     return HeredityTensor(p)
 
 
-def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
-    """Image before renormalization; its sum is 1 + x^T A x = 1 exactly in
-    real arithmetic (skew-symmetry), so the float sum measures rounding."""
-    if a.m != x.m:
-        raise DimensionMismatch(f"matrix m={a.m}, point m={x.m}")
+def _step_factors(rows, x) -> list[float]:
+    """The step factors 1 + (Ax)_k of the rows of A at x, each (Ax)_k the
+    `math.fsum` of its products."""
+    # a loop: a list comprehension costs a nested call before Python 3.12
     out = []
-    for k in range(a.m):
-        f = 1.0 + math.fsum(map(operator.mul, a.rows[k], x.coords))
+    for row in rows:
+        out.append(1.0 + math.fsum(map(operator.mul, row, x)))
+    return out
+
+
+def _image(x, factors) -> list[float]:
+    """x_k f_k for the step factors f of x, rounding dust below 0 in a
+    factor clamped to 0."""
+    out = []
+    for k, f in enumerate(factors):
         if f < 0.0:
             if f < -FACTOR_CLAMP:
                 raise DegenerateFactor(
                     f"step factor {f} at slot {k + 1}; input is corrupted")
             f = 0.0
-        out.append(x.coords[k] * f)
+        out.append(x[k] * f)
     return out
+
+
+def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
+    """Image before renormalization; its sum is 1 + x^T A x = 1 exactly in
+    real arithmetic (skew-symmetry), so the float sum measures rounding."""
+    if a.m != x.m:
+        raise DimensionMismatch(f"matrix m={a.m}, point m={x.m}")
+    return _image(x.coords, _step_factors(a.rows, x.coords))
 
 
 def apply_volterra(a: SkewMatrix, x: SimplexPoint) -> SimplexPoint:

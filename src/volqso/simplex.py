@@ -50,6 +50,8 @@ def _renormalized(coords) -> tuple[float, ...]:
     so the float sum is exactly 1 whenever an ulp-level adjustment can do it.
     Idempotent bitwise: ulp-scale residuals never trigger a re-division."""
     s = math.fsum(coords)
+    if s == 1.0:
+        return tuple(coords)    # what the adjustment below would return
     if s <= 0.0:
         raise SumNotOne(f"coordinate sum {s} is not positive")
     if abs(s - 1.0) > _NO_DIVIDE_TOL:

@@ -130,6 +130,28 @@ class TestClassifyCommand:
         assert not out.exists()
 
 
+COMMANDS = ["classify", "fixed-points", "lyapunov", "simulate"]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_json_constants_exit_2(tmp_path, capsys, command, constant):
+    # Python's json reads these; as unbounded tolerances they once let
+    # the start [-5, 0.5, 0.5, 9] run from [0, 0.05, 0.05, 0.9]
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"matrix": %s, "steps": 100, "starts": {"points": '
+        '[[-5, 0.5, 0.5, 9]]}, "tolerances": {"validate_sum": %s, '
+        '"negative_clamp": %s}}'
+        % (json.dumps(ALL_HALF_ROWS), constant, constant))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"error: config is not valid JSON: {constant} is not "
+                    "a JSON value")
+    assert not out.exists()
+
+
 class TestFixedPointsCommand:
     def test_inventory_shape(self, tmp_path):
         cfg = write_config(tmp_path, {"matrix": ALL_HALF_ROWS})

@@ -45,8 +45,8 @@ SINGULAR = [[0, 0, 0.25, -0.25], [0, 0, -0.25, 0.25],
 # a zero skew entry: the edge {1, 2} is a continuum of fixed points
 DEGENERATE_EDGE = [[0, 0, 0.5, -0.5], [0, 0, 0.5, 0.5],
                    [-0.5, -0.5, 0, 0.5], [0.5, -0.5, -0.5, 0]]
-LIBS = frozenset({"concurrent.futures", "dataclasses", "fractions", "inspect",
-                  "logging", "numpy", "scipy"})
+LIBS = frozenset({"concurrent.futures", "dataclasses", "fractions", "hashlib",
+                  "inspect", "logging", "numpy", "scipy"})
 CORE = ["classify", "errors", "qso", "simplex"]     # what `import volqso` loads
 # what runs a trajectory: the pure-Python kernel only where it is the backend
 KERNEL = ["ergodic", "kernel"] + (["_kernel_py"] if kernel.BACKEND == "python"

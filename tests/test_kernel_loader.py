@@ -4,6 +4,7 @@ Each test imports a copy of the package in a fresh interpreter, so builds go
 to the copy's own __pycache__/ and never touch the package under test."""
 
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -69,6 +70,22 @@ def test_first_import_builds_then_reuses(pkg_root):
     assert second.stdout.splitlines() == ["compiled", f"loaded {lib}"]
     assert lib.stat().st_mtime_ns == mtime
     assert [p for p in libraries(pkg_root) if p.suffix != ".pyc"] == [lib]
+
+
+@needs_cc
+def test_edited_source_rebuilds_and_drops_old_library(pkg_root):
+    first = probe(pkg_root)
+    assert first.returncode == 0, first.stderr
+    [old] = [p for p in libraries(pkg_root) if p.suffix == ".so"]
+    assert re.fullmatch(r"_kernel-[0-9a-f]{8}\.so", old.name)
+
+    source = pkg_root / "volqso" / "_kernel.c"
+    source.write_text(source.read_text() + "/* edited */\n")
+    second = probe(pkg_root)
+    assert second.returncode == 0, second.stderr
+    [new] = [p for p in libraries(pkg_root) if p.suffix == ".so"]
+    assert new != old and not old.exists()
+    assert second.stdout.splitlines() == ["compiled", f"built {new}"]
 
 
 @pytest.mark.skipif(os.path.isabs(DEFAULT_CC),

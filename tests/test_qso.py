@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from volqso.errors import (
+    DegenerateFactor,
     DimensionMismatch,
     NonFiniteInput,
     NotVolterra,
@@ -25,7 +26,7 @@ from volqso.qso import (
     to_tensor,
 )
 from volqso.sampling import interior_points, random_skew_matrix
-from volqso.simplex import SimplexPoint, validate
+from volqso.simplex import SimplexPoint, _trusted, validate
 
 INF = float("inf")
 
@@ -238,6 +239,18 @@ class TestApplyVolterra:
                 Fraction(v * xi) for v, xi in zip(row, x.coords))))
                 for row, xk in zip(a.rows, x.coords)]
             assert raw_volterra_image(a, x) == expected
+
+    def test_factor_dust_clamped_to_zero(self):
+        # x2 + x3 is just over 1 - x1, so 1 + (Ax)_1 rounds below 0: dust
+        # is clamped to 0, keeping the image nonnegative; more is an error
+        a = SkewMatrix(((0.0, -1.0, -1.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
+        x = SimplexPoint((1e-14, 0.5, 0.5 + 1e-14))
+        raw = raw_volterra_image(a, x)
+        assert math.copysign(1.0, raw[0]) == 1.0 and raw[0] == 0.0
+        assert apply_volterra(a, x).coords[0] == 0.0
+        corrupt = _trusted(SimplexPoint, (1e-14, 0.5, 0.5 + 2e-12))
+        with pytest.raises(DegenerateFactor, match=r"at slot 1; input is "):
+            raw_volterra_image(a, corrupt)
 
     def test_forward_invariance_random(self, rng):
         for _ in range(2000):
