@@ -8,9 +8,9 @@ only `classify` and what it needs, and a name's submodule is imported at the
 name's first use, which binds it here, so later lookups are plain attribute
 reads.  The submodules resolve the same way (`volqso.kernel`, `volqso.cli`).
 The trajectory kernel, and with it the build of `_kernel.c`, loads with the
-first code that runs it.  numpy is imported inside the functions that use
-it: those drawing random starts, the tensor helpers and the `as_array`
-methods.  scipy is not used."""
+first code that runs it.  The package has no runtime dependency: random
+draws come from a pure-Python PCG64 in `sampling`, and neither numpy nor
+scipy is used."""
 
 from importlib import import_module as _import_module
 

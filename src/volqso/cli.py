@@ -152,8 +152,9 @@ def _matrix(rows, name: str) -> SkewMatrix:
 
 def _canonical(node, name: str) -> SkewMatrix:
     vals = (tuple(_num(node[k], f"{name}.{k}", at_least=0)
-                  for k in PARAM_NAMES)
-            if isinstance(node, dict) else _nums(node, name))
+                  for k in PARAM_NAMES) if isinstance(node, dict) else
+            tuple(_num(v, f"{name}[{i}]", at_least=0)
+                  for i, v in enumerate(_of(list, node, name))))
     if len(vals) != 6:
         raise ValidationError(f"{name} needs 6 values")
     return matrix_from_canonical(vals)
@@ -183,6 +184,8 @@ def _checkpoints(node, name: str):
     if node == "dyadic":
         return None
     node = _of(list, node, name, '"dyadic" or ')
+    if not node:
+        raise ValidationError(f"{name} must list at least one step")
     return tuple(_int(n, f"{name}[{i}]", 1) for i, n in enumerate(node))
 
 
@@ -345,16 +348,15 @@ def _check_out(out_dir: Path) -> None:
         raise ValidationError(f"--out {out_dir}: {existing} is not writable")
 
 
-def _write_json(payload: dict, out_dir: Path, name: str,
-                echo: bool = True) -> None:
+def _write_json(payload: dict, out_dir: Path, name: str) -> None:
+    """Write `payload` as `name` in `out_dir` and echo it to stdout."""
     text = json.dumps(_jsonable(payload), indent=2) + "\n"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / name).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot write output: {exc}") from exc
-    if echo:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +489,10 @@ def cmd_simulate(parsed: _Config, out_dir: Path) -> int:
     if not runs:
         raise ValidationError("simulate needs 'steps' and at least one start")
     from . import kernel
-    from .ergodic import (CoordinateObservable, coordinate_observables,
-                          run_ensemble, write_cesaro_csv, write_outside_csv,
-                          write_phi_csv, write_sojourn_csv,
-                          write_trajectory_csv)
+    from .ergodic import (CoordinateObservable, _check_tree, _write_tree,
+                          coordinate_observables, run_ensemble)
 
+    _check_tree(out_dir)
     observables = parsed.observables or coordinate_observables(a.m)
     level = os.environ.get("VOLQSO_LOG")
     if level:   # unset, the level is WARNING and nothing would be logged
@@ -507,21 +508,9 @@ def cmd_simulate(parsed: _Config, out_dir: Path) -> int:
 
     coord_names = {o.name for o in observables
                    if isinstance(o, CoordinateObservable)}
-    summaries = []
-    for i, (run, result) in enumerate(zip(runs, results)):
-        run_dir = out_dir / f"start_{i:03d}"
-        try:
-            run_dir.mkdir(parents=True, exist_ok=True)
-            write_trajectory_csv(run_dir / "trajectory.csv", result)
-            write_cesaro_csv(run_dir / "cesaro.csv", result)
-            write_sojourn_csv(run_dir / "sojourn.csv", result)
-            write_phi_csv(run_dir / "phi.csv", result)
-            write_outside_csv(run_dir / "outside.csv", result)
-        except OSError as exc:
-            raise ValidationError(f"cannot write output: {exc}") from exc
-        summaries.append(_start_summary(i, run.start, result, coord_names,
-                                        parsed.delta_conv, parsed.delta_osc))
-
+    summaries = [_start_summary(i, run.start, result, coord_names,
+                                parsed.delta_conv, parsed.delta_osc)
+                 for i, (run, result) in enumerate(zip(runs, results))]
     payload = {
         "m": a.m,
         "matrix": a.rows,
@@ -535,7 +524,11 @@ def cmd_simulate(parsed: _Config, out_dir: Path) -> int:
         "backend": kernel.BACKEND,
         "starts": summaries,
     }
-    _write_json(payload, out_dir, "summary.json", echo=False)
+    try:
+        _write_tree(out_dir, results,
+                    json.dumps(_jsonable(payload), indent=2) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output: {exc}") from exc
     return 0
 
 

@@ -10,6 +10,9 @@ is computed from the returned records.
 Dyadic checkpoints are the default: the oscillation of running means in the
 non-ergodic regime lives on exponentially growing time scales, so powers of
 two expose it at logarithmic storage cost.
+
+The CSV writers and the output tree of `simulate` live here too: the tree is
+built beside `--out` and swapped in whole (`_write_tree`).
 """
 
 from __future__ import annotations
@@ -574,3 +577,88 @@ def write_outside_csv(path, result: TrajectoryResult) -> None:
                _columns(array("q", chain.from_iterable(w for w, _ in trend)),
                         2)
                + _columns(array("d", (frac for _, frac in trend))))
+
+
+# ---------------------------------------------------------------------------
+# the output tree of `simulate`
+
+
+# the files of each start_NNN/ directory, and their writers
+_RUN_FILES = {"trajectory.csv": write_trajectory_csv,
+              "cesaro.csv": write_cesaro_csv, "sojourn.csv": write_sojourn_csv,
+              "phi.csv": write_phi_csv, "outside.csv": write_outside_csv}
+# what the other commands write in --out, which simulate keeps
+_REPORTS = ("classification.json", "fixed_points.json", "lyapunov.json")
+
+
+def _foreign(out_dir):
+    """The first entry of the directory `out_dir` (a pathlib.Path) that
+    volqso does not write: anything but the other commands' reports, an
+    earlier simulate's summary.json, and start_NNN directories of
+    _RUN_FILES."""
+    for path in out_dir.iterdir():
+        name = path.name
+        if path.is_symlink():
+            return path
+        if path.is_dir() and name[:6] == "start_" and name[6:].isdigit() \
+                and len(name) >= 9:
+            for file in path.iterdir():
+                if file.name not in _RUN_FILES or file.is_symlink() \
+                        or not file.is_file():
+                    return file
+        elif name not in (*_REPORTS, "summary.json") or not path.is_file():
+            return path
+    return None
+
+
+def _check_tree(out_dir) -> None:
+    """Check, before any work, that simulate can swap a new tree in at an
+    existing `out_dir`: its parent is writable, and it holds nothing volqso
+    does not write (see _foreign).  A missing `out_dir` is made inside its
+    nearest existing ancestor, which the CLI checks is writable."""
+    try:
+        if not out_dir.is_dir():
+            return
+        target = out_dir.resolve()
+        if target == target.parent or not os.access(target.parent,
+                                                    os.W_OK | os.X_OK):
+            raise ValidationError(f"--out {out_dir}: cannot replace it, "
+                                  f"{target.parent} is not writable")
+        foreign = _foreign(out_dir)
+    except OSError as exc:
+        raise ValidationError(f"--out {out_dir}: {exc}") from exc
+    if foreign is not None:
+        raise ValidationError(f"cannot write output: {foreign} was not "
+                              "written by volqso, so it is not replaced")
+
+
+def _write_tree(out_dir, results, summary: str) -> None:
+    """Write the start_NNN/ directories of `results` and the text `summary`
+    as summary.json in a sibling of `out_dir`, then swap that tree in whole,
+    so a failed write leaves the old tree as it was.  The other commands'
+    reports in `out_dir` are kept; the rest of its old tree is removed."""
+    target = out_dir.resolve()
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    old = tmp.with_suffix(".old")
+    try:
+        for i, result in enumerate(results):
+            run_dir = tmp / f"start_{i:03d}"
+            run_dir.mkdir(parents=True)
+            for name, write in _RUN_FILES.items():
+                write(run_dir / name, result)
+        (tmp / "summary.json").write_text(summary, encoding="utf-8")
+        if target.is_dir() and any(target.iterdir()):
+            os.replace(target, old)
+        os.replace(tmp, target)     # onto a missing or empty directory
+    finally:
+        if tmp.exists():
+            import shutil
+
+            shutil.rmtree(tmp, ignore_errors=True)
+    if old.exists():
+        for name in _REPORTS:
+            if (old / name).exists():
+                os.replace(old / name, target / name)
+        import shutil
+
+        shutil.rmtree(old)

@@ -45,6 +45,7 @@ from .qso import SkewMatrix, _image, _step_factors
 from .simplex import (
     FaceId,
     SimplexPoint,
+    _over_power_of_two,
     _Record,
     _renormalized,
     _trusted,
@@ -245,10 +246,8 @@ def _spectrum(t: Matrix) -> tuple[complex, ...]:
     last rounding: no result depends on summation order or BLAS."""
     if len(t) == 1:
         return (complex(t[0][0]),)
-    ratios = [v.as_integer_ratio() for row in t for v in row]
-    den = max(q for _, q in ratios)
+    m, den = _over_power_of_two([v for row in t for v in row])
     k = den.bit_length() - 1
-    m = [u * (den // q) for u, q in ratios]
     if len(t) == 2:
         a, b, c, d = m
         roots = _quadratic(a + d, a * d - b * c, k)

@@ -28,6 +28,7 @@ from .simplex import (
     VERIFY_STRIDE,
     VERIFY_TRANSIENT,
     SimplexPoint,
+    _over_power_of_two,
     _Record,
 )
 
@@ -44,11 +45,6 @@ class LogGainMatrix(_Record):
     @property
     def m(self) -> int:
         return len(self.b)
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.b)
 
 
 class LyapunovCandidate(_Record):
@@ -209,9 +205,8 @@ def _exact_state(lg, basis, x, lo, hi):
     from fractions import Fraction
 
     m, n = len(lg), len(x)
-    ratios = [[v.as_integer_ratio() for v in row] for row in lg]
-    scale = max(d for row in ratios for _, d in row)
-    ilg = [[p * (scale // d) for p, d in row] for row in ratios]
+    flat, scale = _over_power_of_two([v for row in lg for v in row])
+    ilg = [flat[i:i + m] for i in range(0, m * m, m)]
     tab, exact, ex = _start(ilg, int)
     det = 1
     for j in basis:

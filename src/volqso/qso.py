@@ -76,108 +76,94 @@ class SkewMatrix(_Record):
     def zero(cls, m: int) -> "SkewMatrix":
         return cls(tuple(tuple(0.0 for _ in range(m)) for _ in range(m)))
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.rows, dtype=float)
-
 
 def skewize(arr) -> SkewMatrix:
     """Project a nearly-skew square array onto exact skew-symmetry,
-    (a - a^T)/2, clamping rounding spill just outside [-1, 1]."""
-    import numpy as np
-
-    a = np.asarray(arr, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    (a - a^T)/2, clamping rounding spill just outside [-1, 1]; NaN stays
+    NaN, which SkewMatrix rejects."""
+    try:
+        a = [[float(v) for v in row] for row in arr]
+    except TypeError as exc:
+        raise WrongDimension("expected a square matrix") from exc
+    m = len(a)
+    if any(len(row) != m for row in a):
         raise WrongDimension("expected a square matrix")
-    s = (a - a.T) / 2.0
-    s = np.clip(s, -1.0, 1.0)
-    rows = tuple(tuple(float(v) for v in row) for row in s)
-    # rebuild exact negation: keep the upper triangle, mirror it
-    m = len(rows)
     out = [[0.0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            out[i][j] = rows[i][j]
-            out[j][i] = -rows[i][j]
-    return SkewMatrix(tuple(tuple(r) for r in out))
+            # v first: max and min return it when it is NaN
+            v = min(max((a[i][j] - a[j][i]) / 2.0, -1.0), 1.0)
+            out[i][j] = v
+            out[j][i] = -v
+    return SkewMatrix(out)
 
 
 class HeredityTensor(_Record):
     """Coefficients p[i][j][k] of a quadratic stochastic operator:
     nonnegative, sum_k p[i][j][k] == 1 for every parent pair (i,j)."""
 
-    p: np.ndarray
+    p: tuple[tuple[tuple[float, ...], ...], ...]
 
     def __init__(self, p):
-        import numpy as np
-
-        p = np.array(p, dtype=float)
-        if p.ndim != 3 or len(set(p.shape)) != 1:
-            raise WrongDimension(f"tensor shape {p.shape} is not (m,m,m)")
-        m = p.shape[0]
+        try:
+            p = tuple(tuple(tuple(map(float, row)) for row in plane)
+                      for plane in p)
+        except TypeError as exc:
+            raise WrongDimension("tensor is not m x m x m") from exc
+        m = len(p)
+        rows = sum(p, ())
+        if set(map(len, p)) | set(map(len, rows)) != {m}:
+            raise WrongDimension("tensor is not m x m x m")
         if not 2 <= m <= 4:
             raise WrongDimension(f"m={m} outside supported range 2..4")
-        if not np.all(np.isfinite(p)):
+        values = sum(rows, ())
+        if not all(map(math.isfinite, values)):
             raise NonFiniteInput("non-finite tensor entry")
-        if np.any(p < 0.0):
+        if min(values) < 0.0:
             raise ValidationError("negative tensor entry")
-        sums = p.sum(axis=2)
-        if np.max(np.abs(sums - 1.0)) > TENSOR_SUM_TOL:
+        if max(abs(math.fsum(row) - 1.0) for row in rows) > TENSOR_SUM_TOL:
             raise ValidationError("tensor rows are not stochastic in k")
-        p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
     @property
     def m(self) -> int:
-        return self.p.shape[0]
+        return len(self.p)
 
 
 def apply_qso(t: HeredityTensor, x: SimplexPoint) -> SimplexPoint:
     """One generation: (Vx)_k = sum_ij p[i][j][k] x_i x_j, renormalized."""
-    import numpy as np
-
     if t.m != x.m:
         raise DimensionMismatch(f"tensor m={t.m}, point m={x.m}")
-    xs = np.array(x.coords)
-    image = np.einsum("ijk,i,j->k", t.p, xs, xs)
-    return SimplexPoint(_renormalized([float(v) for v in image]))
+    xs, m = x.coords, t.m
+    return SimplexPoint(_renormalized([math.fsum(
+        t.p[i][j][k] * xs[i] * xs[j] for i in range(m) for j in range(m))
+        for k in range(m)]))
 
 
 def is_volterra(t: HeredityTensor, tol: float = VOLTERRA_TOL) -> bool:
     """True iff offspring mass sits on the parental types: p[i][j][k] <= tol
     whenever k is neither i nor j."""
-    import numpy as np
-
-    i_, j_, k_ = np.indices(t.p.shape)
-    mask = (k_ != i_) & (k_ != j_)
-    return bool(np.all(t.p[mask] <= tol))
+    return all(v <= tol for i, plane in enumerate(t.p)
+               for j, row in enumerate(plane)
+               for k, v in enumerate(row) if k != i and k != j)
 
 
 def to_skew_matrix(t: HeredityTensor) -> SkewMatrix:
     """Skew matrix of a Volterra tensor: a[k][i] = p[i][k][k] + p[k][i][k] - 1.
 
     The exact-skewness projection absorbs up to tensor-tolerance rounding."""
-    import numpy as np
-
     if not is_volterra(t):
         raise NotVolterra("tensor has offspring mass outside parental types")
-    m = t.m
-    a = np.zeros((m, m))
-    for k in range(m):
-        for i in range(m):
-            if i != k:
-                a[k][i] = t.p[i][k][k] + t.p[k][i][k] - 1.0
-    return skewize(a)
+    p, m = t.p, t.m
+    return skewize([[p[i][k][k] + p[k][i][k] - 1.0 for i in range(m)]
+                    for k in range(m)])
 
 
 def to_tensor(a: SkewMatrix) -> HeredityTensor:
     """Volterra tensor of a skew matrix: p[i][i][i] = 1 and, for i != j,
     p[i][j][i] = (1 + a[i][j]) / 2, p[i][j][j] = (1 + a[j][i]) / 2."""
-    import numpy as np
-
     m = a.m
-    p = np.zeros((m, m, m))
+    p = [[[0.0] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         p[i][i][i] = 1.0
         for j in range(m):

@@ -70,6 +70,14 @@ def _renormalized(coords) -> tuple[float, ...]:
     return tuple(coords)
 
 
+def _over_power_of_two(values: list[float]) -> tuple[list[int], int]:
+    """Integers n_i and the power of two D with n_i / D == values[i]
+    exactly, D the largest denominator of the finite floats `values`."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(q for _, q in ratios)
+    return [u * (den // q) for u, q in ratios], den
+
+
 def _trusted(cls, value):
     """`cls(value)` for a one-field record (SimplexPoint, SkewMatrix) without
     re-running its constructor's checks.  Only for values built to pass

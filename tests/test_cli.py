@@ -11,7 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import volqso
@@ -514,6 +514,93 @@ class TestOutputDirectory:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert not (tmp_path / "a").exists()
 
+    def simulate(self, tmp_path, out, starts: int) -> int:
+        points = [[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4],
+                  [0.25, 0.25, 0.25, 0.25]][:starts]
+        cfg = write_config(tmp_path, dict(self.CONFIG, starts={
+            "points": points}), f"{starts}.json")
+        return main(["simulate", "--config", cfg, "--out", str(out)])
+
+    @pytest.mark.parametrize("first,second", [(3, 1), (1, 3), (2, 2)])
+    def test_simulate_replaces_its_tree(self, tmp_path, first, second):
+        # a used --out ends as a fresh run's tree; the other commands'
+        # reports stay, and no temporary directory is left beside it
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        assert self.simulate(tmp_path, fresh, second) == 0
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert main(["classify", "--config", cfg, "--out", str(used)]) == 0
+        report = (used / "classification.json").read_bytes()
+        assert self.simulate(tmp_path, used, first) == 0
+        assert self.simulate(tmp_path, used, second) == 0
+        assert tree_bytes(used) == dict(tree_bytes(fresh), **{
+            "classification.json": report})
+        assert sorted(p.name for p in tmp_path.iterdir()
+                      if p.is_dir()) == ["fresh", "used"]
+
+    @pytest.mark.parametrize("where", ["notes.txt", "start_000/notes.txt",
+                                       "start_7/trajectory.csv"])
+    def test_simulate_keeps_a_foreign_file(self, tmp_path, capsys,
+                                           monkeypatch, where):
+        out = tmp_path / "out"
+        assert self.simulate(tmp_path, out, 1) == 0
+        before = tree_bytes(out)
+        foreign = out / where
+        foreign.parent.mkdir(exist_ok=True)
+        foreign.write_text("kept")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        replace_at_home(monkeypatch, "run_ensemble", forbidden)
+        capsys.readouterr()
+        assert self.simulate(tmp_path, out, 2) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        named = out / ("start_7" if where.startswith("start_7") else where)
+        assert line == (f"error: cannot write output: {named} was not "
+                        "written by volqso, so it is not replaced")
+        assert tree_bytes(out) == dict(before, **{where: b"kept"})
+
+    def test_unwritable_parent_exits_2_before_any_work(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # the new tree is built beside --out, so its parent must be
+        # writable; running as root, access() is made to deny it
+        out = tmp_path / "out"
+        assert self.simulate(tmp_path, out, 1) == 0
+        before = tree_bytes(out)
+        parent, access = tmp_path.resolve(), os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            Path(path) != parent and access(path, mode)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        replace_at_home(monkeypatch, "run_ensemble", forbidden)
+        capsys.readouterr()
+        assert self.simulate(tmp_path, out, 2) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: cannot replace it, {parent} is not "
+            "writable\n")
+        assert tree_bytes(out) == before
+
+    def test_failed_write_keeps_the_old_tree(self, tmp_path, capsys,
+                                             monkeypatch):
+        out = tmp_path / "out"
+        assert self.simulate(tmp_path, out, 1) == 0
+        before = tree_bytes(out)
+
+        def failing(path, result):
+            raise OSError(f"no room for {path.name}")
+
+        monkeypatch.setitem(importlib.import_module("volqso.ergodic")
+                            ._RUN_FILES, "phi.csv", failing)
+        capsys.readouterr()
+        assert self.simulate(tmp_path, out, 3) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write output: no room for phi.csv\n")
+        assert tree_bytes(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()
+                      if p.is_dir()) == ["out"]
+
 
 # (command, config, key the error must name); each config once ended in a
 # traceback or ran although the schema rejects it.
@@ -572,6 +659,9 @@ OUT_OF_BOUNDS = [
     ({"matrix": ALL_HALF_ROWS, "min_coord": -0.1}, "min_coord"),
     ({"canonical_params": dict(HALF_PARAMS, a14=-0.5)},
      "canonical_params.a14"),
+    ({"canonical_params": [0.5, 0.5, -0.5, 0.5, 0.5, 0.5]},
+     "canonical_params[2]"),
+    ({"matrix": ALL_HALF_ROWS, "checkpoints": []}, "checkpoints"),
 ]
 
 
@@ -882,3 +972,126 @@ def test_fuzzed_config_exits_cleanly(tmp_path_factory, cfg):
             assert code == 2, command
             errors.add(err.getvalue())
     assert len(errors) <= 1, errors
+
+
+# Configs that meet the schema and the parser's semantic rules: a skew
+# matrix in [-1, 1] or canonical parameters, points on the simplex,
+# delta_conv < delta_osc, min_coord < 1/m for random starts, checkpoints
+# in [1, steps], distinct observable names, and runs within
+# MAX_STORED_VALUES.  Integer keys are drawn as ints or integral floats.
+def integers(low, high):
+    return st.integers(low, high).flatmap(
+        lambda n: st.sampled_from([n, float(n)]))
+
+
+def unit_floats(**kwargs):
+    return st.floats(allow_nan=False, allow_infinity=False, **kwargs)
+
+
+@st.composite
+def simplex_points(draw, m):
+    # dyadic: the sum is exactly 1 under any validate_sum tolerance
+    cuts = sorted(draw(st.lists(st.integers(0, 64), min_size=m - 1,
+                                max_size=m - 1)))
+    return [(b - a) / 64 for a, b in zip([0, *cuts], [*cuts, 64])]
+
+
+@st.composite
+def valid_configs(draw):
+    cfg = {}
+    if draw(st.booleans()):
+        m = 4
+        values = draw(st.lists(unit_floats(min_value=0, max_value=1)
+                               | st.sampled_from([0, 1]),
+                               min_size=6, max_size=6))
+        cfg["canonical_params"] = (dict(zip(cli.PARAM_NAMES, values))
+                                   if draw(st.booleans()) else values)
+    else:
+        m = draw(st.integers(2, 4))
+        rows = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                v = draw(unit_floats(min_value=-1, max_value=1)
+                         | st.sampled_from([-1, 0, 1]))
+                rows[i][j], rows[j][i] = v, -v
+        cfg["matrix"] = rows
+    optional = {}
+    optional["m"] = st.sampled_from([m, float(m)])
+    count = draw(st.integers(0, 3))
+    starts = {}
+    if draw(st.booleans()):
+        starts["points"] = draw(st.lists(simplex_points(m), max_size=3))
+    if count or draw(st.booleans()):
+        starts["count"] = count
+    if count or draw(st.booleans()):
+        starts["seed"] = draw(integers(0, 2 ** 70) | st.just(2 ** 130 + 1))
+    optional["starts"] = st.just(starts)
+    steps = draw(st.integers(1, 10 ** 6))
+    has_steps = draw(st.booleans())
+    if has_steps:
+        cfg["steps"] = draw(st.sampled_from([steps, float(steps)]))
+    optional["epsilon"] = unit_floats(min_value=0, max_value=0.25,
+                                      exclude_min=True, exclude_max=True)
+    optional["record_stride"] = integers(-(-steps // 50_000), steps)
+    ascending = st.lists(st.integers(1, steps if has_steps else 10 ** 9),
+                         min_size=1, unique=True).map(sorted)
+    optional["checkpoints"] = st.just("dyadic") | ascending
+    labels = st.lists(st.integers(1, m), unique=True)
+    exponents = st.lists(unit_floats(min_value=-10, max_value=10),
+                         min_size=m, max_size=m)
+    monomials = st.lists(st.tuples(exponents, st.sampled_from(
+        ["bare", "unnamed", "named"])), max_size=3).map(lambda ms: [
+            e if how == "bare" else {"exponents": e} if how == "unnamed"
+            else {"name": f"M{k}", "exponents": e}
+            for k, (e, how) in enumerate(ms)])
+    optional["observables"] = st.fixed_dictionaries(
+        {}, optional={"coordinates": labels, "monomials": monomials})
+    optional["workers"] = integers(1, 64)
+    low, high = sorted(draw(st.lists(
+        unit_floats(min_value=0, max_value=10, exclude_min=True),
+        min_size=2, max_size=2, unique=True)))
+    # both, neither, or one against the other's default
+    cfg.update(draw(st.sampled_from([
+        {"delta_conv": low, "delta_osc": high}, {},
+        {"delta_conv": min(low, 0.04)}, {"delta_osc": high + 2e-3}])))
+    optional["min_coord"] = (unit_floats(min_value=0, max_value=1 / m,
+                                         exclude_max=True) if count else
+                             unit_floats(min_value=0, max_value=10))
+    optional["verify"] = st.just(False) | st.fixed_dictionaries({}, optional={
+        "start": simplex_points(m), "steps": integers(1000, 10 ** 6),
+        "transient": integers(0, 10 ** 6)})
+    optional["tolerances"] = st.fixed_dictionaries({}, optional={
+        key: unit_floats(min_value=0, max_value=1e3, exclude_min=True)
+        for key in ("validate_sum", "negative_clamp")})
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            cfg[key] = draw(values)
+    return cfg
+
+
+# every top-level key: with a matrix, then with canonical parameters
+FULL_CONFIGS = [
+    dict(json.loads(EXAMPLE.read_text()), min_coord=0.05, delta_conv=1e-4,
+         delta_osc=0.1, tolerances={"validate_sum": 1e-6,
+                                    "negative_clamp": 1e-12}),
+    {"m": 4, "canonical_params": [0.5, 0, 1, 0.25, 0.75, 0.5],
+     "starts": {"count": 2, "seed": 2 ** 64 + 5}, "steps": 3000.0,
+     "record_stride": 7, "checkpoints": [1, 10, 3000], "workers": 2,
+     "verify": False},
+]
+
+
+def test_full_configs_use_every_schema_key():
+    keys = set(schema("config.schema.json")["properties"])
+    assert set().union(*FULL_CONFIGS) == keys
+
+
+@settings(max_examples=150, deadline=None)
+@example(cfg=FULL_CONFIGS[0])
+@example(cfg=FULL_CONFIGS[1])
+@given(cfg=valid_configs())
+def test_valid_config_parses_for_every_command(cfg):
+    cfg = json.loads(json.dumps(cfg))       # as the config file reads
+    jsonschema.Draft7Validator(schema("config.schema.json")).validate(cfg)
+    for command in ALL_COMMANDS:
+        cli._parse(cfg, command)

@@ -325,7 +325,7 @@ class TestFaceFixedPoint:
                             zip(img.coords, rec.point.coords))
                 assert resid <= FIXED_TOL
                 # interaction balance on the support: (Ap)_i vanishes
-                ap = a.as_array() @ np.array(rec.point.coords)
+                ap = np.array(a.rows) @ np.array(rec.point.coords)
                 for i in rec.support.indices():
                     assert abs(ap[i]) <= 1e-10
 

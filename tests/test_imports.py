@@ -4,10 +4,10 @@ and a few standard-library packages, each command loads.  No command loads
 
 Each case runs in a fresh interpreter, so what other tests imported does not
 count.  The package re-exports its names lazily and the CLI imports each
-subsystem inside the command or parse reader that uses it; numpy is imported
-inside the functions that use it, and scipy by none.  These cases pin which
-commands reach such an import; `fixed-points` reaches none, and writes the
-same bytes with numpy blocked."""
+subsystem inside the command or parse reader that uses it.  No module of
+the package imports numpy or scipy: every command, random starts included,
+and every library function run with numpy blocked, and the commands write
+the same bytes with numpy blocked as without."""
 
 import json
 import os
@@ -142,9 +142,64 @@ def test_fixed_points_bytes_with_numpy_blocked(tmp_path, matrix):
         ordinary / "fixed_points.json").read_bytes()
 
 
+# random starts: all of them for simulate, the first as lyapunov's fallback
+RANDOM_STARTS = dict(CONFIG, starts={"count": 3, "seed": 1})
+
+
+@pytest.mark.parametrize("command,config", [
+    ("simulate", RANDOM_STARTS),
+    ("lyapunov", dict(RANDOM_STARTS, verify={"steps": 2000})),
+], ids=["simulate", "lyapunov"])
+def test_random_starts_bytes_with_numpy_blocked(tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    blocked, ordinary = tmp_path / "blocked", tmp_path / "ordinary"
+    footprint('sys.modules["numpy"] = None\n'
+              + command_body(command, cfg, blocked))
+    assert main([command, "--config", str(cfg), "--out", str(ordinary)]) == 0
+    files = sorted(p.relative_to(ordinary) for p in ordinary.rglob("*")
+                   if p.is_file())
+    assert files == sorted(p.relative_to(blocked) for p in blocked.rglob("*")
+                           if p.is_file())
+    for name in files:
+        assert (blocked / name).read_bytes() == (ordinary / name).read_bytes()
+
+
+LIBRARY_CHECK = """\
+sys.modules["numpy"] = None
+from volqso import (apply_qso, apply_volterra, interior_points, is_volterra,
+                    random_canonical_matrix, random_skew_matrix, skewize,
+                    to_skew_matrix, to_tensor)
+from volqso.lyapunov import LogGainMatrix
+a = random_skew_matrix(4, 2 ** 70)
+x = interior_points(4, 1, 5)[0]
+t = to_tensor(a)
+assert is_volterra(t)
+assert all(abs(u - v) < 1e-15 for u, v in zip(apply_qso(t, x).coords,
+                                             apply_volterra(a, x).coords))
+assert to_skew_matrix(t) == skewize([list(r) for r in a.rows]) == a
+random_canonical_matrix(3)
+assert not hasattr(a, "as_array") and not hasattr(LogGainMatrix, "as_array")
+"""
+
+
+def test_library_runs_with_numpy_blocked():
+    footprint(LIBRARY_CHECK)
+
+
+def test_no_runtime_dependency_on_numpy_or_scipy():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    named = " ".join(project["dependencies"]).lower()
+    assert "numpy" not in named and "scipy" not in named
+    assert any(dep.startswith("numpy")
+               for dep in project["optional-dependencies"]["test"])
+
+
 def test_classify_draws_no_random_starts(tmp_path):
     # classify reads no start, so the random ones a config asks for are
-    # neither drawn nor is numpy loaded to draw them
+    # not drawn
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"matrix": ALL_HALF_ROWS, "steps": 1,
                                 "starts": {"count": 100_000, "seed": 1}}))
@@ -178,8 +233,14 @@ def test_lyapunov_loads_neither_and_writes_same_bytes(tmp_path, cfg):
     # simulate imports logging only when VOLQSO_LOG is set (below); one
     # start runs on the calling thread
     ("simulate", CONFIG, [], ["cli", *KERNEL]),
+    ("simulate", dict(CONFIG, starts={"count": 3, "seed": 1}), [],
+     ["cli", "sampling", *KERNEL]),
+    ("lyapunov", {"matrix": ALL_HALF_ROWS, "verify": {"steps": 2000},
+                  "starts": {"count": 3, "seed": 1}}, ["fractions"],
+     ["cli", "lyapunov", "sampling", *KERNEL]),
 ], ids=["classify", "classify-steps", "fixed-points", "fixed-points-m3",
-        "lyapunov", "lyapunov-m3", "simulate"])
+        "lyapunov", "lyapunov-m3", "simulate", "simulate-random-starts",
+        "lyapunov-random-start"])
 def test_command_module_footprint(tmp_path, command, config, libs,
                                   submodules):
     path = tmp_path / "cfg.json"

@@ -58,6 +58,21 @@ class TestSkewMatrix:
         assert a.rows[0][1] == -a.rows[1][0]
         assert a.rows[0][0] == 0.0
 
+    def test_skewize_clips_as_numpy_does(self):
+        # spill and infinities clip to [-1, 1]; NaN stays NaN, and is
+        # rejected, as np.clip((a - a.T) / 2, -1, 1) would leave it
+        arr = [[0.0, 2.0, INF, 0.5], [-2.0, 0.0, -INF, -1.0 - 1e-15],
+               [-INF, INF, 0.0, -0.0], [-0.5, 1.0, 0.0, 0.0]]
+        a = np.array(arr)
+        upper = np.triu(np.clip((a - a.T) / 2.0, -1.0, 1.0), 1)
+        assert skewize(arr).rows == tuple(map(tuple, upper - upper.T))
+        for bad in ([[0.0, math.nan], [0.0, 0.0]], [[0.0, INF], [INF, 0.0]]):
+            with pytest.raises(NonFiniteInput):
+                skewize(bad)
+        for shape in ([0.0, 1.0], [[0.0, 1.0]], [[[0.0]]]):
+            with pytest.raises(WrongDimension):
+                skewize(shape)
+
 
 class TestHeredityTensor:
     def test_row_stochastic_required(self):
@@ -78,7 +93,8 @@ class TestHeredityTensor:
         # the quadratic form only sees the parent-order average
         for _ in range(10):
             t = random_tensor(3, rng)
-            q = HeredityTensor((t.p + t.p.transpose(1, 0, 2)) / 2.0)
+            p = np.array(t.p)
+            q = HeredityTensor((p + p.transpose(1, 0, 2)) / 2.0)
             for x in interior_points(3, 10, rng):
                 left = apply_qso(t, x)
                 right = apply_qso(q, x)
@@ -124,7 +140,7 @@ class TestVolterraDetection:
         assert not is_volterra(HeredityTensor(p))
 
     def test_symmetrization_preserves_volterra(self, rng):
-        p = to_tensor(random_skew_matrix(4, rng)).p.copy()
+        p = np.array(to_tensor(random_skew_matrix(4, rng)).p)
         # the parent-order average of (0.7, 0.3) and (0.4, 0.6) offspring
         # mass stays on the parental types
         p[0][1][0], p[0][1][1] = 0.55, 0.45
@@ -176,6 +192,43 @@ class TestMatrixTensorConversion:
                 left = apply_qso(t, x)
                 right = apply_volterra(a, x)
                 assert left.coords == pytest.approx(right.coords, abs=1e-12)
+
+
+class TestNumpyReference:
+    """The tensor helpers against the numpy expressions they replaced:
+    equal where the arithmetic is the same; apply_qso sums with fsum where
+    einsum summed in its own order, so within 2 ulp of 1."""
+
+    def test_tensor_helpers_equal_numpy_forms(self, rng):
+        for k in range(300):
+            m = k % 3 + 2
+            a = random_skew_matrix(m, rng)
+            p = np.zeros((m, m, m))
+            for i in range(m):
+                p[i][i][i] = 1.0
+                for j in range(m):
+                    if i != j:
+                        p[i][j][i] = (1.0 + a.rows[i][j]) / 2.0
+                        p[i][j][j] = (1.0 + a.rows[j][i]) / 2.0
+            t = to_tensor(a)
+            assert np.array_equal(np.array(t.p), p)
+            i_, j_, k_ = np.indices(p.shape)
+            off = (k_ != i_) & (k_ != j_)
+            general = random_tensor(m, rng)
+            for tensor, array in ((t, p), (general, np.array(general.p))):
+                assert is_volterra(tensor) == bool(np.all(array[off] <= 1e-15))
+            back = np.zeros((m, m))
+            for r in range(m):
+                for c in range(m):
+                    if r != c:
+                        back[r][c] = p[c][r][r] + p[r][c][r] - 1.0
+            assert to_skew_matrix(t) == skewize(back)
+            x = interior_points(m, 1, rng)[0]
+            xs = np.array(x.coords)
+            image = np.einsum("ijk,i,j->k", np.array(general.p), xs, xs)
+            ref = image / image.sum()
+            assert max(abs(u - v) for u, v in zip(
+                apply_qso(general, x).coords, ref)) <= 4.5e-16
 
 
 class TestApplyVolterra:

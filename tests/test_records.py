@@ -172,9 +172,8 @@ DEFAULTS = {
                               degenerate_faces=(), degenerate_interior=False),
 }
 
-# records holding a numpy array (==, elementwise, has no truth value) or
-# a dict: unhashable, and the tensor compares equal only to itself
-UNHASHABLE = {HeredityTensor, TrajectoryResult}
+# a record holding a dict is unhashable
+UNHASHABLE = {TrajectoryResult}
 
 CLASSES = list(RECORDS)
 IDS = [cls.__name__ for cls in CLASSES]
@@ -185,8 +184,6 @@ def build(cls, **changes):
 
 
 def same_value(x, y) -> bool:
-    if isinstance(x, np.ndarray):
-        return np.array_equal(x, y)
     return x is y or x == y
 
 
@@ -234,17 +231,10 @@ def test_defaults(cls):
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_field_wise_equality_and_hash(cls):
     rec, twin = build(cls), build(cls)
-    if cls is HeredityTensor:
-        # (p,) == (p,) holds by identity; two arrays compare elementwise,
-        # and that has no truth value
-        assert rec == rec
-        with pytest.raises(ValueError):
-            bool(rec == twin)
-    else:
-        assert rec == twin and not rec != twin
-        for f, alt in ALTERNATIVES[cls].items():
-            other = build(cls, **{f: alt})
-            assert rec != other and not rec == other, f
+    assert rec == twin and not rec != twin
+    for f, alt in ALTERNATIVES[cls].items():
+        other = build(cls, **{f: alt})
+        assert rec != other and not rec == other, f
     if cls in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(rec)
@@ -337,8 +327,11 @@ def test_constructor_conversions():
     rows = SkewMatrix([[0, 1], [-1, 0]]).rows
     assert rows == ((0.0, 1.0), (-1.0, 0.0))
     assert all(type(v) is float for row in rows for v in row)
-    tensor = HeredityTensor(to_tensor(A4).p.tolist())
-    assert not tensor.p.flags.writeable
+    tensor = HeredityTensor(np.array(to_tensor(A4).p))
+    assert tensor == to_tensor(A4)
+    assert all(type(v) is float for plane in tensor.p for row in plane
+               for v in row)
+    assert all(type(row) is tuple for plane in tensor.p for row in plane)
     params = CanonicalParams(-0.0, 0, 0, 0, 0, 1)
     assert math.copysign(1.0, params.a12) == 1.0
     assert type(params.a13) is float
