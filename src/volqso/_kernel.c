@@ -1,9 +1,11 @@
 /* Compiled trajectory kernel and CSV row formatter.
  *
- * vq_run is a port of volqso/_kernel_py.run that matches it statement for
- * statement: same loops, same branches, same arithmetic in the same order,
- * same libm calls, so both backends produce bit-identical results.  Keep the
- * two in sync; tests/test_kernel_parity.py enforces it.
+ * vq_run and its log-space step log_step are ports of volqso/_kernel_py.run
+ * and log_step that match them statement for statement: same loops, same
+ * branches, same arithmetic in the same order, same libm calls, so both
+ * backends produce bit-identical results.  Keep the two in sync;
+ * tests/test_kernel_parity.py enforces it.  The Python log_step is also
+ * qso.apply_volterra_log, so a one-step map never comes here.
  *
  * vq_format writes CSV body rows from strided columns, taking exp of the
  * trace values where a column asks for it.  Its reference is
@@ -75,6 +77,69 @@ static int push_event(vq_result *r, long long *cap, long long vertex,
     return 0;
 }
 
+/* One step of the Volterra map in log coordinates, as log_step in
+ * volqso/_kernel_py: writes the new logs, before normalization, of the point
+ * with logs logx and coordinates xs = exp(logx) to newlog, and returns their
+ * logsumexp, the drift, or NaN when the step is degenerate (every new log
+ * -inf, or one NaN).  logw holds the logs of all the weights, -inf for a
+ * weight of 0; vq_run takes them before its first step, where the Python
+ * step takes a row's logs when it first needs them. */
+static double log_step(int m, double weights[MAX_M][MAX_M],
+                       double logw[MAX_M][MAX_M], const double *logx,
+                       const double *xs, double *newlog)
+{
+    double s, c, t, tmp, g, lg, mx, acc;
+    int i, kk;
+
+    for (kk = 0; kk < m; kk++) {
+        s = 0.0;
+        c = 0.0;
+        for (i = 0; i < m; i++) {
+            t = weights[kk][i] * xs[i];
+            tmp = s + t;
+            if (fabs(s) >= fabs(t))
+                c += (s - tmp) + t;
+            else
+                c += (t - tmp) + s;
+            s = tmp;
+        }
+        g = s + c;
+        if (g < UNDERFLOW_GUARD) {
+            mx = -INFINITY;
+            for (i = 0; i < m; i++) {
+                t = logw[kk][i] + logx[i];
+                if (t > mx)
+                    mx = t;
+            }
+            if (mx == -INFINITY) {
+                lg = -INFINITY;
+            } else {
+                acc = 0.0;
+                for (i = 0; i < m; i++) {
+                    t = logw[kk][i] + logx[i];
+                    if (t > -INFINITY)
+                        acc += exp(t - mx);
+                }
+                lg = mx + log(acc);
+            }
+        } else {
+            lg = log(g);
+        }
+        newlog[kk] = logx[kk] + lg;
+    }
+
+    mx = newlog[0];
+    for (i = 0; i < m; i++)
+        if (newlog[i] > mx)
+            mx = newlog[i];
+    if (mx == -INFINITY || isnan(mx))
+        return NAN;
+    acc = 0.0;
+    for (i = 0; i < m; i++)
+        acc += exp(newlog[i] - mx);
+    return mx + log(acc);
+}
+
 /* Iterate the Volterra map for `steps` steps from log point `logx0`.
  *
  * Inputs: a (m x m, row-major), logx0 (m), coord_obs (n_coord indices in
@@ -129,7 +194,7 @@ int vq_run(int m, const double *a, const double *logx0, long long steps,
 
     for (k = 0; k <= steps; k++) {
         int cnt, v, inside;
-        double s, c, t, tmp, g, lg, mx, acc, drift, adrift, f, lf;
+        double t, drift, adrift, f, lf;
 
         /* --- observe the current point z_k --- */
         for (i = 0; i < m; i++)
@@ -218,56 +283,7 @@ int vq_run(int m, const double *a, const double *logx0, long long steps,
         }
 
         /* --- one step --- */
-        for (kk = 0; kk < m; kk++) {
-            s = 0.0;
-            c = 0.0;
-            for (i = 0; i < m; i++) {
-                t = weights[kk][i] * xs[i];
-                tmp = s + t;
-                if (fabs(s) >= fabs(t))
-                    c += (s - tmp) + t;
-                else
-                    c += (t - tmp) + s;
-                s = tmp;
-            }
-            g = s + c;
-            if (g < UNDERFLOW_GUARD) {
-                mx = -INFINITY;
-                for (i = 0; i < m; i++) {
-                    t = logw[kk][i] + logx[i];
-                    if (t > mx)
-                        mx = t;
-                }
-                if (mx == -INFINITY) {
-                    lg = -INFINITY;
-                } else {
-                    acc = 0.0;
-                    for (i = 0; i < m; i++) {
-                        t = logw[kk][i] + logx[i];
-                        if (t > -INFINITY)
-                            acc += exp(t - mx);
-                    }
-                    lg = mx + log(acc);
-                }
-            } else {
-                lg = log(g);
-            }
-            newlog[kk] = logx[kk] + lg;
-        }
-
-        mx = newlog[0];
-        for (i = 1; i < m; i++)
-            if (newlog[i] > mx)
-                mx = newlog[i];
-        if (mx == -INFINITY || isnan(mx)) {
-            r->error_kind = 1;
-            r->error_step = k;
-            break;
-        }
-        acc = 0.0;
-        for (i = 0; i < m; i++)
-            acc += exp(newlog[i] - mx);
-        drift = mx + log(acc);
+        drift = log_step(m, weights, logw, logx, xs, newlog);
         if (isnan(drift)) {
             r->error_kind = 1;
             r->error_step = k;

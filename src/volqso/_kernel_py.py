@@ -3,8 +3,9 @@
 This is the reference implementation: `vq_run` in `_kernel.c` matches it
 statement for statement (same loops, same branches, same arithmetic in the
 same order) so both backends produce bit-identical results.  Keep the two in
-sync.  It is also the only Python copy of the log-space step:
-`qso.apply_volterra_log` is a one-step run.
+sync.  The log-space step is one function in each, `log_step`, which `run`
+and `vq_run` call once per step; the Python one is also
+`qso.apply_volterra_log`, which is therefore the same under either backend.
 
 `format_rows` is likewise the reference for `vq_format`, the CSV row
 formatter in `_kernel.c`, and for its exp of the trace values.
@@ -31,6 +32,70 @@ _INF = float("inf")
 _NAN = float("nan")
 
 
+def step_weights(a):
+    """The weights 1 + a[k][i] of `log_step` for the rows of the matrix a."""
+    return [[1.0 + v for v in row] for row in a]
+
+
+def log_step(weights, logw, logx, xs):
+    """One step of the Volterra map in log coordinates: the new logs, before
+    normalization, of the point with logs `logx` and coordinates xs =
+    exp(logx), and their logsumexp, the drift; the drift is NaN when the
+    step is degenerate (every new log -inf, or one NaN).
+
+    Each step factor sum_i weights[k][i] xs[i] is a compensated sum; below
+    UNDERFLOW_GUARD it is taken in the log domain instead, from the logs of
+    the weights.  logw[k] holds those of row k, -inf for a weight of 0, or
+    None until a step first needs them; then they are taken and kept.
+    (`vq_run` takes every log before its first step: the same values.)"""
+    exp = math.exp
+    log = math.log
+    newlog = []
+    for kk, (wk, lk, lxk) in enumerate(zip(weights, logw, logx)):
+        s = 0.0
+        c = 0.0
+        for w, x in zip(wk, xs):
+            t = w * x
+            tmp = s + t
+            if abs(s) >= abs(t):
+                c += (s - tmp) + t
+            else:
+                c += (t - tmp) + s
+            s = tmp
+        g = s + c
+        if g < UNDERFLOW_GUARD:
+            if lk is None:
+                lk = logw[kk] = [log(w) if w > 0.0 else -_INF for w in wk]
+            mx = -_INF
+            for lw, lx in zip(lk, logx):
+                t = lw + lx
+                if t > mx:
+                    mx = t
+            if mx == -_INF:
+                lg = -_INF
+            else:
+                acc = 0.0
+                for lw, lx in zip(lk, logx):
+                    t = lw + lx
+                    if t > -_INF:
+                        acc += exp(t - mx)
+                lg = mx + log(acc)
+        else:
+            lg = log(g)
+        newlog.append(lxk + lg)
+
+    mx = newlog[0]
+    for v in newlog:
+        if v > mx:
+            mx = v
+    if mx == -_INF or mx != mx:
+        return newlog, _NAN
+    acc = 0.0
+    for v in newlog:
+        acc += exp(v - mx)
+    return newlog, mx + log(acc)
+
+
 def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
         stride, want_phi):
     """Iterate the Volterra map for `steps` steps from log point `logx0`.
@@ -51,11 +116,10 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
     types.
     """
     exp = math.exp
-    log = math.log
     isnan = math.isnan
 
-    weights = [[1.0 + a[k][i] for i in range(m)] for k in range(m)]
-    logw = [[log(w) if w > 0.0 else -_INF for w in row] for row in weights]
+    weights = step_weights(a)
+    logw = [None] * m
 
     logx = [float(v) for v in logx0]
     n_coord = len(coord_obs)
@@ -86,7 +150,6 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
     error = None
 
     xs = [0.0] * m
-    newlog = [0.0] * m
     mono_vals = [0.0] * n_mono
 
     for k in range(steps + 1):
@@ -164,50 +227,7 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
             cp_ptr += 1
 
         # --- one step ---
-        for kk in range(m):
-            wk = weights[kk]
-            s = 0.0
-            c = 0.0
-            for i in range(m):
-                t = wk[i] * xs[i]
-                tmp = s + t
-                if abs(s) >= abs(t):
-                    c += (s - tmp) + t
-                else:
-                    c += (t - tmp) + s
-                s = tmp
-            g = s + c
-            if g < UNDERFLOW_GUARD:
-                lk = logw[kk]
-                mx = -_INF
-                for i in range(m):
-                    t = lk[i] + logx[i]
-                    if t > mx:
-                        mx = t
-                if mx == -_INF:
-                    lg = -_INF
-                else:
-                    acc = 0.0
-                    for i in range(m):
-                        t = lk[i] + logx[i]
-                        if t > -_INF:
-                            acc += exp(t - mx)
-                    lg = mx + log(acc)
-            else:
-                lg = log(g)
-            newlog[kk] = logx[kk] + lg
-
-        mx = newlog[0]
-        for i in range(1, m):
-            if newlog[i] > mx:
-                mx = newlog[i]
-        if mx == -_INF or isnan(mx):
-            error = ("degenerate", k)
-            break
-        acc = 0.0
-        for i in range(m):
-            acc += exp(newlog[i] - mx)
-        drift = mx + log(acc)
+        newlog, drift = log_step(weights, logw, logx, xs)
         if isnan(drift):
             error = ("degenerate", k)
             break

@@ -28,6 +28,7 @@ from itertools import chain
 from .classify import CanonicalParams
 from .errors import (
     DegenerateFactor,
+    DimensionMismatch,
     EpsilonTooLarge,
     NumericalBreakdown,
     TooFewCheckpoints,
@@ -134,7 +135,8 @@ class TrajectoryConfig(_Record):
     def __init__(self, matrix, start, steps, epsilon=0.05, checkpoints=None,
                  record_stride=1000):
         if matrix.m != start.m:
-            raise WrongDimension(f"matrix m={matrix.m}, start m={start.m}")
+            raise DimensionMismatch(
+                f"matrix m={matrix.m}, start m={start.m}")
         if steps < 1:
             raise ValidationError("steps must be >= 1")
         if not 0.0 < epsilon < 0.25:

@@ -28,8 +28,9 @@ eigenvalues of its float matrix, a 3x3 spectrum within a few 1e-16.
 from __future__ import annotations
 
 import math
-import operator
 import struct
+from math import fsum
+from operator import mul, sub
 from enum import Enum
 from itertools import combinations
 
@@ -41,7 +42,7 @@ from .errors import (
     ValidationError,
     WrongDimension,
 )
-from .qso import SkewMatrix, _image, _step_factors
+from .qso import SkewMatrix, _clamped
 from .simplex import (
     FaceId,
     SimplexPoint,
@@ -119,11 +120,24 @@ class RepellerLyapunov(_Record):
         return monomial(p, self.exponents)
 
 
+def _step_factors(rows, x) -> list[float]:
+    """The step factors 1 + (Ax)_k of the rows of A at x, each (Ax)_k the
+    `math.fsum` of its products, as in `raw_volterra_image`."""
+    out = []
+    for row in rows:
+        out.append(1.0 + fsum(map(mul, row, x)))
+    return out
+
+
 def _check_fixed(x, factors) -> None:
     """Raise NotAFixedPoint unless x is fixed, judged on the image x_k f_k
-    of its step factors f, renormalized as `apply_volterra` does it."""
-    image = _renormalized(_image(x, factors))
-    residual = max(map(abs, map(operator.sub, image, x)))
+    of its step factors f as `apply_volterra` takes and renormalizes it."""
+    image = []
+    for xk, f in zip(x, factors):
+        if f < 0.0:
+            f = _clamped(f, len(image))
+        image.append(xk * f)
+    residual = max(map(abs, map(sub, _renormalized(image), x)))
     if residual > FIXED_TOL:
         raise NotAFixedPoint(f"|V(p) - p|_inf = {residual:.3e}")
 
@@ -139,7 +153,7 @@ def _jacobian(rows, x, factors) -> Matrix:
 def volterra_jacobian(a: SkewMatrix, p: SimplexPoint) -> Matrix:
     """The Jacobian of the Volterra step at p, as a tuple of rows."""
     if a.m != p.m:
-        raise WrongDimension(f"matrix m={a.m}, point m={p.m}")
+        raise DimensionMismatch(f"matrix m={a.m}, point m={p.m}")
     return _jacobian(a.rows, p.coords, _step_factors(a.rows, p.coords))
 
 
@@ -257,8 +271,9 @@ def _spectrum(t: Matrix) -> tuple[complex, ...]:
 
 
 def _classify_moduli(moduli) -> StabilityType:
-    if min(abs(v - 1.0) for v in moduli) <= NONHYP_TOL:
-        return StabilityType.NON_HYPERBOLIC
+    for v in moduli:
+        if abs(v - 1.0) <= NONHYP_TOL:
+            return StabilityType.NON_HYPERBOLIC
     if min(moduli) > 1.0:
         return StabilityType.REPELLING
     if max(moduli) < 1.0:
@@ -277,35 +292,40 @@ def jacobian_spectrum(a: SkewMatrix, p: SimplexPoint) -> tuple[complex, ...]:
     return _spectrum(tangent_restriction(_jacobian(a.rows, x, factors)))
 
 
-def _record_for(a: SkewMatrix, point: SimplexPoint, support: FaceId,
-                degenerate: bool = False,
-                factors: list[float] | None = None) -> FixedPointRecord:
-    """The record of a fixed point of `a` on `support`, from the step
-    factors f at the point: the transverse multipliers are f off the
-    support, and f on it is the diagonal of the in-face Jacobian.  The
-    factors are computed unless given."""
-    x = point.coords
+def _record(rows, x, idx, degenerate: bool = False,
+            factors: list[float] | None = None) -> FixedPointRecord:
+    """The record of the fixed point with coordinates x, a tuple from
+    `_renormalized`, of the matrix `rows` on the face with the 0-based
+    indices idx, two or more, from the step factors f at x: the transverse
+    multipliers are f off the face, and f on it is the diagonal of the
+    in-face Jacobian.  x must pass the residual check.  The factors are
+    computed unless given."""
     if factors is None:
-        factors = _step_factors(a.rows, x)
+        factors = _step_factors(rows, x)
     _check_fixed(x, factors)
-    idx = support.indices()
-    transverse = tuple((k + 1, f) for k, f in enumerate(factors)
-                       if k not in idx)
-    if len(idx) >= 2:
-        sub = [[a.rows[i][j] for j in idx] for i in idx]
-        in_face = _spectrum(tangent_restriction(_jacobian(
-            sub, [x[i] for i in idx], [factors[i] for i in idx])))
-    else:
-        in_face = ()
-    moduli = [abs(z) for z in in_face] + [abs(v) for _, v in transverse]
-    return FixedPointRecord(
-        point=point,
-        support=support,
-        transverse_multipliers=transverse,
-        in_face_eigenvalues=in_face,
-        stability=_classify_moduli(moduli),
-        degenerate=degenerate,
-    )
+    sub_rows = [[rows[i][j] for j in idx] for i in idx]
+    in_face = _spectrum(tangent_restriction(_jacobian(
+        sub_rows, [x[i] for i in idx], [factors[i] for i in idx])))
+    transverse = []
+    moduli = [abs(z) for z in in_face]
+    for k, f in enumerate(factors):
+        if k not in idx:
+            transverse.append((k + 1, f))
+            moduli.append(abs(f))
+    support = _trusted(FaceId, tuple([i + 1 for i in idx]))
+    return FixedPointRecord(_trusted(SimplexPoint, x), support,
+                            tuple(transverse), in_face,
+                            _classify_moduli(moduli), degenerate)
+
+
+def _face_record(rows, m: int, idx, q) -> FixedPointRecord:
+    """The record of the interior fixed point of the 3-face with 0-based
+    indices idx, q its kernel direction with every entry > 0."""
+    s = fsum(q)
+    coords = [0.0] * m
+    for pos, t in zip(idx, q):
+        coords[pos] = t / s
+    return _record(rows, _renormalized(coords), idx)
 
 
 def face_fixed_point(a: SkewMatrix, face: FaceId) -> FixedPointRecord | None:
@@ -321,32 +341,23 @@ def face_fixed_point(a: SkewMatrix, face: FaceId) -> FixedPointRecord | None:
         raise ValidationError(f"face {face.support} is not a 3-face")
     if face.support[-1] > a.m:
         raise WrongDimension(f"face {face.support} outside 1..{a.m}")
-    i, j, k = face.indices()
-    u = a.rows[i][j]
-    v = a.rows[i][k]
-    w = a.rows[j][k]
-    kern = (w, -v, u)
-    if all(t > 0.0 for t in kern):
-        q = kern
-    elif all(t < 0.0 for t in kern):
-        q = tuple(-t for t in kern)
-    else:
-        return None
-    s = math.fsum(q)
-    coords = [0.0] * a.m
-    for pos, t in zip((i, j, k), q):
-        coords[pos] = t / s
-    point = SimplexPoint(_renormalized(coords))
-    return _record_for(a, point, face)
+    rows = a.rows
+    i, j, k = idx = face.indices()
+    u, v, w = rows[i][j], rows[i][k], rows[j][k]
+    if w > 0.0 and v < 0.0 and u > 0.0:
+        return _face_record(rows, a.m, idx, (w, -v, u))
+    if w < 0.0 and v > 0.0 and u < 0.0:
+        return _face_record(rows, a.m, idx, (-w, v, -u))
+    return None
 
 
-def _continuum_record(a: SkewMatrix, face: FaceId) -> FixedPointRecord:
-    """A face made of fixed points, represented by its barycenter."""
-    coords = [0.0] * a.m
-    for pos in face.indices():
-        coords[pos] = 1.0 / face.size
-    return _record_for(a, SimplexPoint(_renormalized(coords)), face,
-                       degenerate=True)
+def _continuum_record(rows, m: int, idx) -> FixedPointRecord:
+    """A face made of fixed points, its 0-based indices idx, represented by
+    its barycenter."""
+    coords = [0.0] * m
+    for pos in idx:
+        coords[pos] = 1.0 / len(idx)
+    return _record(rows, _renormalized(coords), idx, degenerate=True)
 
 
 def _interior_kernel_record(a: SkewMatrix) -> FixedPointRecord | None:
@@ -379,9 +390,9 @@ def _interior_kernel_record(a: SkewMatrix) -> FixedPointRecord | None:
                        + min((best - p[j]) / d[j] for _, j in pairs))
     if best <= _INTERIOR_MARGIN:
         return None
-    point = SimplexPoint(_renormalized([q + t * w for q, w in zip(p, d)]))
+    x = _renormalized([q + t * w for q, w in zip(p, d)])
     try:
-        return _record_for(a, point, FaceId((1, 2, 3, 4)), degenerate=True)
+        return _record(a.rows, x, (0, 1, 2, 3), degenerate=True)
     except NotAFixedPoint:
         return None
 
@@ -389,41 +400,48 @@ def _interior_kernel_record(a: SkewMatrix) -> FixedPointRecord | None:
 def all_fixed_points(a: SkewMatrix) -> FixedPointInventory:
     """Vertices, edge continua, face-interior points and interior kernel
     points, each with its linearized type."""
-    m = a.m
+    m, rows = a.m, a.rows
     if m not in (3, 4):
         raise WrongDimension(f"m={m} not supported")
     records = []
     for l in range(m):
         # at e_l each step factor 1 + (Ae_l)_k, the fsum of a[k][l] and
-        # exact zeros, is 1 + a[k][l]
-        vertex = [0.0] * m
-        vertex[l] = 1.0
-        records.append(_record_for(
-            a, _trusted(SimplexPoint, tuple(vertex)),
-            _trusted(FaceId, (l + 1,)),
-            factors=[1.0 + row[l] for row in a.rows]))
-    if all(v == 0.0 for row in a.rows for v in row):
+        # exact zeros, is 1 + a[k][l]; the support has no in-face spectrum
+        x = [0.0] * m
+        x[l] = 1.0
+        x = tuple(x)
+        factors = [1.0 + row[l] for row in rows]
+        _check_fixed(x, factors)
+        transverse = []
+        moduli = []
+        for k, f in enumerate(factors):
+            if k != l:
+                transverse.append((k + 1, f))
+                moduli.append(abs(f))
+        records.append(FixedPointRecord(
+            _trusted(SimplexPoint, x), _trusted(FaceId, (l + 1,)),
+            tuple(transverse), (), _classify_moduli(moduli)))
+    if not any(map(any, rows)):     # every entry 0.0 or -0.0
         return FixedPointInventory(records=tuple(records),
                                    everywhere_fixed=True)
 
     degenerate_edges = []
     for i, j in combinations(range(m), 2):
-        if a.rows[i][j] == 0.0:
-            degenerate_edges.append(FaceId((i + 1, j + 1)))
-            records.append(_continuum_record(a, degenerate_edges[-1]))
+        if rows[i][j] == 0.0:
+            records.append(_continuum_record(rows, m, (i, j)))
+            degenerate_edges.append(records[-1].support)
 
     degenerate_faces = []
-    for combo in combinations(range(m), 3):
-        face = _trusted(FaceId, tuple(i + 1 for i in combo))
-        i, j, k = combo
-        if (a.rows[i][j] == 0.0 and a.rows[i][k] == 0.0
-                and a.rows[j][k] == 0.0):
-            degenerate_faces.append(face)
-            records.append(_continuum_record(a, face))
-            continue
-        rec = face_fixed_point(a, face)
-        if rec is not None:
-            records.append(rec)
+    for idx in combinations(range(m), 3):
+        i, j, k = idx
+        u, v, w = rows[i][j], rows[i][k], rows[j][k]
+        if w > 0.0 and v < 0.0 and u > 0.0:
+            records.append(_face_record(rows, m, idx, (w, -v, u)))
+        elif w < 0.0 and v > 0.0 and u < 0.0:
+            records.append(_face_record(rows, m, idx, (-w, v, -u)))
+        elif u == 0.0 and v == 0.0 and w == 0.0:
+            records.append(_continuum_record(rows, m, idx))
+            degenerate_faces.append(records[-1].support)
 
     degenerate_interior = False
     if m == 4 and abs(pfaffian4(a)) <= PFAFFIAN_TOL:

@@ -180,8 +180,7 @@ def _bind(lib):
         n_trace = (steps - 1) // stride + 2    # steps 0, stride, ..., steps
         # One array per dtype for the inputs and one for the double outputs;
         # the C function gets pointers to consecutive segments.  Plain
-        # arrays keep the fixed cost of a call low, which one-step calls
-        # (qso.apply_volterra_log) feel.
+        # arrays keep the fixed cost of a call low.
         f_in = array("d", [v for row in rows for v in row])
         i_in = array("q", [*coord_obs, *cp])
         sizes = (n_cp * n_obs, n_trace * m, n_trace, n_trace * n_mono, m,

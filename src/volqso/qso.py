@@ -14,7 +14,8 @@ to_skew_matrix implements.
 from __future__ import annotations
 
 import math
-import operator
+from math import fsum
+from operator import mul
 
 from .errors import (
     DegenerateFactor,
@@ -24,13 +25,7 @@ from .errors import (
     ValidationError,
     WrongDimension,
 )
-from .simplex import (
-    LogSimplexPoint,
-    SimplexPoint,
-    _Record,
-    _renormalized,
-    _trusted,
-)
+from .simplex import LogSimplexPoint, SimplexPoint, _Record, _renormalized
 
 TENSOR_SUM_TOL = 1e-12   # |sum_k p[i][j][k] - 1|
 VOLTERRA_TOL = 1e-15     # mass allowed outside parental types
@@ -173,42 +168,38 @@ def to_tensor(a: SkewMatrix) -> HeredityTensor:
     return HeredityTensor(p)
 
 
-def _step_factors(rows, x) -> list[float]:
-    """The step factors 1 + (Ax)_k of the rows of A at x, each (Ax)_k the
-    `math.fsum` of its products."""
-    # a loop: a list comprehension costs a nested call before Python 3.12
-    out = []
-    for row in rows:
-        out.append(1.0 + math.fsum(map(operator.mul, row, x)))
-    return out
-
-
-def _image(x, factors) -> list[float]:
-    """x_k f_k for the step factors f of x, rounding dust below 0 in a
-    factor clamped to 0."""
-    out = []
-    for k, f in enumerate(factors):
-        if f < 0.0:
-            if f < -FACTOR_CLAMP:
-                raise DegenerateFactor(
-                    f"step factor {f} at slot {k + 1}; input is corrupted")
-            f = 0.0
-        out.append(x[k] * f)
-    return out
+def _clamped(f: float, k: int) -> float:
+    """0.0 for rounding dust f < 0 in the step factor of 0-based slot k;
+    more below 0 raises DegenerateFactor."""
+    if f < -FACTOR_CLAMP:
+        raise DegenerateFactor(
+            f"step factor {f} at slot {k + 1}; input is corrupted")
+    return 0.0
 
 
 def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
-    """Image before renormalization; its sum is 1 + x^T A x = 1 exactly in
-    real arithmetic (skew-symmetry), so the float sum measures rounding."""
-    if a.m != x.m:
-        raise DimensionMismatch(f"matrix m={a.m}, point m={x.m}")
-    return _image(x.coords, _step_factors(a.rows, x.coords))
+    """x_k f_k for the step factors f_k = 1 + (Ax)_k, each (Ax)_k the
+    `math.fsum` of its products, dust below 0 in f_k clamped to 0.  The
+    image's sum is 1 + x^T A x = 1 exactly in real arithmetic
+    (skew-symmetry), so the float sum measures rounding."""
+    rows, xs = a.rows, x.coords
+    if len(rows) != len(xs):
+        raise DimensionMismatch(f"matrix m={len(rows)}, point m={len(xs)}")
+    out = []     # a loop: a list comprehension is a nested call before 3.12
+    for row, xk in zip(rows, xs):
+        f = 1.0 + fsum(map(mul, row, xs))
+        if f < 0.0:
+            f = _clamped(f, len(out))
+        out.append(xk * f)
+    return out
 
 
 def apply_volterra(a: SkewMatrix, x: SimplexPoint) -> SimplexPoint:
     """One step of x_k -> x_k (1 + (Ax)_k), renormalized.  Zero coordinates
     stay exactly zero (faces are invariant)."""
-    return _trusted(SimplexPoint, _renormalized(raw_volterra_image(a, x)))
+    point = object.__new__(SimplexPoint)    # _trusted, without its call
+    point.__dict__["coords"] = _renormalized(raw_volterra_image(a, x))
+    return point
 
 
 def apply_volterra_log(a: SkewMatrix, x: LogSimplexPoint) -> LogSimplexPoint:
@@ -216,19 +207,25 @@ def apply_volterra_log(a: SkewMatrix, x: LogSimplexPoint) -> LogSimplexPoint:
     relative 1e-10 whenever all coordinates are above 1e-100, and keeps exact
     zeros (-inf) exactly.
 
-    This is a one-step trajectory-kernel run.  The kernel rewrites the factor
-    1 + (Ax)_k as sum_i (1 + a[k][i]) x_i: a sum of nonnegative terms
-    (|a| <= 1), immune to the cancellation that makes 1 + dot(...) collapse
-    to 0 when the true factor is tiny, taken in the log domain when even that
-    sum underflows."""
+    This is the trajectory kernel's log-space step, `_kernel_py.log_step`,
+    which both kernel backends take bit for bit, so no backend is loaded and
+    the result does not depend on one.  The step rewrites the factor 1 +
+    (Ax)_k as sum_i (1 + a[k][i]) x_i: a sum of nonnegative terms (|a| <= 1),
+    immune to the cancellation that makes 1 + dot(...) collapse to 0 when the
+    true factor is tiny, taken in the log domain when even that sum
+    underflows."""
     if a.m != x.m:
         raise DimensionMismatch(f"matrix m={a.m}, point m={x.m}")
-    from . import kernel
+    from ._kernel_py import DRIFT_TOL, log_step, step_weights
 
-    raw = kernel.run(a.m, a.rows, x.log_coords, 1, 0.0, [], [], [], 1, False)
-    if raw["error"] is not None:
-        raise DegenerateFactor(f"log step failed: {raw['error'][0]}")
-    return LogSimplexPoint(tuple(raw["final_logx"]))
+    logx = x.log_coords
+    newlog, drift = log_step(step_weights(a.rows), [None] * len(logx), logx,
+                             [math.exp(v) for v in logx])
+    # the checks and messages of a one-step kernel run
+    if not abs(drift) <= DRIFT_TOL:
+        raise DegenerateFactor("log step failed: " + (
+            "degenerate" if drift != drift else "breakdown"))
+    return LogSimplexPoint(tuple([v - drift for v in newlog]))
 
 
 def skew3(a: float, b: float, c: float) -> SkewMatrix:

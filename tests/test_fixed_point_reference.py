@@ -1,8 +1,13 @@
-"""Fixed-point records against a reference that computes each step factor
-separately for the residual check, the transverse multipliers and the
-in-face Jacobian, as the records were computed before they were built
-from one pass of step factors.  Floats and complex numbers must agree
-bit for bit, so they are compared by repr."""
+"""Fixed-point records and the Volterra step against references.
+
+The step is compared with the chain it was computed by before it became one
+loop: the step factors, then the image with its clamp, then the checked
+renormalization.  The inventory is compared with `all_fixed_points` and
+`face_fixed_point` as they were before they tested the faces and built the
+vertex records themselves; there each record comes from a reference that
+computes every step factor separately for the residual check, the
+transverse multipliers and the in-face Jacobian.  Floats and complex
+numbers must agree bit for bit, so they are compared by repr."""
 
 import math
 import operator
@@ -14,19 +19,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volqso import fixed_points
-from volqso.errors import DegenerateFactor, NotAFixedPoint, SumNotOne
+from volqso.classify import pfaffian4
+from volqso.errors import (
+    DegenerateFactor,
+    DimensionMismatch,
+    NotAFixedPoint,
+    SumNotOne,
+    ValidationError,
+    VolqsoError,
+    WrongDimension,
+)
 from volqso.fixed_points import (
     FIXED_TOL,
     NONHYP_TOL,
+    PFAFFIAN_TOL,
+    FixedPointInventory,
     FixedPointRecord,
     StabilityType,
     _spectrum,
     all_fixed_points,
+    face_fixed_point,
     tangent_restriction,
 )
-from volqso.qso import FACTOR_CLAMP, SkewMatrix
+from volqso.qso import (
+    FACTOR_CLAMP,
+    SkewMatrix,
+    apply_volterra,
+    raw_volterra_image,
+)
 from volqso.sampling import random_skew_matrix
-from volqso.simplex import FaceId, SimplexPoint, _renormalized
+from volqso.simplex import FaceId, SimplexPoint, _renormalized, _trusted
 
 NO_DIVIDE_TOL = 4 * 2.220446049250313e-16
 
@@ -55,21 +77,38 @@ def slow_renormalized(coords):
     return tuple(coords)
 
 
-def ref_apply_volterra(a, x):
+def ref_step_factors(rows, x):
     out = []
-    for k in range(a.m):
-        f = 1.0 + math.fsum(map(operator.mul, a.rows[k], x.coords))
+    for row in rows:
+        out.append(1.0 + math.fsum(map(operator.mul, row, x)))
+    return out
+
+
+def ref_image(x, factors):
+    out = []
+    for k, f in enumerate(factors):
         if f < 0.0:
             if f < -FACTOR_CLAMP:
                 raise DegenerateFactor(
                     f"step factor {f} at slot {k + 1}; input is corrupted")
             f = 0.0
-        out.append(x.coords[k] * f)
-    return slow_renormalized(out)
+        out.append(x[k] * f)
+    return out
+
+
+def ref_raw_volterra_image(a, x):
+    if a.m != x.m:
+        raise DimensionMismatch(f"matrix m={a.m}, point m={x.m}")
+    return ref_image(x.coords, ref_step_factors(a.rows, x.coords))
+
+
+def ref_apply_volterra(a, x):
+    return _trusted(SimplexPoint, slow_renormalized(
+        ref_raw_volterra_image(a, x)))
 
 
 def ref_check_fixed(a, p):
-    image = ref_apply_volterra(a, p)
+    image = ref_apply_volterra(a, p).coords
     residual = max(abs(u - v) for u, v in zip(image, p.coords))
     if residual > FIXED_TOL:
         raise NotAFixedPoint(f"|V(p) - p|_inf = {residual:.3e}")
@@ -98,12 +137,8 @@ def ref_classify_moduli(moduli):
     return StabilityType.SADDLE
 
 
-def ref_record(a, point, support, degenerate=False, **_):
-    """A record as it was computed before the step factors were shared; a
-    vertex is built with the checked constructors."""
-    if support.size == 1:
-        point = SimplexPoint.vertex(a.m, support.support[0])
-        support = FaceId(support.support)
+def ref_record(a, point, support, degenerate=False):
+    """A record as it was computed before the step factors were shared."""
     ref_check_fixed(a, point)
     x = point.coords
     idx = support.indices()
@@ -123,6 +158,115 @@ def ref_record(a, point, support, degenerate=False, **_):
         in_face_eigenvalues=in_face,
         stability=ref_classify_moduli(moduli),
         degenerate=degenerate,
+    )
+
+
+def ref_face_fixed_point(a, face):
+    if a.m not in (3, 4):
+        raise WrongDimension(f"m={a.m} not supported")
+    if face.size != 3:
+        raise ValidationError(f"face {face.support} is not a 3-face")
+    if face.support[-1] > a.m:
+        raise WrongDimension(f"face {face.support} outside 1..{a.m}")
+    i, j, k = face.indices()
+    u = a.rows[i][j]
+    v = a.rows[i][k]
+    w = a.rows[j][k]
+    kern = (w, -v, u)
+    if all(t > 0.0 for t in kern):
+        q = kern
+    elif all(t < 0.0 for t in kern):
+        q = tuple(-t for t in kern)
+    else:
+        return None
+    s = math.fsum(q)
+    coords = [0.0] * a.m
+    for pos, t in zip((i, j, k), q):
+        coords[pos] = t / s
+    point = SimplexPoint(_renormalized(coords))
+    return ref_record(a, point, face)
+
+
+def ref_continuum_record(a, face):
+    coords = [0.0] * a.m
+    for pos in face.indices():
+        coords[pos] = 1.0 / face.size
+    return ref_record(a, SimplexPoint(_renormalized(coords)), face,
+                      degenerate=True)
+
+
+def ref_interior_kernel_record(a):
+    (_, a12, a13, a14), (_, _, a23, a24), (_, _, _, a34) = a.rows[:3]
+    dual = ((0.0, a34, -a24, a23), (-a34, 0.0, a14, -a13),
+            (a24, -a14, 0.0, a12), (-a23, a13, -a12, 0.0))
+    sums = [math.fsum(row) for row in dual]
+    k = max(range(4), key=lambda j: abs(sums[j]))
+    if sums[k] == 0.0:
+        return None
+    p = [v / sums[k] for v in dual[k]]
+    d = max(([sums[k] * v - s * w for v, w in zip(dual[j], dual[k])]
+             for j, s in enumerate(sums) if j != k),
+            key=lambda w: math.fsum(v * v for v in w))
+    pairs = [(i, j) for i in range(4) for j in range(4) if d[i] > 0.0 > d[j]]
+    t, best = 0.0, min(p)
+    if pairs:
+        best, t = min([(p[i], None) for i in range(4) if d[i] == 0.0] + [
+            ((p[j] * d[i] - p[i] * d[j]) / (d[i] - d[j]),
+             (p[j] - p[i]) / (d[i] - d[j])) for i, j in pairs],
+            key=lambda peak: (peak[0], peak[1] is None))
+        if t is None:
+            t = 0.5 * (max((best - p[i]) / d[i] for i, _ in pairs)
+                       + min((best - p[j]) / d[j] for _, j in pairs))
+    if best <= fixed_points._INTERIOR_MARGIN:
+        return None
+    point = SimplexPoint(_renormalized([q + t * w for q, w in zip(p, d)]))
+    try:
+        return ref_record(a, point, FaceId((1, 2, 3, 4)), degenerate=True)
+    except NotAFixedPoint:
+        return None
+
+
+def ref_all_fixed_points(a):
+    m = a.m
+    if m not in (3, 4):
+        raise WrongDimension(f"m={m} not supported")
+    records = [ref_record(a, SimplexPoint.vertex(m, l), FaceId((l,)))
+               for l in range(1, m + 1)]
+    if all(v == 0.0 for row in a.rows for v in row):
+        return FixedPointInventory(records=tuple(records),
+                                   everywhere_fixed=True)
+
+    degenerate_edges = []
+    for i, j in combinations(range(m), 2):
+        if a.rows[i][j] == 0.0:
+            degenerate_edges.append(FaceId((i + 1, j + 1)))
+            records.append(ref_continuum_record(a, degenerate_edges[-1]))
+
+    degenerate_faces = []
+    for combo in combinations(range(m), 3):
+        face = FaceId(tuple(i + 1 for i in combo))
+        i, j, k = combo
+        if (a.rows[i][j] == 0.0 and a.rows[i][k] == 0.0
+                and a.rows[j][k] == 0.0):
+            degenerate_faces.append(face)
+            records.append(ref_continuum_record(a, face))
+            continue
+        rec = ref_face_fixed_point(a, face)
+        if rec is not None:
+            records.append(rec)
+
+    degenerate_interior = False
+    if m == 4 and abs(pfaffian4(a)) <= PFAFFIAN_TOL:
+        rec = ref_interior_kernel_record(a)
+        if rec is not None:
+            degenerate_interior = True
+            records.append(rec)
+
+    return FixedPointInventory(
+        records=tuple(records),
+        degenerate_edges=tuple(degenerate_edges),
+        degenerate_faces=tuple(degenerate_faces),
+        degenerate_interior=degenerate_interior,
     )
 
 
@@ -167,14 +311,76 @@ def assert_same_inventory(a, got, want):
                 a.rows, field)
 
 
+def outcome(fn, *args):
+    """repr of fn(*args), or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except VolqsoError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def step_points(a, rng):
+    """Start points for one step of `a`: the barycentre, the vertices,
+    interior points, face points with exact zeros, and points on a row k's
+    -1 entries whose sum overshoots 1 by dust (accepted by SimplexPoint) or
+    by more (built unchecked), so that the step factor 1 - (x_i + ...) of
+    slot k falls below 0 by dust or by more."""
+    m = a.m
+    yield SimplexPoint.barycenter(m)
+    for label in range(1, m + 1):
+        yield SimplexPoint.vertex(m, label)
+    for zeros in (0, 1, m - 2):
+        w = [rng.uniform(0.01, 1.0) for _ in range(m)]
+        for k in rng.sample(range(m), zeros):
+            w[k] = 0.0
+        yield SimplexPoint(_renormalized(w))
+    k = rng.randrange(m)
+    prey = [i for i in range(m) if a.rows[k][i] == -1.0]
+    if not prey:
+        return
+    w = [rng.randint(1, 9) if i in prey else 0 for i in range(m)]
+    x = [v / sum(w) for v in w]
+    x[k] = rng.choice([0.0, 1e-14])
+    for overshoot, build in ((1e-15, SimplexPoint), (5e-13, SimplexPoint),
+                             (2e-12, lambda c: _trusted(SimplexPoint, c))):
+        y = list(x)
+        y[prey[-1]] += overshoot
+        yield build(tuple(y))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_step_bit_identical_to_reference(m):
+    rng = random.Random(23 + m)
+    clamped = corrupted = 0
+    for a in matrices(m):
+        for x in step_points(a, rng):
+            assert outcome(raw_volterra_image, a, x) == outcome(
+                ref_raw_volterra_image, a, x), (a.rows, x.coords)
+            assert outcome(apply_volterra, a, x) == outcome(
+                ref_apply_volterra, a, x), (a.rows, x.coords)
+            factors = ref_step_factors(a.rows, x.coords)
+            clamped += any(-FACTOR_CLAMP <= f < 0.0 for f in factors)
+            corrupted += min(factors) < -FACTOR_CLAMP
+    # both sides of the clamp are reached
+    assert clamped > 20 and corrupted > 20
+    with pytest.raises(DimensionMismatch, match=r"^matrix m=\d, point m="):
+        raw_volterra_image(a, SimplexPoint.barycenter(5 - m // 2))
+
+
 @pytest.mark.parametrize("m", [3, 4])
-def test_records_bit_identical_to_reference(monkeypatch, m):
+def test_records_bit_identical_to_reference(m):
     mats = list(matrices(m))
     got = [all_fixed_points(a) for a in mats]
-    monkeypatch.setattr(fixed_points, "_record_for", ref_record)
-    want = [all_fixed_points(a) for a in mats]
+    want = [ref_all_fixed_points(a) for a in mats]
+    faces = [FaceId(f) for f in combinations(range(1, m + 1), 3)]
     for a, g, w in zip(mats, got, want):
         assert_same_inventory(a, g, w)
+        for face in faces:
+            assert outcome(face_fixed_point, a, face) == outcome(
+                ref_face_fixed_point, a, face), (a.rows, face)
+    for face in (FaceId((1, 2)), FaceId((1, 2, m + 1))):
+        assert outcome(face_fixed_point, a, face) == outcome(
+            ref_face_fixed_point, a, face)
     # the inputs reach every stability type, continua and interior points
     records = [r for inv in got for r in inv.records]
     assert {r.stability for r in records} == set(StabilityType)
@@ -188,11 +394,10 @@ def test_records_bit_identical_to_reference(monkeypatch, m):
 def test_record_checks_fixedness(factors):
     # given factors or not, every record goes through the residual check
     a = SkewMatrix(((0.0, 0.5, 0.0), (-0.5, 0.0, 0.0), (0.0, 0.0, 0.0)))
-    not_fixed = SimplexPoint((0.5, 0.5, 0.0))
+    not_fixed = (0.5, 0.5, 0.0)
     with pytest.raises(NotAFixedPoint,
                        match=r"^\|V\(p\) - p\|_inf = 1\.250e-01$"):
-        fixed_points._record_for(a, not_fixed, FaceId((1,)),
-                                 factors=factors)
+        fixed_points._record(a.rows, not_fixed, (0, 1), factors=factors)
 
 
 # --- _renormalized ------------------------------------------------------------

@@ -102,6 +102,16 @@ def test_import_loads_neither():
         [], sorted(CORE + ["cli"]))
 
 
+def test_one_step_log_map_loads_no_kernel_backend():
+    # the map is the reference log-space step: no backend is selected, so
+    # neither ctypes nor the compiler's subprocess is loaded
+    body = ("import volqso\n"
+            "volqso.apply_volterra_log(volqso.skew3(0.5, -1.0, 0.25),\n"
+            "    volqso.SimplexPoint((0.5, 0.0, 0.5)).to_log())")
+    assert footprint(body, LIBS | {"ctypes", "subprocess"}) == (
+        [], sorted(CORE + ["_kernel_py"]))
+
+
 @pytest.mark.parametrize("command,expected", [
     ("classify", []),
     ("simulate", []),

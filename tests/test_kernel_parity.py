@@ -1,6 +1,7 @@
 """The compiled and pure-Python kernels must produce bit-identical output,
-and the compiled CSV formatter the bytes of repr (of math.exp, in its exp
-and phi columns)."""
+the one-step log map the output of a one-step run of either, and the
+compiled CSV formatter the bytes of repr (of math.exp, in its exp and phi
+columns)."""
 
 import json
 import math
@@ -12,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volqso._kernel_py import UNDERFLOW_GUARD
 from volqso.cli import main
+from volqso.errors import DegenerateFactor
 from volqso.kernel import available_backends, get_formatter, get_kernel
-from volqso.qso import skew3
+from volqso.qso import SkewMatrix, apply_volterra_log, skew3
 from volqso.sampling import random_skew_matrix
+from volqso.simplex import LogSimplexPoint, _trusted
 
 needs_compiled = pytest.mark.skipif(
     "compiled" not in available_backends(),
@@ -225,6 +229,78 @@ def kernel_inputs(draw):
 @given(args=kernel_inputs())
 def test_fuzzed_runs_bit_identical(args):
     assert deep_equal(*run_both(*args))
+
+
+# ---------------------------------------------------------------------------
+# the one-step log map against a one-step run
+
+
+def one_step_cases():
+    """(matrix, log point) pairs, m = 2-4: entries +-1 or 0 (step weights
+    of 0, so the log-domain sum), dyadic or uniform; log coordinates -inf,
+    near -1e5 (coordinates that are 0.0 as doubles), moderate, or 0."""
+    rng = random.Random(4241)
+    entry = [1.0, -1.0, 0.0, 0.5, -0.25, None]
+    log_coord = [-math.inf, -1e5, -700.0, -3.0, 0.0, None]
+    for trial in range(3000):
+        m = 2 + trial % 3
+        rows = [[0.0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                v = rng.choice(entry)
+                rows[i][j] = rng.uniform(-1.0, 1.0) if v is None else v
+                rows[j][i] = -rows[i][j]
+        logs = []
+        for _ in range(m):
+            v = rng.choice(log_coord)
+            if v is None:
+                v = rng.uniform(-40.0, 0.0)
+            elif v == -1e5:
+                v += rng.uniform(-50.0, 50.0)
+            logs.append(v)
+        if all(v == -math.inf for v in logs):
+            logs[rng.randrange(m)] = 0.0
+        yield SkewMatrix(rows), LogSimplexPoint(logs)
+
+
+def one_step_run(backend, a, x):
+    """apply_volterra_log as a one-step run of `backend`: its final point,
+    or the DegenerateFactor message its error gives."""
+    raw = get_kernel(backend)(a.m, [list(r) for r in a.rows],
+                              list(x.log_coords), 1, 0.0, [], [], [], 1,
+                              False)
+    if raw["error"] is not None:
+        return f"log step failed: {raw['error'][0]}"
+    return LogSimplexPoint(tuple(raw["final_logx"]))
+
+
+def one_step_map(a, x):
+    try:
+        return apply_volterra_log(a, x)
+    except DegenerateFactor as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_one_step_map_is_a_one_step_run(backend):
+    if backend not in available_backends():
+        pytest.skip("compiled kernel not built")
+    log_domain = 0
+    for a, x in one_step_cases():
+        got, want = one_step_map(a, x), one_step_run(backend, a, x)
+        assert deep_equal(got.log_coords, want.log_coords), (a.rows, x)
+        xs = [math.exp(v) for v in x.log_coords]
+        log_domain += any(math.fsum((1.0 + w) * v for w, v in zip(row, xs))
+                          < UNDERFLOW_GUARD for row in a.rows)
+    assert log_domain > 300
+    # unchecked points: nothing left to step, a NaN, a sum of 3
+    a = skew3(0.5, -1.0, 1.0)
+    for logs, error in (((-math.inf,) * 3, "degenerate"),
+                        ((math.nan, 0.0, 0.0), "degenerate"),
+                        ((0.0, 0.0, 0.0), "breakdown")):
+        x = _trusted(LogSimplexPoint, logs)
+        assert one_step_map(a, x) == one_step_run(backend, a, x) == (
+            f"log step failed: {error}")
 
 
 # ---------------------------------------------------------------------------

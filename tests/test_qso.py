@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from volqso.ergodic import TrajectoryConfig
 from volqso.errors import (
     DegenerateFactor,
     DimensionMismatch,
@@ -12,6 +13,7 @@ from volqso.errors import (
     ValidationError,
     WrongDimension,
 )
+from volqso.fixed_points import jacobian_spectrum, volterra_jacobian
 from volqso.qso import (
     HeredityTensor,
     SkewMatrix,
@@ -434,3 +436,25 @@ class TestTrustedConstruction:
         if m:
             with pytest.raises(WrongDimension):
                 validate([1.0 / m] * m)
+
+
+# every function of a matrix (or its tensor) and a point
+SIZE_MISMATCHES = {
+    "raw_volterra_image": raw_volterra_image,
+    "apply_volterra": apply_volterra,
+    "apply_volterra_log": lambda a, p: apply_volterra_log(a, p.to_log()),
+    "apply_qso": lambda a, p: apply_qso(to_tensor(a), p),
+    "volterra_jacobian": volterra_jacobian,
+    "jacobian_spectrum": jacobian_spectrum,
+    "TrajectoryConfig": lambda a, p: TrajectoryConfig(a, p, steps=10),
+}
+
+
+@pytest.mark.parametrize("call", SIZE_MISMATCHES.values(),
+                         ids=SIZE_MISMATCHES.keys())
+@pytest.mark.parametrize("m,n", [(3, 4), (4, 3), (2, 3)])
+def test_size_mismatch_is_dimension_mismatch(call, m, n):
+    a = skewize([[0.5 * (j - i) / m for j in range(m)] for i in range(m)])
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^(matrix|tensor) m={m}, (point|start) m={n}$"):
+        call(a, SimplexPoint.barycenter(n))

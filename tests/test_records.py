@@ -27,6 +27,7 @@ from volqso.ergodic import (
     Verdict,
 )
 from volqso.errors import (
+    DimensionMismatch,
     NegativeCoordinate,
     NonFiniteInput,
     SumNotOne,
@@ -303,7 +304,8 @@ def test_immutable(cls):
     (HeredityTensor, dict(p=[[[-0.5, 1.5]] * 2] * 2), ValidationError),
     (HeredityTensor, dict(p=[[[0.5, 0.6]] * 2] * 2), ValidationError),
     (CanonicalParams, dict(a23=-0.1), ValidationError),
-    (TrajectoryConfig, dict(start=SimplexPoint((0.5, 0.5))), WrongDimension),
+    (TrajectoryConfig, dict(start=SimplexPoint((0.5, 0.5))),
+     DimensionMismatch),
     (TrajectoryConfig, dict(steps=0), ValidationError),
     (TrajectoryConfig, dict(epsilon=0.25), ValidationError),
     (TrajectoryConfig, dict(epsilon=0.0), ValidationError),
