@@ -12,11 +12,18 @@ The Jacobian of x_k -> x_k (1 + (Ax)_k) is J_kl = d_kl (1 + (Ap)_k) + p_k a_kl;
 its column sums are all 1, so it preserves the tangent space {sum v = 0} and
 the spectrum is taken there (the sum direction's eigenvalue 1 is excluded).
 
-Each record is built from one pass of step factors f_k = 1 + (Ap)_k: they
-give the image p_k f_k for the check that p is fixed, the transverse
-multipliers (f off the support) and the diagonal of the in-face Jacobian (f
-on it).  At a vertex e_l they are the column f_k = 1 + a_kl in closed form,
-which is what the sum of a_kl and exact zeros gives.
+A vertex record is closed-form.  At e_l the step factors are the column
+f_k = 1 + a_kl, and f_l is exactly 1, because a_ll is +-0.0 in a SkewMatrix;
+so the image is e_l itself, and checking that diagonal entry replaces the
+residual check.  The vertex points and every support are built once, at
+import, and shared: records are immutable.
+
+Every other record is built in one pass from the step factors
+f_k = 1 + (Ap)_k: they give the image p_k f_k for the check that p is fixed,
+the transverse multipliers (f off the support), and, with the entries of A
+and p, the in-face Jacobian restricted to the face's tangent space, entry by
+entry, with the same operations as `tangent_restriction` of
+`volterra_jacobian` on the face.
 
 All of it is plain Python, so every value is the same on every machine: each
 (Ap)_k is the `math.fsum` of its products, as in `raw_volterra_image`, and
@@ -59,8 +66,24 @@ PFAFFIAN_TOL = 1e-12    # |Pf| below this: treat the 4x4 matrix as singular
 _INTERIOR_MARGIN = 1e-9  # strict positivity margin for kernel points
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
 _SIGN = 1 << 63
+_ratio = float.as_integer_ratio
 
 Matrix = tuple[tuple[float, ...], ...]
+
+# the support of every face of the 4-simplex, by its 0-based indices, which
+# covers the 3-simplex too; by m, the edges and the 3-faces; and by m, for
+# each vertex e_l, the point e_l, its support and the (index, label) of
+# every other coordinate
+_FACES = {idx: _trusted(FaceId, tuple([i + 1 for i in idx]))
+          for size in range(1, 5) for idx in combinations(range(4), size)}
+_EDGES = {m: tuple(combinations(range(m), 2)) for m in (3, 4)}
+_TRIANGLES = {m: tuple(combinations(range(m), 3)) for m in (3, 4)}
+_VERTICES = {m: tuple((_trusted(SimplexPoint, tuple([float(k == l)
+                                                     for k in range(m)])),
+                       _FACES[(l,)],
+                       tuple([(k, k + 1) for k in range(m) if k != l]))
+                      for l in range(m))
+             for m in (3, 4)}
 
 
 class StabilityType(Enum):
@@ -253,21 +276,38 @@ def _cubic(m: list[int], k: int) -> list[complex]:
     return [complex(u / (1 << j)), *_quadratic(s, d, kk)]
 
 
+def _by_parts(z: complex) -> tuple[float, float]:
+    return z.real, z.imag
+
+
 def _spectrum(t: Matrix) -> tuple[complex, ...]:
     """Eigenvalues of a real n x n matrix, n <= 3, sorted by real then
-    imaginary part.  The entries are put over one power-of-two denominator
-    2**k, which makes every step after that integer arithmetic until the
-    last rounding: no result depends on summation order or BLAS."""
-    if len(t) == 1:
-        return (complex(t[0][0]),)
-    m, den = _over_power_of_two([v for row in t for v in row])
-    k = den.bit_length() - 1
-    if len(t) == 2:
-        a, b, c, d = m
-        roots = _quadratic(a + d, a * d - b * c, k)
-    else:
-        roots = _cubic(m, k)
-    return tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
+    imaginary part (see `_eigenvalues`)."""
+    return _eigenvalues([v for row in t for v in row], len(t))
+
+
+def _eigenvalues(flat: list[float], n: int) -> tuple[complex, ...]:
+    """Eigenvalues of the real n x n matrix with the n*n entries `flat`, by
+    rows, n <= 3, sorted by real then imaginary part.  The entries are put
+    over one power-of-two denominator 2**k, which makes every step after
+    that integer arithmetic until the last rounding: no result depends on
+    summation order or BLAS."""
+    if n == 1:
+        return (complex(flat[0]),)
+    if n == 2:
+        # _over_power_of_two, unrolled for four entries
+        (a, qa), (b, qb), (c, qc), (d, qd) = map(_ratio, flat)
+        den = max(qa, qb, qc, qd)
+        a *= den // qa
+        b *= den // qb
+        c *= den // qc
+        d *= den // qd
+        z, w = _quadratic(a + d, a * d - b * c, den.bit_length() - 1)
+        if w.real < z.real or w.real == z.real and w.imag < z.imag:
+            return w, z
+        return z, w
+    m, den = _over_power_of_two(flat)
+    return tuple(sorted(_cubic(m, den.bit_length() - 1), key=_by_parts))
 
 
 def _classify_moduli(moduli) -> StabilityType:
@@ -296,24 +336,29 @@ def _record(rows, x, idx, degenerate: bool = False,
             factors: list[float] | None = None) -> FixedPointRecord:
     """The record of the fixed point with coordinates x, a tuple from
     `_renormalized`, of the matrix `rows` on the face with the 0-based
-    indices idx, two or more, from the step factors f at x: the transverse
-    multipliers are f off the face, and f on it is the diagonal of the
-    in-face Jacobian.  x must pass the residual check.  The factors are
-    computed unless given."""
+    indices idx, a tuple of two or more, from the step factors f at x: the
+    transverse multipliers are f off the face, and the in-face Jacobian on
+    the face's tangent space is t_rc = J[r][c] - J[r][last] with
+    J[r][c] = (f_r if c == r else 0.0) + x_r a_rc, r and c in the face.  x
+    must pass the residual check.  The factors are computed unless given."""
     if factors is None:
         factors = _step_factors(rows, x)
     _check_fixed(x, factors)
-    sub_rows = [[rows[i][j] for j in idx] for i in idx]
-    in_face = _spectrum(tangent_restriction(_jacobian(
-        sub_rows, [x[i] for i in idx], [factors[i] for i in idx])))
+    *head, last = idx
+    tangent = []
+    for r in head:
+        row, xr, fr = rows[r], x[r], factors[r]
+        jl = 0.0 + xr * row[last]
+        for c in head:
+            tangent.append(((fr if c == r else 0.0) + xr * row[c]) - jl)
+    in_face = _eigenvalues(tangent, len(head))
     transverse = []
     moduli = [abs(z) for z in in_face]
     for k, f in enumerate(factors):
         if k not in idx:
             transverse.append((k + 1, f))
             moduli.append(abs(f))
-    support = _trusted(FaceId, tuple([i + 1 for i in idx]))
-    return FixedPointRecord(_trusted(SimplexPoint, x), support,
+    return FixedPointRecord(_trusted(SimplexPoint, x), _FACES[idx],
                             tuple(transverse), in_face,
                             _classify_moduli(moduli), degenerate)
 
@@ -404,35 +449,32 @@ def all_fixed_points(a: SkewMatrix) -> FixedPointInventory:
     if m not in (3, 4):
         raise WrongDimension(f"m={m} not supported")
     records = []
-    for l in range(m):
-        # at e_l each step factor 1 + (Ae_l)_k, the fsum of a[k][l] and
-        # exact zeros, is 1 + a[k][l]; the support has no in-face spectrum
-        x = [0.0] * m
-        x[l] = 1.0
-        x = tuple(x)
-        factors = [1.0 + row[l] for row in rows]
-        _check_fixed(x, factors)
+    for l, (point, support, others) in enumerate(_VERTICES[m]):
+        # the step factor at l is 1.0 + a[l][l]: exactly 1, and the image
+        # e_l itself, when a[l][l] is +-0.0
+        if rows[l][l]:
+            raise NotAFixedPoint(
+                f"step factor {1.0 + rows[l][l]!r} at vertex {l + 1} is not 1")
         transverse = []
-        moduli = []
-        for k, f in enumerate(factors):
-            if k != l:
-                transverse.append((k + 1, f))
-                moduli.append(abs(f))
-        records.append(FixedPointRecord(
-            _trusted(SimplexPoint, x), _trusted(FaceId, (l + 1,)),
-            tuple(transverse), (), _classify_moduli(moduli)))
+        moduli = []     # each f >= 0, as every entry is >= -1
+        for k, label in others:
+            f = 1.0 + rows[k][l]
+            transverse.append((label, f))
+            moduli.append(f)
+        records.append(FixedPointRecord(point, support, tuple(transverse),
+                                        (), _classify_moduli(moduli)))
     if not any(map(any, rows)):     # every entry 0.0 or -0.0
         return FixedPointInventory(records=tuple(records),
                                    everywhere_fixed=True)
 
     degenerate_edges = []
-    for i, j in combinations(range(m), 2):
+    for i, j in _EDGES[m]:
         if rows[i][j] == 0.0:
             records.append(_continuum_record(rows, m, (i, j)))
             degenerate_edges.append(records[-1].support)
 
     degenerate_faces = []
-    for idx in combinations(range(m), 3):
+    for idx in _TRIANGLES[m]:
         i, j, k = idx
         u, v, w = rows[i][j], rows[i][k], rows[j][k]
         if w > 0.0 and v < 0.0 and u > 0.0:

@@ -34,7 +34,10 @@ from .simplex import (
 
 MARGIN_TOL = 1e-9     # solver optimum below this: report infeasible
 FLOAT_TOL = 1e-12         # float simplex: reduced costs and pivots below are 0
-FLOAT_PIVOTS = 50         # float simplex pivots before Fractions take over
+FLOAT_PIVOTS = 50         # float simplex pivots before integers take over
+# the rows of the m x m identity matrix
+_UNIT = {m: [[int(k == j) for k in range(m)] for j in range(m)]
+         for m in (2, 3, 4)}
 
 
 class LogGainMatrix(_Record):
@@ -70,12 +73,11 @@ class DecayReport(_Record):
 
 
 def _check_entries(a: SkewMatrix) -> None:
-    for i in range(a.m):
-        for j in range(a.m):
-            if abs(a.rows[i][j]) >= 1.0 and i != j:
+    for i, row in enumerate(a.rows):
+        for j, v in enumerate(row):
+            if abs(v) >= 1.0 and i != j:
                 raise SingularEntry(
-                    f"|a[{i + 1}][{j + 1}]| = {abs(a.rows[i][j])}; "
-                    "log gain undefined")
+                    f"|a[{i + 1}][{j + 1}]| = {abs(v)}; log gain undefined")
 
 
 def build_b(a: SkewMatrix) -> LogGainMatrix:
@@ -92,11 +94,17 @@ def vertex_constraint_values(a: SkewMatrix, exponents) -> tuple[float, ...]:
     if len(lam) != a.m:
         raise ValidationError(f"{len(lam)} exponents for m={a.m}")
     _check_entries(a)
+    return _constraint_values(
+        [[math.log1p(v) for v in row] for row in a.rows], lam)
+
+
+def _constraint_values(lg, lam) -> tuple[float, ...]:
+    """sum_i lam[i] lg[i][j] for each j, summed left to right from 0.0."""
     out = []
-    for j in range(a.m):
+    for j in range(len(lg)):
         s = 0.0
-        for i in range(a.m):
-            s += lam[i] * math.log1p(a.rows[i][j])
+        for i, row in enumerate(lg):
+            s += lam[i] * row[j]
         out.append(s)
     return tuple(out)
 
@@ -118,29 +126,27 @@ def _pivot(tab: list, r: int, j: int) -> None:
             other[:] = [o - f * v if v else o for o, v in zip(other, row)]
 
 
-def _simplex(tab, basis, x, lo, hi, cost, fixed, tol, max_pivots):
-    """Bounded-variable primal simplex maximizing cost . x, with Bland's
-    rule (Bland 1977): the entering variable is the first improving one, and
-    ties in the ratio test leave by the smallest index, so it cannot cycle.
+def _simplex(tab, basis, x, lo, hi, cost, tol, max_pivots) -> None:
+    """Bounded-variable primal simplex maximizing cost . x in floats, with
+    Bland's rule (Bland 1977): the entering variable is the first improving
+    one, and ties in the ratio test leave by the smallest index, so it
+    cannot cycle.  Reduced costs and rates within tol of 0 count as 0.
 
     `tab` holds B^-1 A, row r belonging to basic variable basis[r]; `x` holds
     every variable's value, a nonbasic one at a bound (a free one anywhere).
-    Variables in `fixed` never enter.  Returns the reduced costs once no
-    variable improves, None after `max_pivots` moves (no limit when None);
-    tab, basis and x are updated in place."""
+    Stops once no variable improves, or after `max_pivots` moves; tab, basis
+    and x are updated in place."""
     n = len(x)
     pivots = 0
     while True:
-        d = list(cost)
-        for r, b in enumerate(basis):
-            if cost[b]:
-                cb, row = cost[b], tab[r]
-                for j in range(n):
-                    if row[j]:
-                        d[j] -= cb * row[j]
+        d = cost
+        for row, b in zip(tab, basis):
+            cb = cost[b]
+            if cb:
+                d = [c - cb * v if v else c for c, v in zip(d, row)]
         basic = set(basis)
         for j in range(n):
-            if j in basic or j in fixed:
+            if j in basic:
                 continue
             if d[j] > tol and x[j] < hi[j]:
                 sign = 1
@@ -149,9 +155,9 @@ def _simplex(tab, basis, x, lo, hi, cost, fixed, tol, max_pivots):
                 sign = -1
                 break
         else:
-            return d
+            return
         if pivots == max_pivots:
-            return None
+            return
         pivots += 1
         # x_j moves by sign * theta, each basic x_b by -sign * theta * tab
         theta, leave = hi[j] - lo[j], None
@@ -178,81 +184,169 @@ def _simplex(tab, basis, x, lo, hi, cost, fixed, tol, max_pivots):
             basis[leave] = j
 
 
-def _start(lg, num):
-    """Tableau, basis and values of the starting vertex, in the number type
-    `num`: every lam_i at -1, t at the largest value that allows, the slacks
-    basic."""
+def _start(lg):
+    """Tableau, basis and values of the starting vertex: every lam_i at -1,
+    t at the largest value that allows, the slacks basic.  The entries of
+    lg are floats for the float phase and integers for the exact one; the
+    other entries are the ints 0, 1 and -1, which both take exactly."""
     m = len(lg)
-    cols = [[num(lg[i][j]) for i in range(m)] for j in range(m)]
-    tab = [col + [num(1)] + [num(1 if k == j else 0) for k in range(m)]
-           for j, col in enumerate(cols)]
+    cols = [[row[j] for row in lg] for j in range(m)]
+    tab = [col + [1] + unit for col, unit in zip(cols, _UNIT[m])]
     sums = [sum(col) for col in cols]
     t = min(sums)
-    x = [num(-1)] * m + [t] + [s - t for s in sums]
+    x = [-1] * m + [t] + [s - t for s in sums]
     return tab, list(range(m + 1, 2 * m + 1)), x
 
 
+def _bareiss(tab: list, r: int, j: int, det: int) -> int:
+    """Fraction-free Gauss-Jordan pivot (Bareiss) of `tab`, det times
+    B^-1 A, on row r, column j; returns the new det, the pivot's modulus.
+    A negative pivot's row is negated first, so det stays positive, and
+    every division is exact."""
+    prow = tab[r]
+    p = prow[j]
+    if p < 0:
+        prow[:] = [-v for v in prow]
+        p = -p
+    for k, row in enumerate(tab):
+        if k != r:
+            f = row[j]
+            if f:
+                row[:] = [(p * v - f * w) // det if v or w else 0
+                          for v, w in zip(row, prow)]
+            else:
+                row[:] = [p * v // det if v else 0 for v in row]
+    return p
+
+
+def _basic_values(tab, basis, x) -> None:
+    """Set x[b] to det times the value of each basic variable b, from the
+    integer values of the nonbasic ones: the rows say A x = 0."""
+    nonbasic = [j for j in range(len(x)) if j not in basis]
+    for row, b in zip(tab, basis):
+        x[b] = -sum([row[j] * x[j] for j in nonbasic])
+
+
+def _exact_simplex(tab, det, basis, x, lo, hi, cost, fixed):
+    """`_simplex` in exact arithmetic, with no tolerance and no pivot limit,
+    on integers: `tab` is det > 0 times B^-1 A, x[j] holds the value of a
+    nonbasic variable (an integer: a bound, or t's start value) and det
+    times the value of a basic one.  Every reduced cost and every ratio
+    test is then a sign test of integers.  Returns det times the reduced
+    costs once no variable improves, and det; tab, basis and x are updated
+    in place."""
+    n = len(x)
+    while True:
+        d = [det * c for c in cost]
+        for row, b in zip(tab, basis):
+            cb = cost[b]
+            if cb:
+                for j, v in enumerate(row):
+                    if v:
+                        d[j] -= cb * v
+        basic = set(basis)
+        for j in range(n):
+            if j in basic or j in fixed:
+                continue
+            if d[j] > 0 and x[j] < hi[j]:
+                sign = 1
+                break
+            if d[j] < 0 and x[j] > lo[j]:
+                sign = -1
+                break
+        else:
+            return d, det
+        # the step theta = num / den, 1 / 0 standing for no bound: x_j moves
+        # by sign * theta, each basic x_b by -sign * theta * tab
+        if hi[j] == math.inf or lo[j] == -math.inf:
+            num, den = 1, 0
+        else:
+            num, den = hi[j] - lo[j], 1
+        leave = None
+        for r, b in enumerate(basis):
+            rate = sign * tab[r][j]
+            if rate > 0 and lo[b] != -math.inf:
+                room = x[b] - lo[b] * det
+            elif rate < 0 and hi[b] != math.inf:
+                room, rate = hi[b] * det - x[b], -rate
+            else:
+                continue
+            # room / rate against num / den
+            below, above = room * den, num * rate
+            if below < above or (below == above and leave is not None
+                                 and b < basis[leave]):
+                num, den, leave = room, rate, r
+        if leave is None:       # x_j moves from one bound to the other
+            step = sign * num
+            x[j] += step
+            for row, b in zip(tab, basis):
+                if row[j]:
+                    x[b] -= step * row[j]
+        else:
+            b = basis[leave]
+            x[b] = lo[b] if sign * tab[leave][j] > 0 else hi[b]
+            det = _bareiss(tab, leave, j, det)
+            basis[leave] = j
+            _basic_values(tab, basis, x)
+
+
 def _exact_state(lg, basis, x, lo, hi):
-    """Exact tableau, basis and values of the float simplex's final basis;
-    the exact starting vertex when that basis is singular or infeasible in
-    exact arithmetic.
+    """Exact state (tab, det, basis, x) of the float simplex's final basis,
+    as `_exact_simplex` takes it; the exact starting vertex when that basis
+    is singular or infeasible in exact arithmetic.  Also returns D, the
+    largest denominator of the entries of lg (a power of two).
 
-    The rows are scaled by D, the largest denominator of the entries of lg
-    (a power of two), so every entry D * lg[i][j] is an integer; t and the
-    slacks then stand for D t and D s_j.  The basis goes in by fraction-free
-    Gauss-Jordan pivots (Bareiss): `tab` stays an integer multiple `det` of
-    B^-1 A, and Fractions are made once, at the end."""
-    from fractions import Fraction
-
+    The rows are scaled by D, so every entry D * lg[i][j] is an integer; t
+    and the slacks then stand for D t and D s_j.  The basis goes in by
+    fraction-free Gauss-Jordan pivots (Bareiss), so `tab` stays an integer
+    multiple det of B^-1 A, and no fraction is ever made."""
     m, n = len(lg), len(x)
     flat, scale = _over_power_of_two([v for row in lg for v in row])
     ilg = [flat[i:i + m] for i in range(0, m * m, m)]
-    tab, exact, ex = _start(ilg, int)
-    det = 1
+
+    def start():
+        tab, basis, x = _start(ilg)
+        return tab, 1, basis, x
+
+    tab, det, exact, ex = start()
     for j in basis:
         if j in exact:
             continue
         r = next((r for r, b in enumerate(exact)
                   if b not in basis and tab[r][j]), None)
         if r is None:
-            return _start(ilg, Fraction), scale
-        p, prow = tab[r][j], tab[r]
-        for k, row in enumerate(tab):
-            if k != r:
-                f = row[j]
-                row[:] = [(p * v - f * w) // det for v, w in zip(row, prow)]
-        det = p
+            return start(), scale
+        det = _bareiss(tab, r, j, det)
         exact[r] = j
     for j in range(n):
         if j not in basis and j != m:   # t keeps its exact start value
             ex[j] = hi[j] if j < m and x[j] > 0 else lo[j]
-    for r, b in enumerate(exact):
-        ex[b] = Fraction(-sum(tab[r][j] * ex[j] for j in range(n)
-                              if j not in basis), det)
-        if not lo[b] <= ex[b] <= hi[b]:
-            return _start(ilg, Fraction), scale
-    tab = [[Fraction(v, det) for v in row] for row in tab]
-    return (tab, exact, ex), scale
+    _basic_values(tab, exact, ex)
+    for b in exact:
+        if (lo[b] != -math.inf and ex[b] < lo[b] * det
+                or hi[b] != math.inf and ex[b] > hi[b] * det):
+            return start(), scale
+    return (tab, det, exact, ex), scale
 
 
-def _lex_max_min(lg) -> tuple[Fraction, list]:
-    """Exact optimum (t, lam) of: maximize t subject to
+def _exact_optimum(lg) -> tuple[list[int], int, int]:
+    """The exact optimum (t, lam) of: maximize t subject to
     sum_i lg[i][j] lam_i + t <= 0 for every j and -1 <= lam_i <= 1, with the
     float entries of lg taken as exact rationals.  Of all optimal lam, the
-    lexicographically smallest.
+    lexicographically smallest.  Returned as integers: the numerators of
+    lam_1..lam_m and of D t over one denominator det > 0, det, and D (see
+    `_exact_state`).
 
     Variables are lam_1..lam_m, t, and one slack s_j >= 0 a row
     (sum_i lg[i][j] lam_i + t + s_j = 0), so a basis is m x m.  A float
-    simplex finds a basis.  The same simplex then runs in exact arithmetic
-    from that basis: its basic values were checked against their bounds
-    when it was installed, and its first step checks the sign of every
-    reduced cost, which certifies the basis optimal or pivots on exactly.
-    The tie rule is a second exact phase: each later objective (minimize
-    lam_1, then lam_2, ...) may move only the nonbasic variables whose
-    reduced costs were zero for every earlier one, so it stays on the
-    optimal face.  Entries lam_i are Fractions, or the ints -1 and 1."""
-    from fractions import Fraction   # here: 5 ms that other commands skip
-
+    simplex finds a basis.  The same simplex then runs in exact integer
+    arithmetic from that basis (`_exact_simplex`): its basic values were
+    checked against their bounds when it was installed, and its first step
+    checks the sign of every reduced cost, which certifies the basis
+    optimal or pivots on exactly.  The tie rule is a second exact phase:
+    each later objective (minimize lam_1, then lam_2, ...) may move only
+    the nonbasic variables whose reduced costs were zero for every earlier
+    one, so it stays on the optimal face."""
     m = len(lg)
     n = 2 * m + 1
     # bounds of lam (the unit box), t and the slacks; the finite ones are
@@ -260,36 +354,49 @@ def _lex_max_min(lg) -> tuple[Fraction, list]:
     lo = [-1] * m + [-math.inf] + [0] * m
     hi = [1] * m + [math.inf] * (m + 1)
     cost = [int(j == m) for j in range(n)]
-    tab, basis, x = _start(lg, float)
-    _simplex(tab, basis, x, lo, hi, cost, (), FLOAT_TOL, FLOAT_PIVOTS)
+    tab, basis, x = _start(lg)
+    _simplex(tab, basis, x, lo, hi, cost, FLOAT_TOL, FLOAT_PIVOTS)
 
-    (tab, basis, x), scale = _exact_state(lg, basis, x, lo, hi)
+    (tab, det, basis, x), scale = _exact_state(lg, basis, x, lo, hi)
     fixed: set = set()
     for i in range(-1, m):
         if i >= 0:
             cost = [-int(j == i) for j in range(n)]
-        d = _simplex(tab, basis, x, lo, hi, cost, fixed, 0, None)
+        d, det = _exact_simplex(tab, det, basis, x, lo, hi, cost, fixed)
         fixed |= {j for j in range(n) if d[j] and j not in basis}
         if len(fixed) == n - m:
             break
-    return Fraction(x[m], scale), x[:m]
+    basic = set(basis)
+    return [v if j in basic else v * det
+            for j, v in enumerate(x[:m + 1])], det, scale
+
+
+def _lex_max_min(lg) -> tuple:
+    """`_exact_optimum` as Fractions: (t, [lam_1, ..., lam_m]), one
+    Fraction each, for comparison with other exact solvers."""
+    from fractions import Fraction
+
+    nums, det, scale = _exact_optimum(lg)
+    return Fraction(nums[-1], det * scale), [Fraction(v, det)
+                                             for v in nums[:-1]]
 
 
 def synthesize(a: SkewMatrix) -> LyapunovCandidate | None:
     """Maximize the smallest slack t of the vertex-gain system over the unit
-    box, exactly (see _lex_max_min); returns None when no strictly feasible
-    exponents exist (optimum at most MARGIN_TOL, e.g. the zero matrix), a
-    candidate with margin > 0 otherwise.  The exponents are the exact
-    optimum correctly rounded, the lexicographically smallest when several
-    are optimal."""
+    box, exactly (see _exact_optimum); returns None when no strictly
+    feasible exponents exist (optimum at most MARGIN_TOL, e.g. the zero
+    matrix), a candidate with margin > 0 otherwise.  The exponents are the
+    exact optimum correctly rounded, the lexicographically smallest when
+    several are optimal."""
     _check_entries(a)
-    m = a.m
-    lg = [[math.log1p(a.rows[i][j]) for j in range(m)] for i in range(m)]
-    t, lam = _lex_max_min(lg)
-    if t <= MARGIN_TOL:
+    lg = [[math.log1p(v) for v in row] for row in a.rows]
+    nums, det, scale = _exact_optimum(lg)
+    # t = nums[-1] / (det D) against MARGIN_TOL = u / q, exactly
+    u, q = MARGIN_TOL.as_integer_ratio()
+    if nums[-1] * q <= u * det * scale:
         return None
-    lam = tuple(float(v) for v in lam)
-    values = vertex_constraint_values(a, lam)
+    lam = tuple([v / det for v in nums[:-1]])
+    values = _constraint_values(lg, lam)
     margin = min(-v for v in values)
     if margin <= 0.0:
         return None

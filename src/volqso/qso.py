@@ -25,7 +25,13 @@ from .errors import (
     ValidationError,
     WrongDimension,
 )
-from .simplex import LogSimplexPoint, SimplexPoint, _Record, _renormalized
+from .simplex import (
+    LogSimplexPoint,
+    SimplexPoint,
+    _Record,
+    _renormalized,
+    log_sum_exp,
+)
 
 TENSOR_SUM_TOL = 1e-12   # |sum_k p[i][j][k] - 1|
 VOLTERRA_TOL = 1e-15     # mass allowed outside parental types
@@ -220,12 +226,20 @@ def apply_volterra_log(a: SkewMatrix, x: LogSimplexPoint) -> LogSimplexPoint:
 
     logx = x.log_coords
     newlog, drift = log_step(step_weights(a.rows), [None] * len(logx), logx,
-                             [math.exp(v) for v in logx])
+                             list(map(math.exp, logx)))
     # the checks and messages of a one-step kernel run
     if not abs(drift) <= DRIFT_TOL:
         raise DegenerateFactor("log step failed: " + (
             "degenerate" if drift != drift else "breakdown"))
-    return LogSimplexPoint(tuple([v - drift for v in newlog]))
+    # v - drift, then what LogSimplexPoint's constructor does to the result
+    # (every value is a float, none NaN or +inf: the drift would be NaN)
+    logs = tuple(map((-drift).__add__, newlog))
+    lse = log_sum_exp(logs)
+    if lse != 0.0:
+        logs = tuple(map((-lse).__add__, logs))
+    point = object.__new__(LogSimplexPoint)
+    point.__dict__["log_coords"] = logs
+    return point
 
 
 def skew3(a: float, b: float, c: float) -> SkewMatrix:

@@ -40,12 +40,28 @@ def _hash_constants(value: int, mult: int, count: int) -> list[tuple]:
     return out
 
 
-# the hash steps of a seed of up to 4 words, and of PCG64's 8 state words
-_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-# SeedSequence mixes each pool word into each other: (updated, hashed)
-_POOL_MIXES = [(dst, src) for src in range(4) for dst in range(4)
-               if src != dst]
+def _pool_schedule(n: int) -> tuple[list, list]:
+    """SeedSequence's hash steps for n >= 4 entropy words: (xor, mult) for
+    each of the four words that fill the pool, then (dst, src, xor, mult)
+    for each mix of cell src (a pool word, or a word past the fourth) into
+    pool word dst, in order."""
+    hashes = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * n)
+    mixes = [(dst, src) for src in range(4) for dst in range(4) if src != dst]
+    mixes += [(dst, src) for src in range(4, n) for dst in range(4)]
+    return hashes[:4], [(dst, src, xor, mult) for (dst, src), (xor, mult)
+                        in zip(mixes, hashes[4:])]
+
+
+# the schedule of every seed of up to 4 words (others are made per seed),
+# and the hash steps of PCG64's 8 state words: (pool word, xor, mult)
+_POOL_SCHEDULES = {4: _pool_schedule(4)}
+_STATE_HASHES = [(i % 4, xor, mult) for i, (xor, mult)
+                 in enumerate(_hash_constants(0x8B51F9DD, 0x58F38DED, 8))]
+
+
+# the upper-triangle positions of an m x m matrix, row by row
+_UPPER = {m: [(i, j) for i in range(m) for j in range(i + 1, m)]
+          for m in (2, 3, 4)}
 
 
 class _PCG64:
@@ -55,31 +71,31 @@ class _PCG64:
         seed = operator.index(seed)
         if seed < 0:
             raise ValidationError(f"seed must be non-negative, got {seed}")
-        words = [seed >> s & _M32
+        m32 = _M32
+        words = [seed >> s & m32
                  for s in range(0, max(seed.bit_length(), 1), 32)]
         words += [0] * (4 - len(words))
-        hashes = (_POOL_HASHES if len(words) == 4 else
-                  _hash_constants(0x43B0D7E5, 0x931E8875, 4 * len(words)))
+        fill, mixes = (_POOL_SCHEDULES.get(len(words))
+                       or _pool_schedule(len(words)))
         # the pool, then the words past the fourth, each mixed in in turn
         cells = []
-        for word, (xor, mult) in zip(words[:4], hashes):
-            v = (word ^ xor) * mult & _M32
+        for word, (xor, mult) in zip(words, fill):
+            v = (word ^ xor) * mult & m32
             cells.append(v ^ v >> 16)
         cells += words[4:]
-        schedule = _POOL_MIXES + [(dst, src) for src in range(4, len(cells))
-                                  for dst in range(4)]
-        for (dst, src), (xor, mult) in zip(schedule, hashes[4:]):
-            v = (cells[src] ^ xor) * mult & _M32
-            v = (0xCA01F9DD * cells[dst] - 0x4973F715 * (v ^ v >> 16)) & _M32
+        for dst, src, xor, mult in mixes:
+            v = (cells[src] ^ xor) * mult & m32
+            v = (0xCA01F9DD * cells[dst] - 0x4973F715 * (v ^ v >> 16)) & m32
             cells[dst] = v ^ v >> 16
         w = []
-        for i, (xor, mult) in enumerate(_STATE_HASHES):
-            v = (cells[i % 4] ^ xor) * mult & _M32
+        for i, xor, mult in _STATE_HASHES:
+            v = (cells[i] ^ xor) * mult & m32
             w.append(v ^ v >> 16)
-        state = w[0] << 64 | w[1] << 96 | w[2] | w[3] << 32
-        self._inc = (w[4] << 65 | w[5] << 97 | w[6] << 1 | w[7] << 33
-                     | 1) & _M128
-        self._state = ((self._inc + state) * _PCG_MULT + self._inc) & _M128
+        w0, w1, w2, w3, w4, w5, w6, w7 = w
+        inc = (w4 << 65 | w5 << 97 | w6 << 1 | w7 << 33 | 1) & _M128
+        self._inc = inc
+        self._state = ((inc + (w0 << 64 | w1 << 96 | w2 | w3 << 32))
+                       * _PCG_MULT + inc) & _M128
 
     def random(self, n: int) -> list[float]:
         """The next `n` uniform doubles in [0, 1), 53 random bits each."""
@@ -125,13 +141,12 @@ def random_skew_matrix(m: int, seed_or_rng) -> SkewMatrix:
     if not 2 <= m <= 4:
         raise WrongDimension(f"m={m} outside supported range 2..4")
     rng = _as_rng(seed_or_rng)
-    upper = map(float, rng.random(m * (m - 1) // 2))
     rows = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = 2.0 * next(upper) - 1.0
-            rows[i][j] = v
-            rows[j][i] = -v
+    for (i, j), r in zip(_UPPER[m], rng.random(m * (m - 1) // 2),
+                         strict=True):
+        v = 2.0 * float(r) - 1.0
+        rows[i][j] = v
+        rows[j][i] = -v
     return _trusted(SkewMatrix, tuple(map(tuple, rows)))
 
 

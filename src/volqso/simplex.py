@@ -73,9 +73,9 @@ def _renormalized(coords) -> tuple[float, ...]:
 def _over_power_of_two(values: list[float]) -> tuple[list[int], int]:
     """Integers n_i and the power of two D with n_i / D == values[i]
     exactly, D the largest denominator of the finite floats `values`."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max(q for _, q in ratios)
-    return [u * (den // q) for u, q in ratios], den
+    nums, dens = zip(*map(float.as_integer_ratio, values))
+    den = max(dens)
+    return [u * (den // q) for u, q in zip(nums, dens)], den
 
 
 def _trusted(cls, value):

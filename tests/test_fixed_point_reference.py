@@ -390,6 +390,81 @@ def test_records_bit_identical_to_reference(m):
         assert any(inv.degenerate_interior for inv in got)
 
 
+def signed_zero_matrices(m):
+    """Matrices whose zeros, on and off the diagonal, are 0.0 or -0.0."""
+    rng = random.Random(31 + m)
+    n = m * (m - 1) // 2
+    for _ in range(300):
+        rows = [list(row) for row in skew(m, [
+            rng.choice([0.0, -0.0, 0.5, -0.5, 0.25, 1.0, -1.0])
+            for _ in range(n)]).rows]
+        for i in range(m):
+            rows[i][i] = rng.choice([0.0, -0.0])
+        yield SkewMatrix(rows)
+
+
+TINY = [5e-324, 1e-310, 1e-300, 2.0 ** -60, 1e-17]
+
+
+def tiny_kernel_matrices(m):
+    """Matrices with a 3-face whose kernel direction (w, -v, u) has one
+    strict sign and entries as small as the smallest double."""
+    rng = random.Random(37 + m)
+    for _ in range(300):
+        entries = [rng.uniform(-1.0, 1.0) for _ in range(m * (m - 1) // 2)]
+        i, j, k = sorted(rng.sample(range(m), 3))
+        u, v, w = (rng.choice(TINY) if rng.random() < 0.6
+                   else rng.uniform(0.0, 1.0) for _ in range(3))
+        sign = rng.choice([1.0, -1.0])
+        pairs = list(combinations(range(m), 2))
+        for pair, value in (((i, j), u), ((i, k), -v), ((j, k), w)):
+            entries[pairs.index(pair)] = sign * value
+        yield skew(m, entries)
+
+
+EDGE_FAMILIES = {"signed-zero": signed_zero_matrices,
+                 "tiny-kernel": tiny_kernel_matrices}
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("family", sorted(EDGE_FAMILIES))
+def test_edge_families_bit_identical_to_reference(family, m):
+    faces = [FaceId(f) for f in combinations(range(1, m + 1), 3)]
+    tiny_points = 0
+    for a in EDGE_FAMILIES[family](m):
+        got = outcome(all_fixed_points, a)
+        assert got == outcome(ref_all_fixed_points, a), a.rows
+        if isinstance(got, str):
+            assert_same_inventory(a, all_fixed_points(a),
+                                  ref_all_fixed_points(a))
+            tiny_points += any(0.0 < min(c for c in r.point.coords if c)
+                               < 1e-15 for r in all_fixed_points(a).records
+                               if r.support.size == 3 and not r.degenerate)
+        for face in faces:
+            assert outcome(face_fixed_point, a, face) == outcome(
+                ref_face_fixed_point, a, face), (a.rows, face)
+    if family == "tiny-kernel":
+        # face points with coordinates below 1e-15
+        assert tiny_points > 20
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_vertex_records_check_the_diagonal(m):
+    # a vertex record is fixed exactly when a[l][l] is +-0.0, which
+    # SkewMatrix enforces; a matrix built unchecked with another diagonal
+    # entry is refused at the first such vertex
+    for l, d in [(0, 0.5), (m - 1, -0.25), (1, 5e-324)]:
+        rows = [[0.0] * m for _ in range(m)]
+        rows[l][l] = d
+        a = _trusted(SkewMatrix, tuple(map(tuple, rows)))
+        with pytest.raises(NotAFixedPoint, match=(
+                rf"^step factor {1.0 + d!r} at vertex {l + 1} is not 1$")):
+            all_fixed_points(a)
+    a = SkewMatrix([[-0.0 if i == j else 0.0 for j in range(m)]
+                    for i in range(m)])
+    assert_same_inventory(a, all_fixed_points(a), ref_all_fixed_points(a))
+
+
 @pytest.mark.parametrize("factors", [None, [1.25, 0.75, 1.0]])
 def test_record_checks_fixedness(factors):
     # given factors or not, every record goes through the residual check

@@ -112,6 +112,19 @@ def test_one_step_log_map_loads_no_kernel_backend():
         [], sorted(CORE + ["_kernel_py"]))
 
 
+def test_synthesize_loads_no_fractions():
+    # the exact LP runs on integers: no Fraction, and no Decimal; a tied
+    # optimum, an infeasible one and an m=4 one
+    body = ("import volqso\n"
+            "from volqso import SkewMatrix, random_skew_matrix, synthesize\n"
+            "synthesize(SkewMatrix([[0, 0, -0.75], [0, 0, -0.25],"
+            " [0.75, 0.25, 0]]))\n"
+            "assert synthesize(SkewMatrix.zero(3)) is None\n"
+            "assert synthesize(random_skew_matrix(4, 7)) is not None")
+    assert footprint(body, LIBS | {"decimal", "numbers"}) == (
+        [], sorted(CORE + ["lyapunov", "sampling"]))
+
+
 @pytest.mark.parametrize("command,expected", [
     ("classify", []),
     ("simulate", []),
@@ -235,18 +248,18 @@ def test_lyapunov_loads_neither_and_writes_same_bytes(tmp_path, cfg):
     ("fixed-points", {"matrix": ALL_HALF_ROWS}, [], ["cli", "fixed_points"]),
     ("fixed-points", {"matrix": M3}, [], ["cli", "fixed_points"]),
     ("lyapunov", {"matrix": ALL_HALF_ROWS, "verify": {
-        "start": [0.4, 0.3, 0.2, 0.1], "steps": 2000}}, ["fractions"],
+        "start": [0.4, 0.3, 0.2, 0.1], "steps": 2000}}, [],
      ["cli", "lyapunov", *KERNEL]),
     ("lyapunov", {"matrix": M3, "verify": {"start": [0.5, 0.3, 0.2],
                                            "steps": 2000}},
-     ["fractions"], ["cli", "lyapunov", *KERNEL]),
+     [], ["cli", "lyapunov", *KERNEL]),
     # simulate imports logging only when VOLQSO_LOG is set (below); one
     # start runs on the calling thread
     ("simulate", CONFIG, [], ["cli", *KERNEL]),
     ("simulate", dict(CONFIG, starts={"count": 3, "seed": 1}), [],
      ["cli", "sampling", *KERNEL]),
     ("lyapunov", {"matrix": ALL_HALF_ROWS, "verify": {"steps": 2000},
-                  "starts": {"count": 3, "seed": 1}}, ["fractions"],
+                  "starts": {"count": 3, "seed": 1}}, [],
      ["cli", "lyapunov", "sampling", *KERNEL]),
 ], ids=["classify", "classify-steps", "fixed-points", "fixed-points-m3",
         "lyapunov", "lyapunov-m3", "simulate", "simulate-random-starts",
