@@ -454,7 +454,8 @@ def all_fixed_points(a: SkewMatrix) -> FixedPointInventory:
         # e_l itself, when a[l][l] is +-0.0
         if rows[l][l]:
             raise NotAFixedPoint(
-                f"step factor {1.0 + rows[l][l]!r} at vertex {l + 1} is not 1")
+                f"a[{l + 1}][{l + 1}] = {rows[l][l]!r}, not +-0.0: "
+                f"vertex {l + 1} cannot be checked")
         transverse = []
         moduli = []     # each f >= 0, as every entry is >= -1
         for k, label in others:

@@ -28,9 +28,10 @@ from .errors import (
 from .simplex import (
     LogSimplexPoint,
     SimplexPoint,
+    _normalized_logs,
     _Record,
     _renormalized,
-    log_sum_exp,
+    _trusted,
 )
 
 TENSOR_SUM_TOL = 1e-12   # |sum_k p[i][j][k] - 1|
@@ -231,15 +232,9 @@ def apply_volterra_log(a: SkewMatrix, x: LogSimplexPoint) -> LogSimplexPoint:
     if not abs(drift) <= DRIFT_TOL:
         raise DegenerateFactor("log step failed: " + (
             "degenerate" if drift != drift else "breakdown"))
-    # v - drift, then what LogSimplexPoint's constructor does to the result
-    # (every value is a float, none NaN or +inf: the drift would be NaN)
-    logs = tuple(map((-drift).__add__, newlog))
-    lse = log_sum_exp(logs)
-    if lse != 0.0:
-        logs = tuple(map((-lse).__add__, logs))
-    point = object.__new__(LogSimplexPoint)
-    point.__dict__["log_coords"] = logs
-    return point
+    # every v - drift is a float, none NaN or +inf: the drift would be NaN
+    return _trusted(LogSimplexPoint,
+                    _normalized_logs([v - drift for v in newlog]))
 
 
 def skew3(a: float, b: float, c: float) -> SkewMatrix:

@@ -79,10 +79,11 @@ def _over_power_of_two(values: list[float]) -> tuple[list[int], int]:
 
 
 def _trusted(cls, value):
-    """`cls(value)` for a one-field record (SimplexPoint, SkewMatrix) without
-    re-running its constructor's checks.  Only for values built to pass
-    them: a tuple of floats from _renormalized of nonnegative finite
-    coordinates, or a matrix skew by construction."""
+    """`cls(value)` for a one-field record (SimplexPoint, SkewMatrix,
+    LogSimplexPoint) without re-running its constructor's checks.  Only for
+    values built to pass them: a tuple of floats from _renormalized of
+    nonnegative finite coordinates, a matrix skew by construction, or log
+    coordinates from _normalized_logs."""
     obj = object.__new__(cls)
     object.__setattr__(obj, cls._fields[0], value)
     return obj
@@ -221,10 +222,7 @@ class LogSimplexPoint(_Record):
         for c in logs:
             if math.isnan(c) or c == _INF:
                 raise NonFiniteInput(f"log coordinate {c}")
-        lse = log_sum_exp(logs)
-        if lse != 0.0:
-            logs = tuple(c - lse for c in logs)
-        object.__setattr__(self, "log_coords", logs)
+        object.__setattr__(self, "log_coords", _normalized_logs(logs))
 
     @property
     def m(self) -> int:
@@ -237,6 +235,15 @@ class LogSimplexPoint(_Record):
 
     def __iter__(self):
         return iter(self.log_coords)
+
+
+def _normalized_logs(logs) -> tuple[float, ...]:
+    """The float log coordinates `logs`, none NaN or +inf, shifted so that
+    their logsumexp is 0, as LogSimplexPoint stores them."""
+    lse = log_sum_exp(logs)
+    if lse == 0.0:
+        return tuple(logs)
+    return tuple([c - lse for c in logs])
 
 
 def log_sum_exp(logs) -> float:

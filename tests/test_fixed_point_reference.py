@@ -458,7 +458,8 @@ def test_vertex_records_check_the_diagonal(m):
         rows[l][l] = d
         a = _trusted(SkewMatrix, tuple(map(tuple, rows)))
         with pytest.raises(NotAFixedPoint, match=(
-                rf"^step factor {1.0 + d!r} at vertex {l + 1} is not 1$")):
+                rf"^a\[{l + 1}\]\[{l + 1}\] = {d!r}, not \+-0\.0: "
+                rf"vertex {l + 1} cannot be checked$")):
             all_fixed_points(a)
     a = SkewMatrix([[-0.0 if i == j else 0.0 for j in range(m)]
                     for i in range(m)])
