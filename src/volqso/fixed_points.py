@@ -332,17 +332,15 @@ def jacobian_spectrum(a: SkewMatrix, p: SimplexPoint) -> tuple[complex, ...]:
     return _spectrum(tangent_restriction(_jacobian(a.rows, x, factors)))
 
 
-def _record(rows, x, idx, degenerate: bool = False,
-            factors: list[float] | None = None) -> FixedPointRecord:
+def _record(rows, x, idx, degenerate: bool = False) -> FixedPointRecord:
     """The record of the fixed point with coordinates x, a tuple from
     `_renormalized`, of the matrix `rows` on the face with the 0-based
     indices idx, a tuple of two or more, from the step factors f at x: the
     transverse multipliers are f off the face, and the in-face Jacobian on
     the face's tangent space is t_rc = J[r][c] - J[r][last] with
     J[r][c] = (f_r if c == r else 0.0) + x_r a_rc, r and c in the face.  x
-    must pass the residual check.  The factors are computed unless given."""
-    if factors is None:
-        factors = _step_factors(rows, x)
+    must pass the residual check."""
+    factors = _step_factors(rows, x)
     _check_fixed(x, factors)
     *head, last = idx
     tangent = []

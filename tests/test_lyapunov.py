@@ -6,8 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from volqso import lyapunov
-from volqso.errors import SingularEntry, ValidationError
+from volqso.errors import (
+    DimensionMismatch,
+    NonFiniteInput,
+    SingularEntry,
+    ValidationError,
+)
 from volqso.lyapunov import (
     MARGIN_TOL,
     DecayVerdict,
@@ -19,6 +23,8 @@ from volqso.lyapunov import (
 )
 from volqso.qso import SkewMatrix, skew3
 from volqso.sampling import random_skew_matrix
+
+from test_lyapunov_reference import exact_optimum, ref_lex_max_min
 
 
 class TestLogGainMatrix:
@@ -82,8 +88,20 @@ class TestVertexGains:
                 assert (worst > 0) == (worst_gain > 1.0)
 
     def test_dimension_check(self, all_half):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DimensionMismatch, match=r"^2 exponents for m=4$"):
             vertex_constraint_values(all_half, (1.0, 1.0))
+
+    @pytest.mark.parametrize("fn", [vertex_constraint_values, vertex_gains])
+    def test_exponents_checked_as_monomial_checks_them(self, all_half, fn):
+        # a wrong count is a size mismatch, a NaN a non-finite input; both
+        # are ValidationErrors, so the CLI's exit codes stay
+        with pytest.raises(DimensionMismatch, match=r"^3 exponents for m=4$"):
+            fn(all_half, (1.0, 1.0, 1.0))
+        for lam in [(1.0, math.nan, 0.5, 1.5), (math.nan,) * 4]:
+            with pytest.raises(NonFiniteInput, match=r"^NaN exponent$"):
+                fn(all_half, lam)
+        assert issubclass(DimensionMismatch, ValidationError)
+        assert issubclass(NonFiniteInput, ValidationError)
 
 
 class TestSynthesize:
@@ -249,17 +267,19 @@ class TestExactOptimum:
     exponents, and the float exponents are that optimum correctly rounded."""
 
     @pytest.mark.parametrize("setting", [
-        {}, {"FLOAT_PIVOTS": 0}, {"FLOAT_PIVOTS": 2}, {"FLOAT_TOL": 0.5}],
+        {}, {"float_pivots": 0}, {"float_pivots": 2}, {"float_tol": 0.5}],
         ids=["default", "exact-from-start", "exact-repivots",
              "float-basis-dropped"])
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
-    def test_solver_equals_oracle(self, monkeypatch, name, setting):
-        # the settings hand the exact phase an unfinished float basis (it
-        # must pivot on exactly) or one infeasible in exact arithmetic
-        for key, value in setting.items():
-            monkeypatch.setattr(lyapunov, key, value)
+    def test_solver_equals_oracle(self, name, setting):
+        # so does the Fraction solver that tests/test_lyapunov_reference.py
+        # holds as the reference, along each of its paths: the settings
+        # hand its exact phases a float basis, the start, an unfinished
+        # float basis (they must pivot on exactly) or a basis infeasible in
+        # exact arithmetic
         lg, t, optimal = oracle(name)
-        assert lyapunov._lex_max_min(lg) == (t, list(optimal[0]))
+        assert exact_optimum(lg) == (t, list(optimal[0]))
+        assert ref_lex_max_min(lg, **setting) == (t, list(optimal[0]))
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     def test_synthesize_rounds_oracle(self, name):
@@ -296,7 +316,7 @@ class TestExactOptimum:
 
     def test_zero_matrix_optimum_is_the_smallest_corner(self):
         for m in (2, 3, 4):
-            assert lyapunov._lex_max_min([[0.0] * m] * m) == (0, [-1] * m)
+            assert exact_optimum([[0.0] * m] * m) == (0, [-1] * m)
 
 
 class TestVerifyAlongTrajectory:

@@ -1,11 +1,12 @@
 """The exact LP of `synthesize` against the Fraction solver it replaced.
 
-`_exact_optimum` runs the exact phases on an integer tableau over one
-positive denominator (Bareiss pivots, sign tests of integers).  The
-reference below is the solver as it was before: the same float phase, the
-same fraction-free installation of its basis, and then the exact phases on
-`Fraction`s.  Both must reach the same optimum (t, lam) exactly, ties broken
-the same way, and `synthesize` must return the same candidate, bit for bit.
+`_exact_optimum` runs one simplex on an integer tableau over one positive
+denominator (Bareiss pivots, sign tests of integers), from the starting
+vertex.  The reference below is the solver as it was before: a float
+simplex picks a basis, a fraction-free installation brings it in exactly
+(or falls back to the start), and the exact phases run on `Fraction`s.
+Both must reach the same optimum (t, lam) exactly, ties broken the same
+way, and `synthesize` must return the same candidate, bit for bit.
 The matrices include families built so that the ratio test meets ties and
 the tie rule's later phases have several optimal exponents to choose from;
 the reference counts both."""
@@ -22,8 +23,6 @@ import pytest
 from volqso import lyapunov
 from volqso.errors import SingularEntry
 from volqso.lyapunov import (
-    FLOAT_PIVOTS,
-    FLOAT_TOL,
     MARGIN_TOL,
     LyapunovCandidate,
     synthesize,
@@ -37,6 +36,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # how often the reference met a tie: in the ratio test, and among the
 # optimal exponents (a tie-rule phase that had to run)
 TIES = {"ratio": 0, "optimal": 0}
+FLOAT_TOL = 1e-12         # float phase: reduced costs and pivots below are 0
+FLOAT_PIVOTS = 50         # float pivots before the exact phases take over
 
 
 # --- the reference -----------------------------------------------------------
@@ -174,6 +175,13 @@ def ref_lex_max_min(lg, float_pivots=FLOAT_PIVOTS, float_tol=FLOAT_TOL):
     return Fraction(x[m], scale), x[:m]
 
 
+def exact_optimum(lg):
+    """`_exact_optimum` as Fractions: (t, [lam_1, ..., lam_m]), one each."""
+    nums, det, scale = lyapunov._exact_optimum(lg)
+    return Fraction(nums[-1], det * scale), [Fraction(v, det)
+                                             for v in nums[:-1]]
+
+
 def ref_synthesize(a):
     """`synthesize` on the reference solver."""
     vertex_constraint_values(a, [0.0] * a.m)    # the entry check
@@ -247,25 +255,25 @@ def log_gains(a):
 # --- the tests ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("setting", [
-    {}, {"FLOAT_PIVOTS": 0}, {"FLOAT_PIVOTS": 1}, {"FLOAT_TOL": 0.5}],
+# the reference's paths to its exact phases: from its float basis, from the
+# start, from an unfinished float basis, and from the start again after its
+# float basis proved infeasible in exact arithmetic
+REF_SETTINGS = pytest.mark.parametrize("setting", [
+    {}, {"float_pivots": 0}, {"float_pivots": 1}, {"float_tol": 0.5}],
     ids=["default", "exact-from-start", "exact-repivots",
          "float-basis-dropped"])
+
+
+@REF_SETTINGS
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_integer_lp_equals_fraction_lp(monkeypatch, family, setting):
-    for key, value in setting.items():
-        monkeypatch.setattr(lyapunov, key, value)
-    ref_setting = {"float_pivots": setting.get("FLOAT_PIVOTS", FLOAT_PIVOTS),
-                   "float_tol": setting.get("FLOAT_TOL", FLOAT_TOL)}
+def test_integer_lp_equals_fraction_lp(family, setting):
+    # the one exact simplex reaches the optimum the reference reaches along
+    # each of its paths
     for a in FAMILIES[family]:
         if any(abs(v) >= 1.0 for row in a.rows for v in row):
             continue
         lg = log_gains(a)
-        want = ref_lex_max_min(lg, **ref_setting)
-        got = lyapunov._lex_max_min(lg)
-        assert got == want, a.rows
-        # one Fraction each, in lowest terms as Fraction makes them
-        assert all(type(v) is Fraction for v in [got[0], *got[1]])
+        assert exact_optimum(lg) == ref_lex_max_min(lg, **setting), a.rows
 
 
 def outcome(fn, a):
@@ -299,19 +307,39 @@ def same_state(state, ref):
             for j, v in enumerate(x)] == rx
 
 
+def installed(lg, order, ref):
+    """The integer state of the reference's exact state `ref`: its basis
+    brought into the start tableau by `_bareiss`, in the order of the float
+    basis `order` and into the rows the reference chose, and its values;
+    and the scale D of lg."""
+    m = len(lg)
+    flat, scale = lyapunov._over_power_of_two([v for row in lg for v in row])
+    tab, basis, _ = lyapunov._start([flat[i:i + m] for i in range(0, m * m, m)])
+    det = 1
+    for j in order:
+        if j in ref[1] and j not in basis:
+            r = next(r for r, b in enumerate(basis)
+                     if b not in ref[1] and tab[r][j])
+            det = lyapunov._bareiss(tab, r, j, det)
+            basis[r] = j
+    x = [int(v * det if j in basis else v) for j, v in enumerate(ref[2])]
+    return (tab, det, basis, x), scale
+
+
 def exact_phases(lg, float_pivots):
-    """Run the exact phases of both solvers side by side from the state
-    each installs after `float_pivots` float pivots, comparing the states
-    and the reduced costs after every phase."""
+    """Run the exact phases of both solvers side by side from the state the
+    reference installs after `float_pivots` float pivots (0: the starting
+    vertex, where `_exact_optimum` starts), comparing the states and the
+    reduced costs after every phase."""
     m = len(lg)
     n = 2 * m + 1
     lo = [-1] * m + [-math.inf] + [0] * m
     hi = [1] * m + [math.inf] * (m + 1)
     cost = [int(j == m) for j in range(n)]
-    tab, basis, x = lyapunov._start(lg)
-    lyapunov._simplex(tab, basis, x, lo, hi, cost, FLOAT_TOL, float_pivots)
-    state, scale = lyapunov._exact_state(lg, basis, x, lo, hi)
-    ref, ref_scale = ref_exact_state(lg, list(basis), list(x), lo, hi)
+    tab, basis, x = ref_start(lg, float)
+    ref_simplex(tab, basis, x, lo, hi, cost, (), FLOAT_TOL, float_pivots)
+    ref, ref_scale = ref_exact_state(lg, basis, x, lo, hi)
+    state, scale = installed(lg, basis, ref)
     assert scale == ref_scale
     same_state(state, ref)
     tab, det, basis, x = state
@@ -333,16 +361,16 @@ def exact_phases(lg, float_pivots):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_exact_phases_pivot_as_fraction_phases(family, float_pivots):
     # the same pivots, ties in the ratio test included, not only the same
-    # optimum: each phase ends in the same basis with the same tableau
+    # optimum: each phase ends in the same basis with the same tableau and
+    # reduced costs, from the start and from the reference's other bases
     for a in FAMILIES[family][::3]:
         if all(abs(v) < 1.0 for row in a.rows for v in row):
             exact_phases(log_gains(a), float_pivots)
 
 
 def test_families_reach_ties():
-    # the exact phases meet ratio-test ties when they pivot from the start
-    # (the exact-from-start setting above), and every setting runs tie-rule
-    # phases
+    # the exact phases meet ratio-test ties when they pivot from the start,
+    # as `_exact_optimum` does, and run tie-rule phases
     TIES.update(ratio=0, optimal=0)
     results = [ref_lex_max_min(log_gains(a), float_pivots=0)
                for a in FAMILIES["ties"]
