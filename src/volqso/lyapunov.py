@@ -21,12 +21,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import (
-    DimensionMismatch,
-    NonFiniteInput,
-    SingularEntry,
-    ValidationError,
-)
+from .errors import SingularEntry, ValidationError
 from .qso import SkewMatrix
 from .simplex import (
     MIN_VERIFY_STEPS,
@@ -34,6 +29,7 @@ from .simplex import (
     VERIFY_STRIDE,
     VERIFY_TRANSIENT,
     SimplexPoint,
+    _exponents,
     _over_power_of_two,
     _Record,
 )
@@ -94,12 +90,7 @@ def build_b(a: SkewMatrix) -> LogGainMatrix:
 def vertex_constraint_values(a: SkewMatrix, exponents) -> tuple[float, ...]:
     """sum_i lam_i log(1 + a[i][j]) for each vertex j; feasibility means all
     values strictly negative."""
-    lam = [float(v) for v in exponents]
-    if len(lam) != a.m:
-        raise DimensionMismatch(f"{len(lam)} exponents for m={a.m}")
-    for v in lam:
-        if math.isnan(v):
-            raise NonFiniteInput("NaN exponent")
+    lam = _exponents(exponents, a.m)
     _check_entries(a)
     return _constraint_values(
         [[math.log1p(v) for v in row] for row in a.rows], lam)

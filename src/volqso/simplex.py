@@ -300,6 +300,17 @@ def log_phi(log_coords) -> float:
     return max(l1 + l2 + l4, l1 + l3 + l4)
 
 
+def _exponents(exponents, m: int) -> list[float]:
+    """The exponents as floats, m of them and none NaN."""
+    lams = [float(v) for v in exponents]
+    if len(lams) != m:
+        raise DimensionMismatch(f"{len(lams)} exponents for m={m}")
+    for v in lams:
+        if math.isnan(v):
+            raise NonFiniteInput("NaN exponent")
+    return lams
+
+
 def monomial(p: SimplexPoint, exponents) -> float:
     """prod x_i^lam_i, evaluated in log space.
 
@@ -307,12 +318,7 @@ def monomial(p: SimplexPoint, exponents) -> float:
     +inf.  A zero base under a positive exponent together with a zero base
     under a negative one is 0*inf and raises IndeterminateForm.
     """
-    lams = [float(l) for l in exponents]
-    if len(lams) != p.m:
-        raise DimensionMismatch(f"{len(lams)} exponents for m={p.m}")
-    for l in lams:
-        if math.isnan(l):
-            raise NonFiniteInput("NaN exponent")
+    lams = _exponents(exponents, p.m)
     total = 0.0
     zero_pos = zero_neg = False
     for x, lam in zip(p.coords, lams):
