@@ -1,11 +1,20 @@
-/* Compiled trajectory kernel and CSV row formatter.
+/* Compiled backend: the trajectory kernel, the one-step Volterra maps and
+ * the CSV row formatter, as the CPython extension module volqso._kernel.
  *
  * vq_run and its log-space step log_step are ports of volqso/_kernel_py.run
  * and log_step that match them statement for statement: same loops, same
  * branches, same arithmetic in the same order, same libm calls, so both
  * backends produce bit-identical results.  Keep the two in sync;
- * tests/test_kernel_parity.py enforces it.  The Python log_step is also
- * qso.apply_volterra_log, so a one-step map never comes here.
+ * tests/test_kernel_parity.py enforces it.
+ *
+ * The one-step maps are ports of the Python ones in volqso/qso.py:
+ * volterra_image of _image_py (the linear image x_k (1 + (Ax)_k), each
+ * (Ax)_k a port of CPython's math.fsum) and volterra_log_map of _log_map_py
+ * (log_step, the shift by its drift, then that of
+ * simplex._normalized_logs).  Where the Python map would raise or meet a
+ * non-finite value, or an argument is not an exact tuple of exact floats of
+ * the sizes it needs, a map returns None and qso.py takes the Python path,
+ * so errors keep their types and messages.
  *
  * vq_format writes CSV body rows from strided columns, taking exp of the
  * trace values where a column asks for it.  Its reference is
@@ -13,13 +22,15 @@
  * through csv.writer; tests/test_kernel_parity.py holds it to the same
  * bytes.
  *
- * Plain C with no Python API.  volqso/kernel.py compiles this file at first
- * import with -ffp-contract=off (fused multiply-adds would change results),
- * allocates every input and output array, validates their sizes and calls
- * vq_run and vq_format through ctypes, which releases the GIL for the call.
- * The only memory the kernel owns is the realloc-grown sojourn-event array,
- * handed back in vq_result.events and released with vq_free.
+ * volqso/kernel.py compiles this file on first use, with Python's include
+ * directory and -ffp-contract=off (fused multiply-adds would change
+ * results), and loads it through importlib.  The module functions at the
+ * end check the buffers kernel.py hands them, and run vq_run and vq_format
+ * with the GIL released, so trajectories on several threads overlap.
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <math.h>
 #include <stdlib.h>
@@ -28,6 +39,7 @@
 #define UNDERFLOW_GUARD 1e-280          /* direct factor below -> log domain */
 #define DRIFT_TOL 1e-6                  /* |logsumexp| allowed per step */
 #define EXP_OVERFLOW 709.782712893384   /* log of the largest double */
+#define FACTOR_CLAMP 1e-12              /* qso.FACTOR_CLAMP */
 #define MAX_M 4
 
 typedef struct {
@@ -42,18 +54,13 @@ typedef struct {
     long long n_checkpoints;   /* checkpoints reached = cesaro rows written */
     long long n_trace;         /* trace rows written */
     long long n_events;
-    vq_event *events;          /* release with vq_free */
+    vq_event *events;          /* release with free */
     long long error_kind;      /* 0 none, 1 degenerate, 2 breakdown */
     long long error_step;
     double error_drift;
     double min_logphi;
     double max_abs_drift;
 } vq_result;
-
-void vq_free(void *p)
-{
-    free(p);
-}
 
 static int push_event(vq_result *r, long long *cap, long long vertex,
                       long long entry, long long exit, double lphi,
@@ -83,10 +90,11 @@ static int push_event(vq_result *r, long long *cap, long long vertex,
  * logsumexp, the drift, or NaN when the step is degenerate (every new log
  * -inf, or one NaN).  logw holds the logs of all the weights, -inf for a
  * weight of 0; vq_run takes them before its first step, where the Python
- * step takes a row's logs when it first needs them. */
-static double log_step(int m, double weights[MAX_M][MAX_M],
-                       double logw[MAX_M][MAX_M], const double *logx,
-                       const double *xs, double *newlog)
+ * step takes a row's logs when it first needs them.  Inline: with two
+ * callers the compiler would otherwise keep it a call in vq_run's loop. */
+static inline double log_step(int m, double weights[MAX_M][MAX_M],
+                              double logw[MAX_M][MAX_M], const double *logx,
+                              const double *xs, double *newlog)
 {
     double s, c, t, tmp, g, lg, mx, acc;
     int i, kk;
@@ -136,8 +144,25 @@ static double log_step(int m, double weights[MAX_M][MAX_M],
         return NAN;
     acc = 0.0;
     for (i = 0; i < m; i++)
-        acc += exp(newlog[i] - mx);
+        acc += newlog[i] == mx ? 1.0 : exp(newlog[i] - mx);
     return mx + log(acc);
+}
+
+/* The weights 1 + a[k][i] of log_step for the m x m matrix a (row-major),
+ * and their logs, -inf for a weight of 0: step_weights and the logs that
+ * log_step takes in volqso/_kernel_py. */
+static void step_weights(int m, const double *a,
+                         double weights[MAX_M][MAX_M],
+                         double logw[MAX_M][MAX_M])
+{
+    int i, k;
+
+    for (k = 0; k < m; k++)
+        for (i = 0; i < m; i++) {
+            double w = 1.0 + a[k * m + i];
+            weights[k][i] = w;
+            logw[k][i] = w > 0.0 ? log(w) : -INFINITY;
+        }
 }
 
 /* Iterate the Volterra map for `steps` steps from log point `logx0`.
@@ -152,13 +177,15 @@ static double log_step(int m, double weights[MAX_M][MAX_M],
  * Requires 1 <= m <= 4, stride >= 1, and m == 4 when want_phi.
  * Returns 0, or -1 when the event array cannot grow (nothing left to free).
  */
-int vq_run(int m, const double *a, const double *logx0, long long steps,
-           double log_eps, int n_coord, const long long *coord_obs,
-           int n_mono, const double *mono_obs, long long n_cp,
-           const long long *checkpoints, long long stride, int want_phi,
-           long long *trace_steps, double *cesaro, double *trace_logx,
-           double *trace_logphi, double *trace_mono, double *final_logx,
-           double *scratch, vq_result *r)
+static int vq_run(int m, const double *a, const double *logx0,
+                  long long steps, double log_eps, int n_coord,
+                  const long long *coord_obs, int n_mono,
+                  const double *mono_obs, long long n_cp,
+                  const long long *checkpoints, long long stride,
+                  int want_phi, long long *trace_steps, double *cesaro,
+                  double *trace_logx, double *trace_logphi,
+                  double *trace_mono, double *final_logx, double *scratch,
+                  vq_result *r)
 {
     double weights[MAX_M][MAX_M], logw[MAX_M][MAX_M];
     double logx[MAX_M], xs[MAX_M], newlog[MAX_M];
@@ -166,17 +193,13 @@ int vq_run(int m, const double *a, const double *logx0, long long steps,
     double *sums = scratch, *comps = scratch + n_obs;
     double *mono_vals = scratch + 2 * n_obs;
     long long cp_ptr = 0, tr = 0, ev_cap = 0, open_entry = -1, k;
+    long long to_trace = 0;    /* steps left to the next multiple of stride */
     long long open_started = 0;
     int cur_vertex = -1;
     double open_lphi = NAN, prev_lphi = NAN, lphi;
-    int i, j, kk;
+    int i, j;
 
-    for (kk = 0; kk < m; kk++)
-        for (i = 0; i < m; i++) {
-            double w = 1.0 + a[kk * m + i];
-            weights[kk][i] = w;
-            logw[kk][i] = w > 0.0 ? log(w) : -INFINITY;
-        }
+    step_weights(m, a, weights, logw);
     for (i = 0; i < m; i++)
         logx[i] = logx0[i];
     for (j = 0; j < n_obs; j++) {
@@ -220,7 +243,7 @@ int vq_run(int m, const double *a, const double *logx0, long long steps,
             lphi = NAN;
         }
 
-        if (k % stride == 0 || k == steps) {
+        if (to_trace == 0 || k == steps) {
             trace_steps[tr] = k;
             for (i = 0; i < m; i++)
                 trace_logx[tr * m + i] = logx[i];
@@ -229,6 +252,7 @@ int vq_run(int m, const double *a, const double *logx0, long long steps,
                 trace_mono[tr * n_mono + j] = mono_vals[j];
             tr++;
         }
+        to_trace = to_trace ? to_trace - 1 : stride - 1;
 
         cnt = 0;
         v = -1;
@@ -572,8 +596,9 @@ typedef struct {
  * g table described at `shortest`, and room in `out` for n_rows (21 per
  * VQ_INT column + 25 per other column + 1) bytes.  Returns the number of
  * bytes written. */
-long long vq_format(long long n_rows, int n_cols, const vq_column *cols,
-                    const unsigned long long *g, char *out)
+static long long vq_format(long long n_rows, int n_cols,
+                           const vq_column *cols, const unsigned long long *g,
+                           char *out)
 {
     char *p = out;
     long long r;
@@ -598,4 +623,419 @@ long long vq_format(long long n_rows, int n_cols, const vq_column *cols,
         *p++ = '\n';
     }
     return p - out;
+}
+
+/* ------------------------------------------------------------------------
+ * The one-step maps.
+ */
+
+/* math.fsum of the n values v, as CPython computes it: Shewchuk's partials,
+ * then the half-even fix-up across them.  Returns -1 where fsum would meet
+ * a non-finite value (a NaN, an infinity or an intermediate overflow, where
+ * it raises or returns one), else 0 with the sum in *sum.  n <= MAX_M. */
+static int fsum(const double *v, int n, double *sum)
+{
+    double p[MAX_M], x, y, t, hi, yr, lo = 0.0;
+    int i, j, k, np = 0;
+
+    for (k = 0; k < n; k++) {
+        x = v[k];
+        for (i = j = 0; j < np; j++) {
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        np = i;
+        if (x != 0.0) {
+            if (!isfinite(x))
+                return -1;
+            p[np++] = x;
+        }
+    }
+    hi = 0.0;
+    if (np > 0) {
+        hi = p[--np];
+        /* sum the partials from the top, stopping when the sum is inexact */
+        while (np > 0) {
+            x = hi;
+            y = p[--np];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        /* half-even rounding across the partials: the partials below lo
+         * decide a tie in the rounding of hi + 2 lo */
+        if (np > 0 && ((lo < 0.0 && p[np - 1] < 0.0) ||
+                       (lo > 0.0 && p[np - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    *sum = hi;
+    return 0;
+}
+
+/* 1 with the n values of t in out when t is an exact tuple of n exact
+ * floats, else 0. */
+static int read_floats(PyObject *t, Py_ssize_t n, double *out)
+{
+    Py_ssize_t i;
+
+    if (!PyTuple_CheckExact(t) || PyTuple_GET_SIZE(t) != n)
+        return 0;
+    for (i = 0; i < n; i++) {
+        PyObject *v = PyTuple_GET_ITEM(t, i);
+        if (!PyFloat_CheckExact(v))
+            return 0;
+        out[i] = PyFloat_AS_DOUBLE(v);
+    }
+    return 1;
+}
+
+/* The arguments (rows, vector) of a one-step map: reads the matrix into a
+ * (row-major) and the vector into v and returns m when the vector is an
+ * exact tuple of m exact floats, 1 <= m <= MAX_M, and rows an exact tuple
+ * of m such tuples; returns 0 for other arguments, and -1, with an
+ * exception set, for a wrong number of them. */
+static int read_step_args(PyObject *const *args, Py_ssize_t nargs,
+                          double *a, double *v)
+{
+    Py_ssize_t m, k;
+
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "expected 2 arguments, got %zd",
+                     nargs);
+        return -1;
+    }
+    if (!PyTuple_CheckExact(args[0]) || !PyTuple_CheckExact(args[1]))
+        return 0;
+    m = PyTuple_GET_SIZE(args[1]);
+    if (m < 1 || m > MAX_M || PyTuple_GET_SIZE(args[0]) != m ||
+        !read_floats(args[1], m, v))
+        return 0;
+    for (k = 0; k < m; k++)
+        if (!read_floats(PyTuple_GET_ITEM(args[0], k), m, a + k * m))
+            return 0;
+    return (int)m;
+}
+
+/* The n values v as a list of floats, or a tuple when as_tuple. */
+static PyObject *floats(const double *v, int n, int as_tuple)
+{
+    PyObject *out = as_tuple ? PyTuple_New(n) : PyList_New(n), *f;
+    int i;
+
+    if (out == NULL)
+        return NULL;
+    for (i = 0; i < n; i++) {
+        if ((f = PyFloat_FromDouble(v[i])) == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        if (as_tuple)
+            PyTuple_SET_ITEM(out, i, f);
+        else
+            PyList_SET_ITEM(out, i, f);
+    }
+    return out;
+}
+
+/* volterra_image(rows, coords): qso._image_py, the list of x_k f_k with
+ * f_k = 1 + fsum(a[k][i] x_i) and dust f_k in [-FACTOR_CLAMP, 0) set to 0.
+ * None where _image_py raises or meets a non-finite product or sum, and
+ * for arguments this reads no matrix and vector from (see
+ * read_step_args). */
+static PyObject *volterra_image(PyObject *self, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    double a[MAX_M * MAX_M], x[MAX_M], t[MAX_M], img[MAX_M], f;
+    int m = read_step_args(args, nargs, a, x), i, k;
+
+    (void)self;
+    if (m < 0)
+        return NULL;
+    if (m == 0)
+        Py_RETURN_NONE;
+    for (k = 0; k < m; k++) {
+        for (i = 0; i < m; i++)
+            t[i] = a[k * m + i] * x[i];
+        if (fsum(t, m, &f))
+            Py_RETURN_NONE;
+        f = 1.0 + f;
+        if (f < 0.0) {
+            if (f < -FACTOR_CLAMP)      /* DegenerateFactor */
+                Py_RETURN_NONE;
+            f = 0.0;
+        }
+        img[k] = x[k] * f;
+    }
+    return floats(img, m, 0);
+}
+
+/* volterra_log_map(rows, log_coords): qso._log_map_py, log_step on the
+ * log point, then the shift by the drift and by the logsumexp of the
+ * shifted logs, as simplex._normalized_logs shifts them; a tuple.  None
+ * where _log_map_py raises or exp of a log coordinate is infinite, and for
+ * arguments this reads no matrix and vector from (see read_step_args). */
+static PyObject *volterra_log_map(PyObject *self, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    double a[MAX_M * MAX_M], weights[MAX_M][MAX_M], logw[MAX_M][MAX_M];
+    double logx[MAX_M], xs[MAX_M], newlog[MAX_M], drift, mx, acc, lse;
+    int m = read_step_args(args, nargs, a, logx), i;
+
+    (void)self;
+    if (m < 0)
+        return NULL;
+    if (m == 0)
+        Py_RETURN_NONE;
+    step_weights(m, a, weights, logw);
+    for (i = 0; i < m; i++) {
+        xs[i] = exp(logx[i]);
+        if (isinf(xs[i]))               /* math.exp raises on overflow */
+            Py_RETURN_NONE;
+    }
+    drift = log_step(m, weights, logw, logx, xs, newlog);
+    if (!(fabs(drift) <= DRIFT_TOL))    /* degenerate or breakdown */
+        Py_RETURN_NONE;
+    for (i = 0; i < m; i++)
+        newlog[i] -= drift;
+    /* simplex.log_sum_exp; the largest log is finite, as the drift is */
+    mx = newlog[0];
+    for (i = 1; i < m; i++)
+        if (newlog[i] > mx)
+            mx = newlog[i];
+    acc = 0.0;
+    for (i = 0; i < m; i++)
+        acc += exp(newlog[i] - mx);
+    lse = mx + log(acc);
+    if (lse != 0.0)
+        for (i = 0; i < m; i++)
+            newlog[i] -= lse;
+    return floats(newlog, m, 1);
+}
+
+/* ------------------------------------------------------------------------
+ * The trajectory kernel and the formatter as module functions.
+ */
+
+/* Takes count * size values from *room; 0 when they do not fit. */
+static int take(long long *room, long long count, long long size)
+{
+    if (count < 0 || size < 0 || (size > 0 && count > *room / size))
+        return 0;
+    *room -= count * size;
+    return 1;
+}
+
+/* run(m, f_in, i_in, f_out, trace_steps, steps, log_eps, n_coord, n_mono,
+ *     n_cp, stride, want_phi)
+ * vq_run on the buffers kernel.py lays out, all of 8-byte values: f_in
+ * holds a, mono_obs and logx0; i_in coord_obs and checkpoints; f_out
+ * cesaro, trace_logx, trace_logphi, trace_mono, final_logx and scratch,
+ * sized as vq_run requires; trace_steps the trace steps.  Returns
+ * (n_checkpoints, n_trace, the sojourn events as the bytes of vq_event
+ * structs, error_kind, error_step, error_drift, min_logphi,
+ * max_abs_drift). */
+static PyObject *run(PyObject *self, PyObject *args)
+{
+    int m, n_coord, n_mono, want_phi, rc, ok;
+    long long steps, n_cp, stride, n_obs, n_trace, j;
+    long long f_room, i_room, o_room, t_room;
+    double log_eps, *fo;
+    const double *fi;
+    const long long *ii;
+    Py_buffer f_in, i_in, f_out, tr;
+    PyObject *events, *result = NULL;
+    vq_result r;
+
+    (void)self;
+    if (!PyArg_ParseTuple(args, "iy*y*w*w*LdiiLLp:run", &m, &f_in, &i_in,
+                          &f_out, &tr, &steps, &log_eps, &n_coord, &n_mono,
+                          &n_cp, &stride, &want_phi))
+        return NULL;
+    n_obs = (long long)n_coord + n_mono;
+    n_trace = steps > 0 && stride > 0 ? (steps - 1) / stride + 2 : 1;
+    f_room = f_in.len / 8;
+    i_room = i_in.len / 8;
+    o_room = f_out.len / 8;
+    t_room = tr.len / 8;
+    ok = 1 <= m && m <= MAX_M && steps >= 0 && stride >= 1 &&
+         n_coord >= 0 && n_mono >= 0 && (!want_phi || m == 4) &&
+         take(&f_room, m + n_mono + 1, m) && take(&i_room, n_coord, 1) &&
+         take(&i_room, n_cp, 1) && take(&o_room, n_cp, n_obs) &&
+         take(&o_room, n_trace, m + 1 + n_mono) &&
+         take(&o_room, 1, m + 2 * n_obs + n_mono) &&
+         take(&t_room, n_trace, 1);
+    fi = f_in.buf;
+    ii = i_in.buf;
+    fo = f_out.buf;
+    for (j = 0; ok && j < n_coord; j++)
+        ok = 0 <= ii[j] && ii[j] < m;
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError,
+                        "trajectory kernel arguments do not fit its buffers");
+        goto done;
+    }
+
+    Py_BEGIN_ALLOW_THREADS
+    rc = vq_run(m, fi, fi + m * (m + n_mono), steps, log_eps, n_coord, ii,
+                n_mono, fi + m * m, n_cp, ii + n_coord, stride, want_phi,
+                tr.buf, fo, fo + n_cp * n_obs,
+                fo + n_cp * n_obs + n_trace * m,
+                fo + n_cp * n_obs + n_trace * (m + 1),
+                fo + n_cp * n_obs + n_trace * (m + 1 + n_mono),
+                fo + n_cp * n_obs + n_trace * (m + 1 + n_mono) + m, &r);
+    Py_END_ALLOW_THREADS
+
+    if (rc) {
+        PyErr_SetString(PyExc_MemoryError,
+                        "trajectory kernel allocation failed");
+        goto done;
+    }
+    events = PyBytes_FromStringAndSize(
+        (const char *)r.events, (Py_ssize_t)(r.n_events * sizeof(vq_event)));
+    free(r.events);
+    if (events != NULL)
+        result = Py_BuildValue("LLNLLddd", r.n_checkpoints, r.n_trace,
+                               events, r.error_kind, r.error_step,
+                               r.error_drift, r.min_logphi, r.max_abs_drift);
+done:
+    PyBuffer_Release(&f_in);
+    PyBuffer_Release(&i_in);
+    PyBuffer_Release(&f_out);
+    PyBuffer_Release(&tr);
+    return result;
+}
+
+#define G_VALUES (2 * (292 - K_MIN + 1))    /* the g table of `shortest` */
+
+/* format_rows(n_rows, columns, g)
+ * vq_format on columns, a sequence of (values, start, stride, op) tuples:
+ * row r of a column holds values[start + r * stride] of an int64 buffer
+ * (format "q", op "") or a double one (format "d", op "", "exp" or "phi");
+ * g is the table of `shortest`.  Returns the rows as bytes. */
+static PyObject *format_rows(PyObject *self, PyObject *args)
+{
+    long long n_rows, size;
+    Py_ssize_t n_cols = 0, n_views = 0, j;
+    PyObject *columns, *cols_seq = NULL, *out = NULL;
+    Py_buffer g, *views = NULL;
+    vq_column *cols = NULL;
+
+    (void)self;
+    if (!PyArg_ParseTuple(args, "LOy*:format_rows", &n_rows, &columns, &g))
+        return NULL;
+    if ((cols_seq = PySequence_Tuple(columns)) == NULL)
+        goto done;
+    n_cols = PyTuple_GET_SIZE(cols_seq);
+    if (n_rows < 1 || n_cols < 1 || n_cols > INT_MAX) {
+        PyErr_Format(PyExc_ValueError, "%lld rows of %zd columns", n_rows,
+                     n_cols);
+        goto done;
+    }
+    if (g.len < G_VALUES * 8) {
+        PyErr_SetString(PyExc_ValueError, "the g table is too short");
+        goto done;
+    }
+    views = PyMem_Calloc(n_cols, sizeof(Py_buffer));
+    cols = PyMem_Calloc(n_cols, sizeof(vq_column));
+    if (views == NULL || cols == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    size = n_rows;
+    for (j = 0; j < n_cols; j++) {
+        PyObject *values;
+        long long start, stride, n;
+        const char *op, *fmt;
+        int code;
+
+        if (!PyArg_ParseTuple(PyTuple_GET_ITEM(cols_seq, j), "OLLs", &values,
+                              &start, &stride, &op) ||
+            PyObject_GetBuffer(values, &views[j], PyBUF_FORMAT) < 0)
+            goto done;
+        n_views = j + 1;
+        fmt = views[j].format != NULL ? views[j].format : "B";
+        if (strcmp(fmt, "q") == 0 && strcmp(op, "") == 0)
+            code = VQ_INT;
+        else if (strcmp(fmt, "d") != 0)
+            code = -1;
+        else if (strcmp(op, "") == 0)
+            code = VQ_DOUBLE;
+        else if (strcmp(op, "exp") == 0)
+            code = VQ_EXP;
+        else
+            code = strcmp(op, "phi") == 0 ? VQ_PHI : -1;
+        if (code < 0) {
+            PyErr_Format(PyExc_TypeError,
+                         "format_rows cannot write '%s' of format '%s'", op,
+                         fmt);
+            goto done;
+        }
+        n = views[j].len / 8;
+        if (start < 0 || stride < 1 || start >= n ||
+            n_rows - 1 > (n - 1 - start) / stride) {
+            PyErr_Format(PyExc_ValueError,
+                         "%lld values do not fill %lld rows from %lld by %lld",
+                         n, n_rows, start, stride);
+            goto done;
+        }
+        cols[j].data = (const char *)views[j].buf + 8 * start;
+        cols[j].stride = stride;
+        cols[j].op = code;
+        size += n_rows * (code == VQ_INT ? 21 : 25);
+    }
+    if ((out = PyBytes_FromStringAndSize(NULL, size)) == NULL)
+        goto done;
+    /* out is not shared yet: filling it needs no GIL */
+    Py_BEGIN_ALLOW_THREADS
+    size = vq_format(n_rows, (int)n_cols, cols, g.buf, PyBytes_AS_STRING(out));
+    Py_END_ALLOW_THREADS
+    _PyBytes_Resize(&out, size);
+done:
+    for (j = 0; j < n_views; j++)
+        PyBuffer_Release(&views[j]);
+    PyMem_Free(views);
+    PyMem_Free(cols);
+    Py_XDECREF(cols_seq);
+    PyBuffer_Release(&g);
+    return out;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"run", run, METH_VARARGS, "The trajectory kernel on kernel.py's buffers."},
+    {"format_rows", format_rows, METH_VARARGS, "CSV body rows as bytes."},
+    {"volterra_image", (PyCFunction)(void (*)(void))volterra_image,
+     METH_FASTCALL, "qso._image_py, or None for the Python path."},
+    {"volterra_log_map", (PyCFunction)(void (*)(void))volterra_log_map,
+     METH_FASTCALL, "qso._log_map_py, or None for the Python path."},
+    {NULL, NULL, 0, NULL}
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_kernel",
+    .m_doc = "Compiled backend of volqso.kernel and volqso.qso.",
+    .m_size = -1,
+    .m_methods = kernel_methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModule_Create(&kernel_module);
 }

@@ -4,8 +4,10 @@ This is the reference implementation: `vq_run` in `_kernel.c` matches it
 statement for statement (same loops, same branches, same arithmetic in the
 same order) so both backends produce bit-identical results.  Keep the two in
 sync.  The log-space step is one function in each, `log_step`, which `run`
-and `vq_run` call once per step; the Python one is also
-`qso.apply_volterra_log`, which is therefore the same under either backend.
+and `vq_run` call once per step; the one-step log map of each backend
+(`qso._log_map_py`, `volterra_log_map` in `_kernel.c`) is its `log_step`
+followed by the normalizations, so `qso.apply_volterra_log` gives the bits
+of a one-step run under either backend.
 
 `format_rows` is likewise the reference for `vq_format`, the CSV row
 formatter in `_kernel.c`, and for its exp of the trace values.
@@ -92,7 +94,7 @@ def log_step(weights, logw, logx, xs):
         return newlog, _NAN
     acc = 0.0
     for v in newlog:
-        acc += exp(v - mx)
+        acc += 1.0 if v == mx else exp(v - mx)
     return newlog, mx + log(acc)
 
 
@@ -151,6 +153,7 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
 
     xs = [0.0] * m
     mono_vals = [0.0] * n_mono
+    to_trace = 0    # steps left to the next multiple of stride
 
     for k in range(steps + 1):
         # --- observe the current point z_k ---
@@ -175,11 +178,12 @@ def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
         else:
             lphi = _NAN
 
-        if k % stride == 0 or k == steps:
+        if to_trace == 0 or k == steps:
             trace_steps.append(k)
             trace_logx.extend(logx)
             trace_logphi.append(lphi)
             trace_mono.extend(mono_vals)
+        to_trace = to_trace - 1 if to_trace else stride - 1
 
         cnt = 0
         v = -1

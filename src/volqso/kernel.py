@@ -1,26 +1,30 @@
-"""Trajectory-kernel and CSV-formatter backend selection.
+"""Kernel backend selection: the trajectory kernel, the CSV row formatter
+and the one-step Volterra maps.
 
-Two backends produce bit-identical results: the pure-Python reference
-(`volqso._kernel_py`) and a port of it to plain C (`_kernel.c`).  Each
-provides the trajectory kernel `run` and `format_rows`, the formatter of CSV
-body rows.  The C file is compiled on first use with `$CC` (default: the
-compiler Python was built with) into the package's `__pycache__/`, under a
-name keyed on the CRC-32 of the source and flags, and loaded with ctypes;
-later imports load the cached library without starting a process, and a
-build deletes the libraries built from older sources.  Without a working
-compiler or a writable `__pycache__/` the pure-Python backend takes over.
+Two backends produce bit-identical results: the pure-Python reference and
+its port to C, `_kernel.c`.  Each provides the trajectory kernel `run` and
+`format_rows`, the formatter of CSV body rows (in Python from
+`volqso._kernel_py`), and the one-step maps that `qso.raw_volterra_image`,
+`apply_volterra` and `apply_volterra_log` bind at their first call (in
+Python from `qso`).  The C file is a CPython extension module, compiled on
+first use with `$CC` (default: the compiler Python was built with) and
+Python's include directory into the package's `__pycache__/`, under a name
+keyed on the CRC-32 of the source, the flags, the include directory and
+`EXT_SUFFIX`, and loaded through importlib; later imports load the cached
+module without starting a process, and a build deletes the modules built
+from other sources.  Without a working compiler, Python's header
+`Python.h` or a writable `__pycache__/` the pure-Python backend takes over.
 
 BACKEND names the selected backend and BACKEND_REASON says why.  Set
-VOLQSO_KERNEL=python|compiled to force a backend for both functions.  Any
-other value, or forcing `compiled` where the library cannot be built, makes
-loading this module raise `KernelUnavailable` (a `ValidationError` and an
-`ImportError`) with the reason, so the CLI exits 2.
+VOLQSO_KERNEL=python|compiled to force a backend for all four functions.
+Any other value, or forcing `compiled` where the module cannot be built,
+makes loading this module raise `KernelUnavailable` (a `ValidationError`
+and an `ImportError`) with the reason, so the CLI exits 2.
 """
 
 from __future__ import annotations
 
 import binascii
-import ctypes
 import functools
 import itertools
 import os
@@ -32,39 +36,18 @@ from .errors import KernelUnavailable
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # -ffp-contract=off: the pure-Python kernel is the bit-for-bit reference;
-# fused multiply-adds would break kernel parity.
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# fused multiply-adds would break kernel parity.  -DNDEBUG drops the asserts
+# of Python's headers, as in the extensions Python's own build compiles.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-DNDEBUG", "-fPIC", "-shared")
 _LIBS = ("-lm",)
 _MAX_M = 4          # MAX_M in _kernel.c: the size of its per-step arrays
 _EVENT = struct.Struct("qqqdq")   # vq_event in _kernel.c
-# vq_format writes at most this many bytes per value, its separator included
-_INT_BYTES, _FLOAT_BYTES = 21, 25
-# vq_column.op in _kernel.c for the ops of _kernel_py.format_rows on a
-# double column; an int64 column is op 0
-_OPS = {"": 1, "exp": 2, "phi": 3}
 
 
-class _Column(ctypes.Structure):
-    _fields_ = [("data", ctypes.c_void_p),
-                ("stride", ctypes.c_longlong),
-                ("op", ctypes.c_longlong)]
-
-
-class _Result(ctypes.Structure):
-    _fields_ = [("n_checkpoints", ctypes.c_longlong),
-                ("n_trace", ctypes.c_longlong),
-                ("n_events", ctypes.c_longlong),
-                ("events", ctypes.c_void_p),
-                ("error_kind", ctypes.c_longlong),
-                ("error_step", ctypes.c_longlong),
-                ("error_drift", ctypes.c_double),
-                ("min_logphi", ctypes.c_double),
-                ("max_abs_drift", ctypes.c_double)]
-
-
-def _build(lib: Path) -> str | None:
-    """Compile `_kernel.c` into `lib` and delete the libraries built from
-    other sources; returns why it failed, or None."""
+def _build(lib: Path, include: str) -> str | None:
+    """Compile `_kernel.c` into `lib` against the headers in `include` and
+    delete the modules built from other sources; returns why it failed, or
+    None."""
     # imported here: a cache hit, every process after the first, needs none
     import shlex
     import shutil
@@ -75,12 +58,15 @@ def _build(lib: Path) -> str | None:
           or shlex.split(sysconfig.get_config_var("CC") or "cc"))
     if shutil.which(cc[0]) is None:
         return f"compiler {cc[0]!r} not found"
+    header = Path(include, "Python.h")
+    if not header.is_file():
+        return f"Python header {header} not found"
     tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
     try:
         lib.parent.mkdir(exist_ok=True)
         proc = subprocess.run(
-            [*cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE), *_LIBS],
-            capture_output=True, text=True)
+            [*cc, *_CFLAGS, f"-I{include}", "-o", str(tmp), str(_SOURCE),
+             *_LIBS], capture_output=True, text=True)
         if proc.returncode != 0:
             lines = proc.stderr.strip().splitlines()
             return "compile failed: " + (
@@ -90,8 +76,10 @@ def _build(lib: Path) -> str | None:
         return f"cannot build {lib}: {exc}"
     finally:
         tmp.unlink(missing_ok=True)
-    for stale in lib.parent.glob("_kernel-*.so"):   # built from older sources
-        if stale != lib:
+    # built from other sources, flags, headers or for another EXT_SUFFIX;
+    # a build in progress in another process is left alone
+    for stale in lib.parent.glob("_kernel-*"):
+        if stale != lib and not stale.name.endswith(".tmp"):
             try:
                 stale.unlink()
             except OSError:
@@ -101,26 +89,37 @@ def _build(lib: Path) -> str | None:
 
 @functools.cache
 def _compiled():
-    """((run, format_rows) or None, reason); builds the library on first
-    use."""
+    """((run, format_rows, image, log_map) or None, reason); builds the
+    extension module on first use."""
+    import importlib.machinery
+    import importlib.util
+    import sysconfig
+
+    include = sysconfig.get_paths()["include"]
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
     # binascii, unlike hashlib, is loaded at interpreter start; an edit
-    # keeps the CRC-32, and so a stale library, only by a 2**-32 chance
+    # keeps the CRC-32, and so a stale module, only by a 2**-32 chance
     try:
-        key = binascii.crc32(_SOURCE.read_bytes()
-                             + " ".join(_CFLAGS + _LIBS).encode())
+        key = binascii.crc32(_SOURCE.read_bytes() + "\0".join(
+            (*_CFLAGS, *_LIBS, include, suffix)).encode())
     except OSError as exc:
         return None, f"cannot read {_SOURCE}: {exc}"
-    lib = _SOURCE.parent / "__pycache__" / f"_kernel-{key:08x}.so"
+    lib = _SOURCE.parent / "__pycache__" / f"_kernel-{key:08x}{suffix}"
     verb = "loaded"
     if not lib.exists():
-        failure = _build(lib)
+        failure = _build(lib, include)
         if failure is not None:
             return None, failure
         verb = "built"
+    name = f"{__package__}._kernel"
+    loader = importlib.machinery.ExtensionFileLoader(name, str(lib))
     try:
-        return _bind(ctypes.CDLL(str(lib))), f"{verb} {lib}"
-    except OSError as exc:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+    except ImportError as exc:
         return None, f"cannot load {lib}: {exc}"
+    return _bind(module), f"{verb} {lib}"
 
 
 @functools.cache
@@ -140,25 +139,12 @@ def _pow10_table() -> array:
     return table
 
 
-def _bind(lib):
-    """Wrap the C entry points in the calling conventions of
-    `_kernel_py.run` and `_kernel_py.format_rows`."""
-    ptr = ctypes.c_void_p
-    c_run = lib.vq_run
-    c_run.restype = ctypes.c_int
-    c_run.argtypes = [
-        ctypes.c_int, ptr, ptr, ctypes.c_longlong, ctypes.c_double,
-        ctypes.c_int, ptr, ctypes.c_int, ptr, ctypes.c_longlong, ptr,
-        ctypes.c_longlong, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-        ctypes.POINTER(_Result),
-    ]
-    c_free = lib.vq_free
-    c_free.restype = None
-    c_free.argtypes = [ptr]
-    c_format = lib.vq_format
-    c_format.restype = ctypes.c_longlong
-    c_format.argtypes = [ctypes.c_longlong, ctypes.c_int,
-                         ctypes.POINTER(_Column), ptr, ptr]
+def _bind(ext):
+    """The functions of the extension module `ext` in the calling
+    conventions of `_kernel_py.run`, `_kernel_py.format_rows`,
+    `qso._image_py` and `qso._log_map_py`; the one-step maps return None
+    where the Python ones must run instead."""
+    c_run, c_format = ext.run, ext.format_rows
 
     def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
             stride, want_phi):
@@ -178,9 +164,9 @@ def _bind(lib):
         n_coord, n_mono, n_cp = len(coord_obs), len(mono_obs), len(cp)
         n_obs = n_coord + n_mono
         n_trace = (steps - 1) // stride + 2    # steps 0, stride, ..., steps
-        # One array per dtype for the inputs and one for the double outputs;
-        # the C function gets pointers to consecutive segments.  Plain
-        # arrays keep the fixed cost of a call low.
+        # One array per dtype for the inputs and one for the double
+        # outputs, laid out as the module's run reads them.  Plain arrays
+        # keep the fixed cost of a call low.
         f_in = array("d", [v for row in rows for v in row])
         i_in = array("q", [*coord_obs, *cp])
         sizes = (n_cp * n_obs, n_trace * m, n_trace, n_trace * n_mono, m,
@@ -188,68 +174,36 @@ def _bind(lib):
         lo = [0, *itertools.accumulate(sizes)]
         f_out = array("d", [0.0]) * lo[-1]
         tr_steps = array("q", [0]) * n_trace
-        fi, ii, fo = (b.buffer_info()[0] for b in (f_in, i_in, f_out))
-        res = _Result()
-        if c_run(m, fi, fi + 8 * m * (m + n_mono), steps, log_eps, n_coord,
-                 ii, n_mono, fi + 8 * m * m, n_cp, ii + 8 * n_coord, stride,
-                 bool(want_phi), tr_steps.buffer_info()[0],
-                 *(fo + 8 * b for b in lo[:-1]), ctypes.byref(res)):
-            raise MemoryError("trajectory kernel allocation failed")
-        events = []
-        if res.n_events:
-            try:
-                events = list(_EVENT.iter_unpack(ctypes.string_at(
-                    res.events, res.n_events * _EVENT.size)))
-            finally:
-                c_free(res.events)
+        n_done, tr, events, error_kind, error_step, error_drift, \
+            min_logphi, max_abs_drift = c_run(
+                m, f_in, i_in, f_out, tr_steps, steps, log_eps, n_coord,
+                n_mono, n_cp, stride, bool(want_phi))
         error = None
-        if res.error_kind == 1:
-            error = ("degenerate", res.error_step)
-        elif res.error_kind == 2:
-            error = ("breakdown", res.error_step, res.error_drift)
-        n_done, tr = res.n_checkpoints, res.n_trace
+        if error_kind == 1:
+            error = ("degenerate", error_step)
+        elif error_kind == 2:
+            error = ("breakdown", error_step, error_drift)
         del tr_steps[tr:]
         return {
             "checkpoints": cp[:n_done],
             "cesaro": f_out[lo[0]:lo[0] + n_done * n_obs],
-            "events": events,
+            "events": list(_EVENT.iter_unpack(events)),
             "trace_steps": tr_steps,
             "trace_logx": f_out[lo[1]:lo[1] + tr * m],
             "trace_logphi": f_out[lo[2]:lo[2] + tr],
             "trace_mono": f_out[lo[3]:lo[3] + tr * n_mono],
-            "min_logphi": res.min_logphi,
+            "min_logphi": min_logphi,
             "final_logx": f_out[lo[4]:lo[4] + m].tolist(),
-            "max_abs_drift": res.max_abs_drift,
+            "max_abs_drift": max_abs_drift,
             "error": error,
         }
 
     def format_rows(n_rows, columns):
         """Same contract as volqso._kernel_py.format_rows, with each
         column's values an array('q') (op "") or an array('d')."""
-        if n_rows < 1 or not columns:
-            raise ValueError(f"{n_rows} rows of {len(columns)} columns")
-        cols = (_Column * len(columns))()
-        size = n_rows
-        for col, (values, start, stride, op) in zip(cols, columns):
-            kind = getattr(values, "typecode", None)
-            if kind not in ("q", "d") or op not in _OPS or (kind == "q"
-                                                            and op):
-                raise TypeError(f"format_rows cannot write {op!r} of "
-                                f"{type(values).__name__} {kind!r}")
-            if start < 0 or stride < 1 or \
-                    start + (n_rows - 1) * stride >= len(values):
-                raise ValueError(f"{len(values)} values do not fill {n_rows} "
-                                 f"rows from {start} by {stride}")
-            col.data = values.buffer_info()[0] + values.itemsize * start
-            col.stride = stride
-            col.op = _OPS[op] if kind == "d" else 0
-            size += n_rows * (_FLOAT_BYTES if kind == "d" else _INT_BYTES)
-        out = ctypes.create_string_buffer(size)
-        size = c_format(n_rows, len(columns), cols,
-                        _pow10_table().buffer_info()[0], out)
-        return ctypes.string_at(out, size)
+        return c_format(n_rows, columns, _pow10_table())
 
-    return run, format_rows
+    return run, format_rows, ext.volterra_image, ext.volterra_log_map
 
 
 def available_backends() -> tuple[str, ...]:
@@ -259,17 +213,20 @@ def available_backends() -> tuple[str, ...]:
 
 
 def _functions(name: str):
-    """(run, format_rows) of backend `name`."""
+    """(run, format_rows, image, log_map) of backend `name`."""
     if name == "python":
         from . import _kernel_py
+        from .qso import _image_py, _log_map_py
 
-        return _kernel_py.run, _kernel_py.format_rows
+        return (_kernel_py.run, _kernel_py.format_rows, _image_py,
+                _log_map_py)
     if name == "compiled":
         functions, reason = _compiled()
         if functions is None:
             raise KernelUnavailable(
                 f"compiled trajectory kernel unavailable: {reason}; install "
-                "a C compiler (or set CC), or set VOLQSO_KERNEL=python")
+                "a C compiler (or set CC) and Python's headers, or set "
+                "VOLQSO_KERNEL=python")
         return functions
     raise KernelUnavailable(f"unknown kernel backend {name!r}")
 
@@ -299,4 +256,5 @@ def _select():
     return functions, "compiled", reason
 
 
-(run, format_rows), BACKEND, BACKEND_REASON = _select()
+# _image and _log_map are the one-step maps that qso binds
+(run, format_rows, _image, _log_map), BACKEND, BACKEND_REASON = _select()

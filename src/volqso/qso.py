@@ -184,12 +184,9 @@ def _clamped(f: float, k: int) -> float:
     return 0.0
 
 
-def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
-    """x_k f_k for the step factors f_k = 1 + (Ax)_k, each (Ax)_k the
-    `math.fsum` of its products, dust below 0 in f_k clamped to 0.  The
-    image's sum is 1 + x^T A x = 1 exactly in real arithmetic
-    (skew-symmetry), so the float sum measures rounding."""
-    rows, xs = a.rows, x.coords
+def _image_py(rows, xs) -> list[float]:
+    """`raw_volterra_image` on the matrix rows and the point's coordinates:
+    the Python backend's image, and the reference of the compiled one."""
     if len(rows) != len(xs):
         raise DimensionMismatch(f"matrix m={len(rows)}, point m={len(xs)}")
     out = []     # a loop: a list comprehension is a nested call before 3.12
@@ -199,6 +196,57 @@ def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
             f = _clamped(f, len(out))
         out.append(xk * f)
     return out
+
+
+def _log_map_py(rows, logs) -> tuple[float, ...]:
+    """The log coordinates of `apply_volterra_log` from the matrix rows and
+    the point's log coordinates: the Python backend's log map, and the
+    reference of the compiled one."""
+    if len(rows) != len(logs):
+        raise DimensionMismatch(f"matrix m={len(rows)}, point m={len(logs)}")
+    from ._kernel_py import DRIFT_TOL, log_step, step_weights
+
+    newlog, drift = log_step(step_weights(rows), [None] * len(logs), logs,
+                             list(map(math.exp, logs)))
+    # the checks and messages of a one-step kernel run
+    if not abs(drift) <= DRIFT_TOL:
+        raise DegenerateFactor("log step failed: " + (
+            "degenerate" if drift != drift else "breakdown"))
+    # every v - drift is a float, none NaN or +inf: the drift would be NaN
+    return _normalized_logs([v - drift for v in newlog])
+
+
+def _bind_backend() -> None:
+    """Bind `_image` and `_log_map` to the one-step maps of the selected
+    kernel backend (see `kernel`), loading it.  A compiled map returns None
+    where the Python one, `_image_py` or `_log_map_py`, must run: on
+    arguments that are not exact tuples of floats, and wherever the Python
+    one raises or meets a non-finite value."""
+    global _image, _log_map
+    from .kernel import _image, _log_map
+
+
+def _image(rows, xs):
+    """The backend's image; the first call binds it (`_bind_backend`)."""
+    _bind_backend()
+    return _image(rows, xs)
+
+
+def _log_map(rows, logs):
+    """The backend's log map; the first call binds it (`_bind_backend`)."""
+    _bind_backend()
+    return _log_map(rows, logs)
+
+
+def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
+    """x_k f_k for the step factors f_k = 1 + (Ax)_k, each (Ax)_k the
+    `math.fsum` of its products, dust below 0 in f_k clamped to 0.  The
+    image's sum is 1 + x^T A x = 1 exactly in real arithmetic
+    (skew-symmetry), so the float sum measures rounding.  The selected
+    kernel backend computes it, with the same bits under either."""
+    rows, xs = a.rows, x.coords
+    image = _image(rows, xs)
+    return _image_py(rows, xs) if image is None else image
 
 
 def apply_volterra(a: SkewMatrix, x: SimplexPoint) -> SimplexPoint:
@@ -214,27 +262,18 @@ def apply_volterra_log(a: SkewMatrix, x: LogSimplexPoint) -> LogSimplexPoint:
     relative 1e-10 whenever all coordinates are above 1e-100, and keeps exact
     zeros (-inf) exactly.
 
-    This is the trajectory kernel's log-space step, `_kernel_py.log_step`,
-    which both kernel backends take bit for bit, so no backend is loaded and
-    the result does not depend on one.  The step rewrites the factor 1 +
-    (Ax)_k as sum_i (1 + a[k][i]) x_i: a sum of nonnegative terms (|a| <= 1),
-    immune to the cancellation that makes 1 + dot(...) collapse to 0 when the
-    true factor is tiny, taken in the log domain when even that sum
-    underflows."""
-    if a.m != x.m:
-        raise DimensionMismatch(f"matrix m={a.m}, point m={x.m}")
-    from ._kernel_py import DRIFT_TOL, log_step, step_weights
-
-    logx = x.log_coords
-    newlog, drift = log_step(step_weights(a.rows), [None] * len(logx), logx,
-                             list(map(math.exp, logx)))
-    # the checks and messages of a one-step kernel run
-    if not abs(drift) <= DRIFT_TOL:
-        raise DegenerateFactor("log step failed: " + (
-            "degenerate" if drift != drift else "breakdown"))
-    # every v - drift is a float, none NaN or +inf: the drift would be NaN
+    This is the trajectory kernel's log-space step, `log_step`, followed by
+    the normalization a one-step run applies, then the shift that
+    `LogSimplexPoint` stores; the selected kernel backend computes it, and
+    both give the same bits, which are those of a one-step run of either.
+    The step rewrites the factor 1 + (Ax)_k as sum_i (1 + a[k][i]) x_i: a
+    sum of nonnegative terms (|a| <= 1), immune to the cancellation that
+    makes 1 + dot(...) collapse to 0 when the true factor is tiny, taken in
+    the log domain when even that sum underflows."""
+    rows, logs = a.rows, x.log_coords
+    out = _log_map(rows, logs)
     return _trusted(LogSimplexPoint,
-                    _normalized_logs([v - drift for v in newlog]))
+                    _log_map_py(rows, logs) if out is None else out)
 
 
 def skew3(a: float, b: float, c: float) -> SkewMatrix:

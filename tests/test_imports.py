@@ -9,6 +9,7 @@ the package imports numpy or scipy: every command, random starts included,
 and every library function run with numpy blocked, and the commands write
 the same bytes with numpy blocked as without."""
 
+import ast
 import json
 import os
 import subprocess
@@ -45,12 +46,13 @@ SINGULAR = [[0, 0, 0.25, -0.25], [0, 0, -0.25, 0.25],
 # a zero skew entry: the edge {1, 2} is a continuum of fixed points
 DEGENERATE_EDGE = [[0, 0, 0.5, -0.5], [0, 0, 0.5, 0.5],
                    [-0.5, -0.5, 0, 0.5], [0.5, -0.5, -0.5, 0]]
-LIBS = frozenset({"concurrent.futures", "dataclasses", "fractions", "hashlib",
-                  "inspect", "logging", "numpy", "scipy"})
+LIBS = frozenset({"concurrent.futures", "ctypes", "dataclasses", "fractions",
+                  "hashlib", "inspect", "logging", "numpy", "scipy"})
 CORE = ["classify", "errors", "qso", "simplex"]     # what `import volqso` loads
-# what runs a trajectory: the pure-Python kernel only where it is the backend
-KERNEL = ["ergodic", "kernel"] + (["_kernel_py"] if kernel.BACKEND == "python"
-                                  else [])
+# the selected backend: the compiled module, or the pure-Python kernel
+BACKEND = ["kernel", "_kernel" if kernel.BACKEND == "compiled"
+           else "_kernel_py"]
+KERNEL = ["ergodic", *BACKEND]      # what runs a trajectory
 
 
 def probe(body: str, names, **env):
@@ -102,14 +104,29 @@ def test_import_loads_neither():
         [], sorted(CORE + ["cli"]))
 
 
-def test_one_step_log_map_loads_no_kernel_backend():
-    # the map is the reference log-space step: no backend is selected, so
-    # neither ctypes nor the compiler's subprocess is loaded
+def test_one_step_maps_load_the_cached_backend():
+    # the one-step maps run on the selected backend, which the suite's
+    # process has built: loading it starts no compiler's subprocess
     body = ("import volqso\n"
-            "volqso.apply_volterra_log(volqso.skew3(0.5, -1.0, 0.25),\n"
-            "    volqso.SimplexPoint((0.5, 0.0, 0.5)).to_log())")
-    assert footprint(body, LIBS | {"ctypes", "subprocess"}) == (
-        [], sorted(CORE + ["_kernel_py"]))
+            "a = volqso.skew3(0.5, -1.0, 0.25)\n"
+            "x = volqso.SimplexPoint((0.5, 0.0, 0.5))\n"
+            "volqso.apply_volterra(a, x)\n"
+            "volqso.apply_volterra_log(a, x.to_log())")
+    assert footprint(body, LIBS | {"subprocess"}) == (
+        [], sorted(CORE + BACKEND))
+
+
+def test_no_module_imports_ctypes():
+    for path in Path(volqso.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "ctypes"
+                           for name in names), path.name
 
 
 def test_synthesize_loads_no_fractions():

@@ -1,4 +1,5 @@
-"""First-import build, cache reuse and quiet fallback of the compiled kernel.
+"""First-import build, cache reuse and quiet fallback of the compiled kernel
+(a CPython extension module).
 
 Each test imports a copy of the package in a fresh interpreter, so builds go
 to the copy's own __pycache__/ and never touch the package under test."""
@@ -19,6 +20,16 @@ from volqso import kernel
 
 PROBE = "import volqso.kernel as k; print(k.BACKEND); print(k.BACKEND_REASON)"
 DEFAULT_CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+INCLUDE = sysconfig.get_paths()["include"]
+EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+# runs before PROBE: Python's include directory and EXT_SUFFIX as the
+# loader reads them, set to `include` and `suffix`
+SYSCONFIG_AS = """\
+import sysconfig
+paths = sysconfig.get_paths
+sysconfig.get_paths = lambda *a, **k: dict(paths(*a, **k), include={include!r})
+sysconfig.get_config_vars()["EXT_SUFFIX"] = {suffix!r}
+"""
 
 
 @pytest.fixture
@@ -28,9 +39,10 @@ def pkg_root(tmp_path):
     return tmp_path
 
 
-def probe(root, **env):
-    """Import the copy under `root` in a fresh interpreter; `env` entries
-    set (str) or unset (None) environment variables."""
+def probe(root, prelude="", **env):
+    """Import the copy under `root` in a fresh interpreter, after running
+    `prelude`; `env` entries set (str) or unset (None) environment
+    variables."""
     full = dict(os.environ, PYTHONPATH=str(root))
     full.pop("VOLQSO_KERNEL", None)
     for key, value in env.items():
@@ -38,7 +50,7 @@ def probe(root, **env):
             full.pop(key, None)
         else:
             full[key] = value
-    return subprocess.run([sys.executable, "-c", PROBE], env=full,
+    return subprocess.run([sys.executable, "-c", prelude + PROBE], env=full,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -77,7 +89,8 @@ def test_edited_source_rebuilds_and_drops_old_library(pkg_root):
     first = probe(pkg_root)
     assert first.returncode == 0, first.stderr
     [old] = [p for p in libraries(pkg_root) if p.suffix == ".so"]
-    assert re.fullmatch(r"_kernel-[0-9a-f]{8}\.so", old.name)
+    assert re.fullmatch(r"_kernel-[0-9a-f]{8}" + re.escape(EXT_SUFFIX),
+                        old.name)
 
     source = pkg_root / "volqso" / "_kernel.c"
     source.write_text(source.read_text() + "/* edited */\n")
@@ -86,6 +99,50 @@ def test_edited_source_rebuilds_and_drops_old_library(pkg_root):
     [new] = [p for p in libraries(pkg_root) if p.suffix == ".so"]
     assert new != old and not old.exists()
     assert second.stdout.splitlines() == ["compiled", f"built {new}"]
+
+
+@needs_cc
+def test_new_ext_suffix_or_include_dir_rebuilds(pkg_root, tmp_path):
+    # either one names a different module: build it, drop the old one
+    first = probe(pkg_root)
+    assert first.returncode == 0, first.stderr
+    [old] = [p for p in libraries(pkg_root) if p.suffix == ".so"]
+
+    suffix = ".other" + EXT_SUFFIX
+    second = probe(pkg_root, SYSCONFIG_AS.format(include=INCLUDE,
+                                                 suffix=suffix))
+    assert second.returncode == 0, second.stderr
+    [new] = [p for p in libraries(pkg_root) if p.suffix == ".so"]
+    assert new.name.endswith(suffix) and not old.exists()
+    assert second.stdout.splitlines() == ["compiled", f"built {new}"]
+
+    # the same headers under another path
+    include = tmp_path / "include"
+    include.symlink_to(INCLUDE, target_is_directory=True)
+    third = probe(pkg_root, SYSCONFIG_AS.format(include=str(include),
+                                                suffix=EXT_SUFFIX))
+    assert third.returncode == 0, third.stderr
+    [last] = [p for p in libraries(pkg_root) if p.suffix == ".so"]
+    assert last.name.endswith(EXT_SUFFIX) and last != old
+    assert not new.exists()
+    assert third.stdout.splitlines() == ["compiled", f"built {last}"]
+
+
+@needs_cc
+def test_no_python_header_falls_back_quietly(pkg_root, tmp_path):
+    headerless = SYSCONFIG_AS.format(include=str(tmp_path),
+                                     suffix=EXT_SUFFIX)
+    reason = f"Python header {tmp_path / 'Python.h'} not found"
+    auto = probe(pkg_root, headerless)
+    assert auto.returncode == 0, auto.stderr
+    assert auto.stderr == ""
+    assert auto.stdout.splitlines() == ["python", reason]
+    assert not list(pkg_root.glob("volqso/__pycache__/_kernel-*"))
+
+    forced = probe(pkg_root, headerless, VOLQSO_KERNEL="compiled")
+    assert forced.returncode == 1
+    assert ("KernelUnavailable: compiled trajectory kernel unavailable: "
+            f"{reason}") in forced.stderr
 
 
 @pytest.mark.skipif(os.path.isabs(DEFAULT_CC),
@@ -115,7 +172,7 @@ def test_stale_backend_name_rejected(pkg_root):
 def test_kernel_compiles_without_warnings(tmp_path):
     cc = shlex.split(os.environ.get("CC") or DEFAULT_CC)
     proc = subprocess.run(
-        [*cc, *kernel._CFLAGS, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "_kernel.so"), str(kernel._SOURCE),
+        [*cc, *kernel._CFLAGS, f"-I{INCLUDE}", "-Wall", "-Wextra",
+         "-Werror", "-o", str(tmp_path / "_kernel.so"), str(kernel._SOURCE),
          *kernel._LIBS], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,25 +1,27 @@
 """The compiled and pure-Python kernels must produce bit-identical output,
-the one-step log map the output of a one-step run of either, and the
-compiled CSV formatter the bytes of repr (of math.exp, in its exp and phi
-columns)."""
+and so must their one-step maps, errors included; the one-step log map the
+output of a one-step run of either, and the compiled CSV formatter the
+bytes of repr (of math.exp, in its exp and phi columns)."""
 
 import json
 import math
 import random
 import struct
+import types
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volqso import kernel, qso
 from volqso._kernel_py import UNDERFLOW_GUARD
 from volqso.cli import main
-from volqso.errors import DegenerateFactor
+from volqso.errors import DegenerateFactor, DimensionMismatch
 from volqso.kernel import available_backends, get_formatter, get_kernel
 from volqso.qso import SkewMatrix, apply_volterra_log, skew3
 from volqso.sampling import random_skew_matrix
-from volqso.simplex import LogSimplexPoint, _trusted
+from volqso.simplex import LogSimplexPoint, SimplexPoint, _trusted
 
 needs_compiled = pytest.mark.skipif(
     "compiled" not in available_backends(),
@@ -301,6 +303,156 @@ def test_one_step_map_is_a_one_step_run(backend):
         x = _trusted(LogSimplexPoint, logs)
         assert one_step_map(a, x) == one_step_run(backend, a, x) == (
             f"log step failed: {error}")
+
+
+# ---------------------------------------------------------------------------
+# the compiled one-step maps against the Python ones
+
+# the boundary families: signed zeros, +-1, tiny and subnormal values, 2^-60
+# and the double below 1; None draws a uniform value
+ENTRIES = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, 2.0 ** -60,
+           0.9999999999999999, None]
+COORDS = [0.0, 5e-324, 1e-300, 2.0 ** -60, 0.9999999999999999, None]
+LOGS = [-math.inf, -1e5, -745.0, -700.0, -3.0, 0.0, None]
+
+
+def one_step_matrices(rng, m):
+    """An exact-skew matrix with entries from ENTRIES, and a square one
+    whose entries are drawn independently."""
+    def draw():
+        v = rng.choice(ENTRIES)
+        return rng.uniform(-1.0, 1.0) if v is None else v
+
+    skew = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            skew[i][j] = draw()
+            skew[j][i] = -skew[i][j]
+    free = [[draw() for _ in range(m)] for _ in range(m)]
+    return [tuple(map(tuple, skew)), tuple(map(tuple, free))]
+
+
+def image_cases():
+    """(rows, coords), m = 2-4: simplex points with zero or tiny
+    coordinates, and raw vectors whose factors can fall below 0, where the
+    Python image clamps them or raises."""
+    rng = random.Random(2024)
+    for trial in range(6000):
+        m = 2 + trial % 3
+        raw = []
+        for _ in range(m):
+            v = rng.choice(COORDS)
+            raw.append(rng.uniform(0.0, 1.0) if v is None else v)
+        if not any(raw):
+            raw[rng.randrange(m)] = 1.0
+        total = math.fsum(raw)
+        points = [tuple(v / total for v in raw),
+                  tuple(rng.uniform(-0.1, 1.2) for _ in range(m))]
+        for rows in one_step_matrices(rng, m):
+            for coords in points:
+                yield rows, coords
+    # the errors of math.fsum and of the factor check, and non-finite sums
+    yield ((1.0, 1.0), (1.0, 1.0)), (math.inf, -math.inf)
+    yield ((1e308, 1e308), (1.0, 1.0)), (1.0, 1.0)
+    yield ((1e308, 1e308), (1.0, 1.0)), (10.0, 10.0)
+    yield ((0.0, 1.0), (-1.0, 0.0)), (math.nan, 0.5)
+    yield ((0.0, -1.0), (1.0, 0.0)), (0.5, 1.5)
+    yield ((0.0, 0.5), (-0.5, 0.0)), (0.5, 0.25, 0.25)
+
+
+def log_map_cases():
+    """(rows, log coordinates), m = 2-4: points with coordinates 0, below
+    the smallest double, tiny or moderate; and the logs that a one-step
+    run rejects as degenerate or breaking down, or that overflow exp."""
+    rng = random.Random(2025)
+    for trial in range(6000):
+        m = 2 + trial % 3
+        logs = []
+        for _ in range(m):
+            v = rng.choice(LOGS)
+            if v is None:
+                v = rng.uniform(-40.0, 0.0)
+            elif v == -1e5:
+                v += rng.uniform(-50.0, 50.0)
+            logs.append(v)
+        if all(v == -math.inf for v in logs):
+            logs[rng.randrange(m)] = 0.0
+        for rows in one_step_matrices(rng, m):
+            yield rows, LogSimplexPoint(logs).log_coords
+    rows = ((0.0, 0.5, -1.0), (-0.5, 0.0, 1.0), (1.0, -1.0, 0.0))
+    for logs in ((-math.inf,) * 3, (math.nan, 0.0, 0.0), (0.0, 0.0, 0.0),
+                 (710.0, 0.0, 0.0), (math.inf, 0.0, -math.inf),
+                 (0.0, -1.0)):
+        yield rows, logs
+
+
+def outcome(fn, *args):
+    """repr of fn(*args), or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:    # every error type counts, not one
+        return type(exc).__name__, str(exc)
+
+
+@needs_compiled
+@pytest.mark.parametrize("name,cases,min_values", [
+    ("image", image_cases, 20_000), ("log_map", log_map_cases, 8_000)])
+def test_one_step_maps_bit_identical(name, cases, min_values):
+    # the compiled map gives the Python one's bits, or None where the
+    # Python one raises or meets a non-finite sum; qso then runs the Python
+    # one, so the maps give the same result, or the same error, under
+    # either backend
+    index = ["image", "log_map"].index(name) + 2
+    compiled = kernel._functions("compiled")[index]
+    python = kernel._functions("python")[index]
+    values = declined = 0
+    for rows, vec in cases():
+        want = outcome(python, rows, vec)
+        got = compiled(rows, vec)
+        if got is None:
+            assert isinstance(want, tuple) or "inf" in want or \
+                "nan" in want, (rows, vec, want)
+            declined += 1
+        else:
+            assert repr(got) == want, (rows, vec)
+            values += 1
+    assert values >= min_values and declined >= 5
+
+
+@needs_compiled
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_one_step_errors_keep_type_and_message(monkeypatch, backend):
+    image, log_map = kernel._functions(backend)[2:]
+    monkeypatch.setattr(qso, "_image", image)
+    monkeypatch.setattr(qso, "_log_map", log_map)
+    a = skew3(0.5, -1.0, 1.0)
+    with pytest.raises(DegenerateFactor, match=r"^step factor -0\.5 at slot "
+                       r"3; input is corrupted$"):
+        qso.raw_volterra_image(a, _trusted(SimplexPoint, (0.0, 1.5, 0.0)))
+    for logs, error in (((-math.inf,) * 3, "degenerate"),
+                        ((0.0, 0.0, 0.0), "breakdown")):
+        with pytest.raises(DegenerateFactor,
+                           match=f"^log step failed: {error}$"):
+            apply_volterra_log(a, _trusted(LogSimplexPoint, logs))
+    with pytest.raises(DimensionMismatch, match="^matrix m=3, point m=2$"):
+        qso.apply_volterra(a, SimplexPoint((0.5, 0.5)))
+    with pytest.raises(DimensionMismatch, match="^matrix m=3, point m=2$"):
+        apply_volterra_log(a, LogSimplexPoint((0.0, -1.0)))
+
+
+@needs_compiled
+def test_duck_typed_matrix_takes_the_python_path():
+    # list rows are not exact tuples: the compiled maps decline them
+    image, log_map = kernel._functions("compiled")[2:]
+    rows = [[0.0, 0.5, -0.25], [-0.5, 0.0, 1.0], [0.25, -1.0, 0.0]]
+    duck = types.SimpleNamespace(rows=rows, m=3)
+    x = SimplexPoint((0.2, 0.3, 0.5))
+    assert image(rows, x.coords) is None
+    assert log_map(rows, x.to_log().log_coords) is None
+    a = SkewMatrix(rows)
+    assert qso.raw_volterra_image(duck, x) == qso.raw_volterra_image(a, x)
+    assert apply_volterra_log(duck, x.to_log()) == apply_volterra_log(
+        a, x.to_log())
 
 
 # ---------------------------------------------------------------------------
