@@ -7,9 +7,10 @@ The public names are re-exported lazily (PEP 562): `import volqso` loads
 only `classify` and what it needs, and a name's submodule is imported at the
 name's first use, which binds it here, so later lookups are plain attribute
 reads.  The submodules resolve the same way (`volqso.kernel`, `volqso.cli`).
-The trajectory kernel, and with it the build of `_kernel.c`, loads with the
-first code that runs it.  The package has no runtime dependency: random
-draws come from a pure-Python PCG64 in `sampling`, and neither numpy nor
+The kernel backend, and with it the build of `_kernel.c`, loads with the
+first code that runs it: a trajectory, a one-step map or a seeded draw.
+The package has no runtime dependency: seeded draws come from a copy of
+NumPy's PCG64 stream in the backend (`sampling`), and neither numpy nor
 scipy is used."""
 
 from importlib import import_module as _import_module

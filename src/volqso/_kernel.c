@@ -1,5 +1,6 @@
-/* Compiled backend: the trajectory kernel, the one-step Volterra maps and
- * the CSV row formatter, as the CPython extension module volqso._kernel.
+/* Compiled backend: the trajectory kernel, the one-step Volterra maps, the
+ * seeded generator and the CSV row formatter, as the CPython extension
+ * module volqso._kernel.
  *
  * vq_run and its log-space step log_step are ports of volqso/_kernel_py.run
  * and log_step that match them statement for statement: same loops, same
@@ -9,12 +10,17 @@
  *
  * The one-step maps are ports of the Python ones in volqso/qso.py:
  * volterra_image of _image_py (the linear image x_k (1 + (Ax)_k), each
- * (Ax)_k a port of CPython's math.fsum) and volterra_log_map of _log_map_py
+ * (Ax)_k a port of CPython's math.fsum), volterra_step of _step_py (that
+ * image, then simplex._renormalized) and volterra_log_map of _log_map_py
  * (log_step, the shift by its drift, then that of
  * simplex._normalized_logs).  Where the Python map would raise or meet a
  * non-finite value, or an argument is not an exact tuple of exact floats of
  * the sizes it needs, a map returns None and qso.py takes the Python path,
  * so errors keep their types and messages.
+ *
+ * pcg64_seed and pcg64_random are the seeded generator of
+ * volqso/sampling.py, ports of its _PCG64 (NumPy's SeedSequence and
+ * PCG64); tests/test_sampling.py holds both to NumPy's doubles.
  *
  * vq_format writes CSV body rows from strided columns, taking exp of the
  * trace values where a column asks for it.  Its reference is
@@ -33,6 +39,7 @@
 #include <Python.h>
 
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -40,6 +47,7 @@
 #define DRIFT_TOL 1e-6                  /* |logsumexp| allowed per step */
 #define EXP_OVERFLOW 709.782712893384   /* log of the largest double */
 #define FACTOR_CLAMP 1e-12              /* qso.FACTOR_CLAMP */
+#define NO_DIVIDE_TOL (4 * 2.220446049250313e-16) /* simplex._NO_DIVIDE_TOL */
 #define MAX_M 4
 
 typedef struct {
@@ -754,36 +762,100 @@ static PyObject *floats(const double *v, int n, int as_tuple)
     return out;
 }
 
-/* volterra_image(rows, coords): qso._image_py, the list of x_k f_k with
- * f_k = 1 + fsum(a[k][i] x_i) and dust f_k in [-FACTOR_CLAMP, 0) set to 0.
- * None where _image_py raises or meets a non-finite product or sum, and
- * for arguments this reads no matrix and vector from (see
- * read_step_args). */
-static PyObject *volterra_image(PyObject *self, PyObject *const *args,
-                                Py_ssize_t nargs)
+/* qso._image_py on the m x m matrix a and the vector x: x_k f_k with
+ * f_k = 1 + fsum(a[k][i] x_i) and dust f_k in [-FACTOR_CLAMP, 0) set to 0,
+ * into img.  Returns 0, or -1 where _image_py raises or meets a non-finite
+ * sum. */
+static int image(int m, const double *a, const double *x, double *img)
 {
-    double a[MAX_M * MAX_M], x[MAX_M], t[MAX_M], img[MAX_M], f;
-    int m = read_step_args(args, nargs, a, x), i, k;
+    double t[MAX_M], f;
+    int i, k;
 
-    (void)self;
-    if (m < 0)
-        return NULL;
-    if (m == 0)
-        Py_RETURN_NONE;
     for (k = 0; k < m; k++) {
         for (i = 0; i < m; i++)
             t[i] = a[k * m + i] * x[i];
         if (fsum(t, m, &f))
-            Py_RETURN_NONE;
+            return -1;
         f = 1.0 + f;
         if (f < 0.0) {
             if (f < -FACTOR_CLAMP)      /* DegenerateFactor */
-                Py_RETURN_NONE;
+                return -1;
             f = 0.0;
         }
         img[k] = x[k] * f;
     }
+    return 0;
+}
+
+/* simplex._renormalized on the n values c, in place: divide by the fsum
+ * unless it is within NO_DIVIDE_TOL of 1, then at most two shaves of the
+ * residual off the first largest value.  Returns 0, or -1 where
+ * _renormalized raises (a sum that is not positive) or meets a non-finite
+ * sum. */
+static int renormalize(int n, double *c)
+{
+    double s, r, adjusted;
+    int i, k, pass;
+
+    if (fsum(c, n, &s))
+        return -1;
+    if (s == 1.0)
+        return 0;
+    if (s <= 0.0)                       /* SumNotOne */
+        return -1;
+    if (fabs(s - 1.0) > NO_DIVIDE_TOL)
+        for (i = 0; i < n; i++)
+            c[i] /= s;
+    for (pass = 0; pass < 2; pass++) {
+        if (fsum(c, n, &r))
+            return -1;
+        r -= 1.0;
+        if (r == 0.0)
+            break;
+        for (k = 0, i = 1; i < n; i++)  /* max keeps the first largest */
+            if (c[i] > c[k])
+                k = i;
+        adjusted = c[k] - r;
+        if (adjusted == c[k])
+            break;
+        c[k] = adjusted;
+    }
+    return 0;
+}
+
+/* volterra_image(rows, coords): qso._image_py, as a list.  None where
+ * _image_py raises or meets a non-finite product or sum, and for arguments
+ * this reads no matrix and vector from (see read_step_args). */
+static PyObject *volterra_image(PyObject *self, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    double a[MAX_M * MAX_M], x[MAX_M], img[MAX_M];
+    int m = read_step_args(args, nargs, a, x);
+
+    (void)self;
+    if (m < 0)
+        return NULL;
+    if (m == 0 || image(m, a, x, img))
+        Py_RETURN_NONE;
     return floats(img, m, 0);
+}
+
+/* volterra_step(rows, coords): qso._step_py, the renormalized image of
+ * apply_volterra, as a tuple.  None where _step_py raises or meets a
+ * non-finite value, and for arguments this reads no matrix and vector from
+ * (see read_step_args). */
+static PyObject *volterra_step(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    double a[MAX_M * MAX_M], x[MAX_M], img[MAX_M];
+    int m = read_step_args(args, nargs, a, x);
+
+    (void)self;
+    if (m < 0)
+        return NULL;
+    if (m == 0 || image(m, a, x, img) || renormalize(m, img))
+        Py_RETURN_NONE;
+    return floats(img, m, 1);
 }
 
 /* volterra_log_map(rows, log_coords): qso._log_map_py, log_step on the
@@ -827,6 +899,204 @@ static PyObject *volterra_log_map(PyObject *self, PyObject *const *args,
         for (i = 0; i < m; i++)
             newlog[i] -= lse;
     return floats(newlog, m, 1);
+}
+
+/* ------------------------------------------------------------------------
+ * The seeded generator: NumPy's SeedSequence and PCG64 (128-bit LCG with
+ * XSL-RR output; O'Neill, HMC-CS-2014-0905), ports of
+ * volqso/sampling.py's _PCG64, so a seed gives the doubles of
+ * numpy.random.default_rng(seed).random(n) under either backend.
+ *
+ * Python holds a generator's state as a bytearray of PCG_STATE_BYTES: the
+ * 128-bit state, then the increment, each as its low and high 64-bit
+ * words in native byte order.
+ */
+
+#define PCG_STATE_BYTES 32
+
+typedef struct {
+    uint64_t lo, hi;
+} u128;
+
+static const u128 PCG_MULT = {0x4385DF649FCCF645ULL, 0x2360ED051FC65DA4ULL};
+
+/* a * b + c modulo 2^128; without a 128-bit integer type, the low 128 bits
+ * of a.lo * b.lo come from 32-bit halves. */
+static u128 mul_add(u128 a, u128 b, u128 c)
+{
+    u128 r;
+#ifdef __SIZEOF_INT128__
+    unsigned __int128 p = ((unsigned __int128)a.hi << 64 | a.lo) *
+                          ((unsigned __int128)b.hi << 64 | b.lo) +
+                          ((unsigned __int128)c.hi << 64 | c.lo);
+
+    r.lo = (uint64_t)p;
+    r.hi = (uint64_t)(p >> 64);
+#else
+    uint64_t a0 = a.lo & 0xFFFFFFFFu, a1 = a.lo >> 32;
+    uint64_t b0 = b.lo & 0xFFFFFFFFu, b1 = b.lo >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
+
+    r.lo = mid << 32 | (p00 & 0xFFFFFFFFu);
+    r.hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) +
+           a.hi * b.lo + a.lo * b.hi;
+    r.lo += c.lo;
+    r.hi += c.hi + (r.lo < c.lo);
+#endif
+    return r;
+}
+
+/* SeedSequence's hashmix: the hash constant *hc moves on by mult. */
+static uint32_t hashmix(uint32_t v, uint32_t *hc, uint32_t mult)
+{
+    v ^= *hc;
+    *hc *= mult;
+    v *= *hc;
+    return v ^ v >> 16;
+}
+
+/* SeedSequence's mix of the hashed value y into the pool word x. */
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t v = 0xCA01F9DDu * x - 0x4973F715u * y;
+
+    return v ^ v >> 16;
+}
+
+/* The 32-bit little-endian word i of the n bytes b, 0 past their end. */
+static uint32_t seed_word(const unsigned char *b, Py_ssize_t n, Py_ssize_t i)
+{
+    uint32_t w = 0;
+    int j;
+
+    for (j = 3; j >= 0; j--)
+        w = w << 8 | (4 * i + j < n ? b[4 * i + j] : 0);
+    return w;
+}
+
+/* The state and increment of PCG64 seeded by SeedSequence with the
+ * non-negative integer whose little-endian bytes are b[0..n): its entropy
+ * is the integer's 32-bit words, at least one, the pool four words. */
+static void pcg_seed(const unsigned char *b, Py_ssize_t n, u128 *state,
+                     u128 *inc)
+{
+    static const u128 one = {1, 0};
+    uint32_t pool[4], w[8], hc = 0x43B0D7E5u;
+    Py_ssize_t words, src;
+    int i, dst;
+    u128 start;
+
+    while (n > 0 && b[n - 1] == 0)
+        n--;
+    words = (n + 3) / 4;
+    for (i = 0; i < 4; i++)
+        pool[i] = hashmix(seed_word(b, n, i), &hc, 0x931E8875u);
+    for (src = 0; src < 4; src++)
+        for (dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst],
+                                hashmix(pool[src], &hc, 0x931E8875u));
+    for (src = 4; src < words; src++)
+        for (dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(seed_word(b, n, src), &hc,
+                                               0x931E8875u));
+    hc = 0x8B51F9DDu;
+    for (i = 0; i < 8; i++)
+        w[i] = hashmix(pool[i % 4], &hc, 0x58F38DEDu);
+    /* state words (w0 w1 | w2 w3), sequence words (w4 w5 | w6 w7), high
+     * half first; the increment is the sequence shifted left, with bit 0
+     * set, and the state starts at the step from 0 plus the seed state */
+    start.hi = w[0] | (uint64_t)w[1] << 32;
+    start.lo = w[2] | (uint64_t)w[3] << 32;
+    inc->hi = (w[4] | (uint64_t)w[5] << 32) << 1 | (uint64_t)w[7] >> 31;
+    inc->lo = (w[6] | (uint64_t)w[7] << 32) << 1 | 1;
+    *state = mul_add(mul_add(*inc, one, start), PCG_MULT, *inc);
+}
+
+/* The next double of the stream: a step of the LCG, then its XSL-RR
+ * output's top 53 bits over 2^53. */
+static double pcg_next(u128 *state, u128 inc)
+{
+    uint64_t x;
+    unsigned rot;
+
+    *state = mul_add(*state, PCG_MULT, inc);
+    x = state->hi ^ state->lo;
+    rot = (unsigned)(state->hi >> 58);
+    x = x >> rot | x << (-rot & 63);
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The state buffer of a generator; NULL, with ValueError set, unless buf
+ * is a bytearray of PCG_STATE_BYTES. */
+static char *state_buffer(PyObject *buf)
+{
+    if (!PyByteArray_CheckExact(buf) ||
+        PyByteArray_GET_SIZE(buf) != PCG_STATE_BYTES) {
+        PyErr_Format(PyExc_ValueError,
+                     "generator state must be a bytearray of %d bytes",
+                     PCG_STATE_BYTES);
+        return NULL;
+    }
+    return PyByteArray_AS_STRING(buf);
+}
+
+/* pcg64_seed(seed_bytes): a new state buffer, that of the generator
+ * seeded with the non-negative integer whose little-endian bytes are
+ * seed_bytes. */
+static PyObject *pcg64_seed(PyObject *self, PyObject *seed)
+{
+    u128 s[2];
+
+    (void)self;
+    if (!PyBytes_Check(seed)) {
+        PyErr_Format(PyExc_TypeError, "seed bytes must be bytes, not %s",
+                     Py_TYPE(seed)->tp_name);
+        return NULL;
+    }
+    pcg_seed((const unsigned char *)PyBytes_AS_STRING(seed),
+             PyBytes_GET_SIZE(seed), &s[0], &s[1]);
+    return PyByteArray_FromStringAndSize((const char *)s, sizeof s);
+}
+
+/* pcg64_random(state, n): the next n doubles of the generator whose state
+ * buffer is state, as a list (empty for n <= 0), advancing the buffer. */
+static PyObject *pcg64_random(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    PyObject *out, *f;
+    Py_ssize_t n, i;
+    char *buf;
+    u128 s[2];
+
+    (void)self;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "expected 2 arguments, got %zd",
+                     nargs);
+        return NULL;
+    }
+    n = PyLong_AsSsize_t(args[1]);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    /* the list first: its allocation may run a collection, and so Python
+     * code, before the buffer is read */
+    if ((out = PyList_New(n > 0 ? n : 0)) == NULL)
+        return NULL;
+    if ((buf = state_buffer(args[0])) == NULL) {
+        Py_DECREF(out);
+        return NULL;
+    }
+    memcpy(s, buf, sizeof s);
+    for (i = 0; i < n; i++) {
+        if ((f = PyFloat_FromDouble(pcg_next(&s[0], s[1]))) == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, f);
+    }
+    memcpy(buf, s, sizeof s);
+    return out;
 }
 
 /* ------------------------------------------------------------------------
@@ -1024,6 +1294,11 @@ static PyMethodDef kernel_methods[] = {
      METH_FASTCALL, "qso._image_py, or None for the Python path."},
     {"volterra_log_map", (PyCFunction)(void (*)(void))volterra_log_map,
      METH_FASTCALL, "qso._log_map_py, or None for the Python path."},
+    {"volterra_step", (PyCFunction)(void (*)(void))volterra_step,
+     METH_FASTCALL, "qso._step_py, or None for the Python path."},
+    {"pcg64_seed", pcg64_seed, METH_O, "A new PCG64 state from seed bytes."},
+    {"pcg64_random", (PyCFunction)(void (*)(void))pcg64_random,
+     METH_FASTCALL, "The next n doubles of a PCG64 state."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -1,22 +1,24 @@
-"""Kernel backend selection: the trajectory kernel, the CSV row formatter
-and the one-step Volterra maps.
+"""Kernel backend selection: the trajectory kernel, the CSV row formatter,
+the one-step Volterra maps and the seeded generator.
 
 Two backends produce bit-identical results: the pure-Python reference and
 its port to C, `_kernel.c`.  Each provides the trajectory kernel `run` and
 `format_rows`, the formatter of CSV body rows (in Python from
-`volqso._kernel_py`), and the one-step maps that `qso.raw_volterra_image`,
+`volqso._kernel_py`), the one-step maps that `qso.raw_volterra_image`,
 `apply_volterra` and `apply_volterra_log` bind at their first call (in
-Python from `qso`).  The C file is a CPython extension module, compiled on
-first use with `$CC` (default: the compiler Python was built with) and
-Python's include directory into the package's `__pycache__/`, under a name
-keyed on the CRC-32 of the source, the flags, the include directory and
-`EXT_SUFFIX`, and loaded through importlib; later imports load the cached
-module without starting a process, and a build deletes the modules built
-from other sources.  Without a working compiler, Python's header
-`Python.h` or a writable `__pycache__/` the pure-Python backend takes over.
+Python from `qso`), and the generator that `sampling` binds at its first
+seeded draw (in Python from `sampling`).  The C file is a CPython extension
+module, compiled on first use with `$CC` (default: the compiler Python was
+built with) and Python's include directory into the package's
+`__pycache__/`, under a name keyed on the CRC-32 of the source, the flags,
+the include directory and `EXT_SUFFIX`, and loaded through importlib; later
+imports load the cached module without starting a process, and a build
+deletes the modules built from other sources.  Without a working compiler,
+Python's header `Python.h` or a writable `__pycache__/` the pure-Python
+backend takes over.
 
 BACKEND names the selected backend and BACKEND_REASON says why.  Set
-VOLQSO_KERNEL=python|compiled to force a backend for all four functions.
+VOLQSO_KERNEL=python|compiled to force a backend for all these functions.
 Any other value, or forcing `compiled` where the module cannot be built,
 makes loading this module raise `KernelUnavailable` (a `ValidationError`
 and an `ImportError`) with the reason, so the CLI exits 2.
@@ -89,8 +91,8 @@ def _build(lib: Path, include: str) -> str | None:
 
 @functools.cache
 def _compiled():
-    """((run, format_rows, image, log_map) or None, reason); builds the
-    extension module on first use."""
+    """((run, format_rows, image, log_map, step, stream) or None,
+    reason); builds the extension module on first use."""
     import importlib.machinery
     import importlib.util
     import sysconfig
@@ -142,8 +144,9 @@ def _pow10_table() -> array:
 def _bind(ext):
     """The functions of the extension module `ext` in the calling
     conventions of `_kernel_py.run`, `_kernel_py.format_rows`,
-    `qso._image_py` and `qso._log_map_py`; the one-step maps return None
-    where the Python ones must run instead."""
+    `qso._image_py`, `qso._log_map_py`, `qso._step_py` and
+    `sampling._stream_py`; the one-step maps return None where the Python
+    ones must run instead."""
     c_run, c_format = ext.run, ext.format_rows
 
     def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
@@ -203,7 +206,15 @@ def _bind(ext):
         column's values an array('q') (op "") or an array('d')."""
         return c_format(n_rows, columns, _pow10_table())
 
-    return run, format_rows, ext.volterra_image, ext.volterra_log_map
+    seed_state, draw = ext.pcg64_seed, ext.pcg64_random
+
+    def stream(seed):
+        """Same contract as volqso.sampling._stream_py."""
+        return functools.partial(draw, seed_state(
+            seed.to_bytes((seed.bit_length() + 7) // 8, "little")))
+
+    return (run, format_rows, ext.volterra_image, ext.volterra_log_map,
+            ext.volterra_step, stream)
 
 
 def available_backends() -> tuple[str, ...]:
@@ -212,14 +223,23 @@ def available_backends() -> tuple[str, ...]:
     return ("python",)
 
 
+def _stream_py(seed):
+    """volqso.sampling._stream_py, imported at its first use: a backend
+    loaded for a trajectory alone loads no `sampling`."""
+    from .sampling import _stream_py
+
+    return _stream_py(seed)
+
+
 def _functions(name: str):
-    """(run, format_rows, image, log_map) of backend `name`."""
+    """(run, format_rows, image, log_map, step, stream) of backend
+    `name`."""
     if name == "python":
         from . import _kernel_py
-        from .qso import _image_py, _log_map_py
+        from .qso import _image_py, _log_map_py, _step_py
 
         return (_kernel_py.run, _kernel_py.format_rows, _image_py,
-                _log_map_py)
+                _log_map_py, _step_py, _stream_py)
     if name == "compiled":
         functions, reason = _compiled()
         if functions is None:
@@ -256,5 +276,7 @@ def _select():
     return functions, "compiled", reason
 
 
-# _image and _log_map are the one-step maps that qso binds
-(run, format_rows, _image, _log_map), BACKEND, BACKEND_REASON = _select()
+# _image, _log_map and _step are the one-step maps that qso binds, and
+# _stream the generator that sampling binds
+(run, format_rows, _image, _log_map, _step, _stream), BACKEND, \
+    BACKEND_REASON = _select()

@@ -216,14 +216,21 @@ def _log_map_py(rows, logs) -> tuple[float, ...]:
     return _normalized_logs([v - drift for v in newlog])
 
 
+def _step_py(rows, xs) -> tuple[float, ...]:
+    """The coordinates of `apply_volterra` from the matrix rows and the
+    point's coordinates: the Python backend's step, and the reference of
+    the compiled one."""
+    return _renormalized(_image_py(rows, xs))
+
+
 def _bind_backend() -> None:
-    """Bind `_image` and `_log_map` to the one-step maps of the selected
-    kernel backend (see `kernel`), loading it.  A compiled map returns None
-    where the Python one, `_image_py` or `_log_map_py`, must run: on
-    arguments that are not exact tuples of floats, and wherever the Python
-    one raises or meets a non-finite value."""
-    global _image, _log_map
-    from .kernel import _image, _log_map
+    """Bind `_image`, `_log_map` and `_step` to the one-step maps of the
+    selected kernel backend (see `kernel`), loading it.  A compiled map
+    returns None where the Python one, `_image_py`, `_log_map_py` or
+    `_step_py`, must run: on arguments that are not exact tuples of floats,
+    and wherever the Python one raises or meets a non-finite value."""
+    global _image, _log_map, _step
+    from .kernel import _image, _log_map, _step
 
 
 def _image(rows, xs):
@@ -238,6 +245,12 @@ def _log_map(rows, logs):
     return _log_map(rows, logs)
 
 
+def _step(rows, xs):
+    """The backend's step; the first call binds it (`_bind_backend`)."""
+    _bind_backend()
+    return _step(rows, xs)
+
+
 def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
     """x_k f_k for the step factors f_k = 1 + (Ax)_k, each (Ax)_k the
     `math.fsum` of its products, dust below 0 in f_k clamped to 0.  The
@@ -250,10 +263,15 @@ def raw_volterra_image(a: SkewMatrix, x: SimplexPoint) -> list[float]:
 
 
 def apply_volterra(a: SkewMatrix, x: SimplexPoint) -> SimplexPoint:
-    """One step of x_k -> x_k (1 + (Ax)_k), renormalized.  Zero coordinates
-    stay exactly zero (faces are invariant)."""
+    """One step of x_k -> x_k (1 + (Ax)_k), renormalized: the image of
+    `raw_volterra_image`, then `simplex._renormalized`, which the selected
+    kernel backend computes in one call, with the same bits under either.
+    Zero coordinates stay exactly zero (faces are invariant)."""
+    rows, xs = a.rows, x.coords
+    coords = _step(rows, xs)
     point = object.__new__(SimplexPoint)    # _trusted, without its call
-    point.__dict__["coords"] = _renormalized(raw_volterra_image(a, x))
+    point.__dict__["coords"] = _step_py(rows, xs) if coords is None \
+        else coords
     return point
 
 

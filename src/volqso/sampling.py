@@ -4,12 +4,15 @@
 at least `min_coord`, which keeps them away from the boundary and (almost
 surely) off the exceptional invariant curves.
 
-A seed is a non-negative integer of any size.  It seeds `_PCG64`, a pure
-Python copy of NumPy's SeedSequence (pool of four 32-bit words, entropy the
-seed's 32-bit little-endian words) and PCG64 bit generator (128-bit LCG with
-XSL-RR output; O'Neill, HMC-CS-2014-0905), whose uniform doubles equal
-`numpy.random.default_rng(seed).random(n)` bit for bit.  Logarithms are
-libm's `log1p`, so a seed gives the same starts and matrices on every CPU
+A seed is a non-negative integer of any size.  It seeds NumPy's
+SeedSequence (pool of four 32-bit words, entropy the seed's 32-bit
+little-endian words) and PCG64 bit generator (128-bit LCG with XSL-RR
+output; O'Neill, HMC-CS-2014-0905), whose uniform doubles equal
+`numpy.random.default_rng(seed).random(n)` bit for bit.  The selected
+kernel backend (see `kernel`, bound at the first draw, so `VOLQSO_KERNEL`
+governs it) runs the generator: `_PCG64` here in Python, or its port in
+`_kernel.c`, with the same doubles.  Logarithms are libm's `log1p`, so a
+seed gives the same starts and matrices on every CPU, under either backend
 and with or without NumPy.  An object with a `random(n)` method, such as a
 `numpy.random.Generator`, is used as given.
 """
@@ -17,7 +20,7 @@ and with or without NumPy.  An object with a `random(n)` method, such as a
 from __future__ import annotations
 
 import math
-import operator
+from operator import index, itemgetter, neg
 
 from .classify import CanonicalParams, matrix_from_canonical
 from .errors import ValidationError, WrongDimension
@@ -59,18 +62,26 @@ _STATE_HASHES = [(i % 4, xor, mult) for i, (xor, mult)
                  in enumerate(_hash_constants(0x8B51F9DD, 0x58F38DED, 8))]
 
 
-# the upper-triangle positions of an m x m matrix, row by row
-_UPPER = {m: [(i, j) for i in range(m) for j in range(i + 1, m)]
-          for m in (2, 3, 4)}
+def _skew_rows(m: int) -> tuple:
+    """Getters of the rows of an m x m skew matrix from (0.0, v_1, ...,
+    v_n, -v_1, ..., -v_n), v its n upper-triangle entries row by row."""
+    upper = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    where = {}
+    for k, (i, j) in enumerate(upper, 1):
+        where[i, j] = k
+        where[j, i] = len(upper) + k
+    return tuple(itemgetter(*(where.get((i, j), 0) for j in range(m)))
+                 for i in range(m))
+
+
+_SKEW_ROWS = {m: _skew_rows(m) for m in (2, 3, 4)}
 
 
 class _PCG64:
-    """`numpy.random.default_rng(seed)`'s stream of uniform doubles."""
+    """`numpy.random.default_rng(seed)`'s stream of uniform doubles, for a
+    non-negative int `seed`."""
 
-    def __init__(self, seed):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {seed}")
+    def __init__(self, seed: int):
         m32 = _M32
         words = [seed >> s & m32
                  for s in range(0, max(seed.bit_length(), 1), 32)]
@@ -111,10 +122,34 @@ class _PCG64:
         return out
 
 
-def _as_rng(seed_or_rng):
+def _stream_py(seed: int):
+    """The `random(n)` of the generator seeded with the non-negative int
+    `seed`: the Python backend's, and the reference of the compiled one."""
+    return _PCG64(seed).random
+
+
+def _bind_backend() -> None:
+    """Bind `_stream` to the generator of the selected kernel backend (see
+    `kernel`), loading it."""
+    global _stream
+    from .kernel import _stream
+
+
+def _stream(seed):
+    """The backend's generator; the first call binds it (`_bind_backend`)."""
+    _bind_backend()
+    return _stream(seed)
+
+
+def _draws(seed_or_rng):
+    """The `random(n)` of `seed_or_rng`, or of the backend's generator
+    seeded with it."""
     if hasattr(seed_or_rng, "random"):
-        return seed_or_rng
-    return _PCG64(seed_or_rng)
+        return seed_or_rng.random
+    seed = index(seed_or_rng)
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    return _stream(seed)
 
 
 def interior_points(m: int, count: int, seed_or_rng,
@@ -123,11 +158,11 @@ def interior_points(m: int, count: int, seed_or_rng,
     coordinate is >= min_coord (exponential-spacings construction)."""
     if not 0.0 <= min_coord < 1.0 / m:
         raise ValidationError(f"min_coord {min_coord} outside [0, 1/m)")
-    rng = _as_rng(seed_or_rng)
+    random = _draws(seed_or_rng)
     out = []
     scale = 1.0 - m * min_coord
     for _ in range(count):
-        e = [-math.log1p(-float(r)) for r in rng.random(m)]
+        e = [-math.log1p(-float(r)) for r in random(m)]
         s = 0.0
         for v in e:     # left to right, as numpy sums so few terms
             s += v
@@ -140,22 +175,20 @@ def random_skew_matrix(m: int, seed_or_rng) -> SkewMatrix:
     row by row."""
     if not 2 <= m <= 4:
         raise WrongDimension(f"m={m} outside supported range 2..4")
-    rng = _as_rng(seed_or_rng)
-    rows = [[0.0] * m for _ in range(m)]
-    for (i, j), r in zip(_UPPER[m], rng.random(m * (m - 1) // 2),
-                         strict=True):
-        v = 2.0 * float(r) - 1.0
-        rows[i][j] = v
-        rows[j][i] = -v
-    return _trusted(SkewMatrix, tuple(map(tuple, rows)))
+    n = m * (m - 1) // 2
+    v = [2.0 * float(r) - 1.0 for r in _draws(seed_or_rng)(n)]
+    if len(v) != n:
+        raise ValueError(f"the generator drew {len(v)} values, not {n}")
+    values = [0.0, *v, *map(neg, v)]
+    return _trusted(SkewMatrix, tuple([row(values)
+                                       for row in _SKEW_ROWS[m]]))
 
 
 def random_canonical_params(seed_or_rng, low: float = 0.1,
                             high: float = 0.9) -> CanonicalParams:
     """Six canonical parameters i.i.d. uniform in [low, high]."""
-    rng = _as_rng(seed_or_rng)
     return CanonicalParams(*(low + (high - low) * float(r)
-                             for r in rng.random(6)))
+                             for r in _draws(seed_or_rng)(6)))
 
 
 def random_canonical_matrix(seed_or_rng, low: float = 0.1,

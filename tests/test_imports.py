@@ -131,7 +131,8 @@ def test_no_module_imports_ctypes():
 
 def test_synthesize_loads_no_fractions():
     # the exact LP runs on integers: no Fraction, and no Decimal; a tied
-    # optimum, an infeasible one and an m=4 one
+    # optimum, an infeasible one and an m=4 one, whose seeded draw loads
+    # the backend
     body = ("import volqso\n"
             "from volqso import SkewMatrix, random_skew_matrix, synthesize\n"
             "synthesize(SkewMatrix([[0, 0, -0.75], [0, 0, -0.25],"
@@ -139,7 +140,24 @@ def test_synthesize_loads_no_fractions():
             "assert synthesize(SkewMatrix.zero(3)) is None\n"
             "assert synthesize(random_skew_matrix(4, 7)) is not None")
     assert footprint(body, LIBS | {"decimal", "numbers"}) == (
-        [], sorted(CORE + ["lyapunov", "sampling"]))
+        [], sorted(CORE + ["lyapunov", "sampling", *BACKEND]))
+
+
+def test_sampling_loads_the_backend_at_the_first_draw():
+    # importing sampling, or drawing from a generator given as the seed,
+    # loads no backend; the first seeded draw loads the selected one,
+    # cached, so no compiler's subprocess
+    body = ("import volqso.sampling as s\n"
+            "import sys\n"
+            "class Fixed:\n"
+            "    def random(self, n):\n"
+            "        return [0.25] * n\n"
+            "s.random_skew_matrix(3, Fixed())\n"
+            "assert 'volqso.kernel' not in sys.modules\n")
+    assert footprint(body, LIBS | {"subprocess"}) == (
+        [], sorted(CORE + ["sampling"]))
+    assert footprint(body + "s.interior_points(3, 2, 5)", LIBS | {
+        "subprocess"}) == ([], sorted(CORE + ["sampling", *BACKEND]))
 
 
 @pytest.mark.parametrize("command,expected", [

@@ -17,11 +17,16 @@ from hypothesis import strategies as st
 from volqso import kernel, qso
 from volqso._kernel_py import UNDERFLOW_GUARD
 from volqso.cli import main
-from volqso.errors import DegenerateFactor, DimensionMismatch
+from volqso.errors import DegenerateFactor, DimensionMismatch, SumNotOne
 from volqso.kernel import available_backends, get_formatter, get_kernel
 from volqso.qso import SkewMatrix, apply_volterra_log, skew3
 from volqso.sampling import random_skew_matrix
-from volqso.simplex import LogSimplexPoint, SimplexPoint, _trusted
+from volqso.simplex import (
+    _NO_DIVIDE_TOL,
+    LogSimplexPoint,
+    SimplexPoint,
+    _trusted,
+)
 
 needs_compiled = pytest.mark.skipif(
     "compiled" not in available_backends(),
@@ -386,6 +391,57 @@ def log_map_cases():
         yield rows, logs
 
 
+def step_cases():
+    """The image cases, and inputs of the renormalization that the image
+    cases rarely reach: points whose image (under a zero matrix, or one of
+    entries near 2^-60) sums to within _NO_DIVIDE_TOL of 1 but not to 1,
+    and images that tie for the largest coordinate."""
+    yield from image_cases()
+    rng = random.Random(2026)
+    for trial in range(6000):
+        m = 2 + trial % 3
+        raw = [rng.uniform(0.0, 1.0) for _ in range(m)]
+        if trial % 2:       # a tie for the largest, or for a smaller one
+            i, j = rng.sample(range(m), 2)
+            raw[j] = raw[i] if trial % 4 == 1 else max(raw)
+        total = math.fsum(raw)
+        x = [v / total for v in raw]
+        for _ in range(rng.randrange(3)):   # a few ulps off the simplex
+            k = rng.randrange(m)
+            for _ in range(rng.randrange(1, 4)):
+                x[k] = math.nextafter(x[k], rng.choice([0.0, 2.0]))
+        zero = tuple((0.0,) * m for _ in range(m))
+        tiny = [[0.0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                tiny[i][j] = rng.choice([1, -1]) * 2.0 ** rng.randrange(
+                    -62, -50)
+                tiny[j][i] = -tiny[i][j]
+        for rows in (zero, tuple(map(tuple, tiny))):
+            yield rows, tuple(x)
+    # a sum that is not positive, and one exactly 1
+    yield ((0.0, 0.0), (-0.0, 0.0)), (0.0, 0.0)
+    yield ((0.0, 0.0), (-0.0, 0.0)), (-0.5, 0.25)
+    yield ((0.0, 0.0), (-0.0, 0.0)), (0.5, 0.5)
+
+
+def test_step_cases_reach_the_renormalization_branches():
+    # images summing within _NO_DIVIDE_TOL of 1 but not to 1, which are
+    # shaved without a division, and shaved images with a tie for the
+    # largest coordinate
+    no_divide = tied = 0
+    for rows, xs in step_cases():
+        try:
+            image = qso._image_py(rows, xs)
+        except (ArithmeticError, ValueError):     # fsum's and the factor's
+            continue
+        s = math.fsum(image)
+        if math.isfinite(s) and s != 1.0 and abs(s - 1.0) <= _NO_DIVIDE_TOL:
+            no_divide += 1
+            tied += image.count(max(image)) > 1
+    assert no_divide > 3000 and tied > 300
+
+
 def outcome(fn, *args):
     """repr of fn(*args), or the type and message of what it raised."""
     try:
@@ -396,13 +452,14 @@ def outcome(fn, *args):
 
 @needs_compiled
 @pytest.mark.parametrize("name,cases,min_values", [
-    ("image", image_cases, 20_000), ("log_map", log_map_cases, 8_000)])
+    ("image", image_cases, 20_000), ("log_map", log_map_cases, 8_000),
+    ("step", step_cases, 30_000)])
 def test_one_step_maps_bit_identical(name, cases, min_values):
     # the compiled map gives the Python one's bits, or None where the
     # Python one raises or meets a non-finite sum; qso then runs the Python
     # one, so the maps give the same result, or the same error, under
     # either backend
-    index = ["image", "log_map"].index(name) + 2
+    index = ["image", "log_map", "step"].index(name) + 2
     compiled = kernel._functions("compiled")[index]
     python = kernel._functions("python")[index]
     values = declined = 0
@@ -422,13 +479,18 @@ def test_one_step_maps_bit_identical(name, cases, min_values):
 @needs_compiled
 @pytest.mark.parametrize("backend", ["compiled", "python"])
 def test_one_step_errors_keep_type_and_message(monkeypatch, backend):
-    image, log_map = kernel._functions(backend)[2:]
+    image, log_map, step = kernel._functions(backend)[2:5]
     monkeypatch.setattr(qso, "_image", image)
     monkeypatch.setattr(qso, "_log_map", log_map)
+    monkeypatch.setattr(qso, "_step", step)
     a = skew3(0.5, -1.0, 1.0)
-    with pytest.raises(DegenerateFactor, match=r"^step factor -0\.5 at slot "
-                       r"3; input is corrupted$"):
-        qso.raw_volterra_image(a, _trusted(SimplexPoint, (0.0, 1.5, 0.0)))
+    for fn in (qso.raw_volterra_image, qso.apply_volterra):
+        with pytest.raises(DegenerateFactor, match=r"^step factor -0\.5 at "
+                           r"slot 3; input is corrupted$"):
+            fn(a, _trusted(SimplexPoint, (0.0, 1.5, 0.0)))
+    with pytest.raises(SumNotOne,
+                       match=r"^coordinate sum 0\.0 is not positive$"):
+        qso.apply_volterra(a, _trusted(SimplexPoint, (0.0, 0.0, 0.0)))
     for logs, error in (((-math.inf,) * 3, "degenerate"),
                         ((0.0, 0.0, 0.0), "breakdown")):
         with pytest.raises(DegenerateFactor,
@@ -443,14 +505,16 @@ def test_one_step_errors_keep_type_and_message(monkeypatch, backend):
 @needs_compiled
 def test_duck_typed_matrix_takes_the_python_path():
     # list rows are not exact tuples: the compiled maps decline them
-    image, log_map = kernel._functions("compiled")[2:]
+    image, log_map, step = kernel._functions("compiled")[2:5]
     rows = [[0.0, 0.5, -0.25], [-0.5, 0.0, 1.0], [0.25, -1.0, 0.0]]
     duck = types.SimpleNamespace(rows=rows, m=3)
     x = SimplexPoint((0.2, 0.3, 0.5))
     assert image(rows, x.coords) is None
+    assert step(rows, x.coords) is None
     assert log_map(rows, x.to_log().log_coords) is None
     a = SkewMatrix(rows)
     assert qso.raw_volterra_image(duck, x) == qso.raw_volterra_image(a, x)
+    assert qso.apply_volterra(duck, x) == qso.apply_volterra(a, x)
     assert apply_volterra_log(duck, x.to_log()) == apply_volterra_log(
         a, x.to_log())
 
