@@ -1076,7 +1076,7 @@ static PyObject *pcg64_random(PyObject *self, PyObject *const *args,
                      nargs);
         return NULL;
     }
-    n = PyLong_AsSsize_t(args[1]);
+    n = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
     if (n == -1 && PyErr_Occurred())
         return NULL;
     /* the list first: its allocation may run a collection, and so Python
