@@ -269,9 +269,10 @@ def apply_volterra(a: SkewMatrix, x: SimplexPoint) -> SimplexPoint:
     Zero coordinates stay exactly zero (faces are invariant)."""
     rows, xs = a.rows, x.coords
     coords = _step(rows, xs)
+    if coords is None:
+        coords = _step_py(rows, xs)
     point = object.__new__(SimplexPoint)    # _trusted, without its call
-    point.__dict__["coords"] = _step_py(rows, xs) if coords is None \
-        else coords
+    point.__dict__["coords"] = coords
     return point
 
 
