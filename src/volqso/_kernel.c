@@ -920,30 +920,22 @@ typedef struct {
 
 static const u128 PCG_MULT = {0x4385DF649FCCF645ULL, 0x2360ED051FC65DA4ULL};
 
-/* a * b + c modulo 2^128; without a 128-bit integer type, the low 128 bits
- * of a.lo * b.lo come from 32-bit halves. */
+/* a * b + c modulo 2^128, from 64-bit words: the low 128 bits of
+ * a.lo * b.lo come from 32-bit halves, so no 128-bit integer type is
+ * needed. */
 static u128 mul_add(u128 a, u128 b, u128 c)
 {
-    u128 r;
-#ifdef __SIZEOF_INT128__
-    unsigned __int128 p = ((unsigned __int128)a.hi << 64 | a.lo) *
-                          ((unsigned __int128)b.hi << 64 | b.lo) +
-                          ((unsigned __int128)c.hi << 64 | c.lo);
-
-    r.lo = (uint64_t)p;
-    r.hi = (uint64_t)(p >> 64);
-#else
     uint64_t a0 = a.lo & 0xFFFFFFFFu, a1 = a.lo >> 32;
     uint64_t b0 = b.lo & 0xFFFFFFFFu, b1 = b.lo >> 32;
     uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
     uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
+    u128 r;
 
     r.lo = mid << 32 | (p00 & 0xFFFFFFFFu);
     r.hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) +
            a.hi * b.lo + a.lo * b.hi;
     r.lo += c.lo;
     r.hi += c.hi + (r.lo < c.lo);
-#endif
     return r;
 }
 

@@ -216,7 +216,8 @@ def _check_size(stored: int, name: str, advice: str) -> None:
             f"{MAX_STORED_VALUES}; {advice}")
 
 
-def _verify(node, name: str, m: int, tols: dict, fallback: SimplexPoint):
+def _verify(node, name: str, m: int, tols: dict,
+            fallback: SimplexPoint | None):
     """(start, steps, transient) of the Lyapunov check; None when off."""
     if node is False:
         return None
@@ -241,15 +242,18 @@ class _Config(_Record):
     workers: int
     delta_conv: float
     delta_osc: float
-    verify: tuple[SimplexPoint, int, int] | None
+    # a None start: the first random start, drawn when the check runs
+    verify: tuple[SimplexPoint | None, int, int] | None
+    seed: int | None                        # of the random starts
+    min_coord: float
 
 
 def _parse(cfg: dict, command: str) -> _Config:
     """Check every key against the schema's types and bounds, and build
     every object the config describes, whatever the command, so a config is
-    accepted or rejected as a whole before any work.  Only the random
-    starts `command` reads are drawn: all of them for simulate, the first
-    for lyapunov's verify fallback, none for the other commands."""
+    accepted or rejected as a whole before any work.  Only simulate draws
+    its random starts here, after every check; lyapunov draws the first,
+    its check's start by default, only when the check runs."""
     if ("matrix" in cfg) == ("canonical_params" in cfg):
         raise ValidationError("config needs exactly one of 'matrix' and "
                               "'canonical_params'")
@@ -289,29 +293,33 @@ def _parse(cfg: dict, command: str) -> _Config:
         # the run settings, checked at a stand-in start whatever the command
         settings.update(matrix=matrix, steps=steps)
         TrajectoryConfig(start=SimplexPoint.barycenter(m), **settings)
+    workers = _read(cfg, "workers", _int, 1, 1)
+    # no `verify` key reads like an empty object: every default; without a
+    # start of its own the check starts at the first start, None while
+    # that is a random start not yet drawn
+    verify = _read({"verify": {}, **cfg}, "verify", _verify, None, m, tols,
+                   points[0] if points else None if count > 0
+                   else SimplexPoint.barycenter(m))
+    runs = ()
     if command == "simulate" and steps is not None:
-        drawn = count
-    elif command == "lyapunov" and not points:
-        drawn = min(count, 1)
-    else:
-        drawn = 0
-    starts = points
-    if drawn > 0:
-        from .sampling import interior_points
+        starts = points
+        if count > 0:
+            from .sampling import interior_points
 
-        starts += tuple(interior_points(m, drawn, seed, min_coord))
-    fallback = starts[0] if starts else SimplexPoint.barycenter(m)
+            starts += tuple(interior_points(m, count, seed, min_coord))
+            if verify is not None and verify[0] is None:
+                verify = (starts[0], *verify[1:])
+        runs = tuple(TrajectoryConfig(start=s, **settings) for s in starts)
     return _Config(
         matrix=matrix,
-        runs=() if command != "simulate" or steps is None else tuple(
-            TrajectoryConfig(start=s, **settings) for s in starts),
+        runs=runs,
         observables=observables,
-        workers=_read(cfg, "workers", _int, 1, 1),
+        workers=workers,
         delta_conv=delta_conv,
         delta_osc=delta_osc,
-        # no `verify` key reads like an empty object: every default
-        verify=_read({"verify": {}, **cfg}, "verify", _verify, None,
-                     m, tols, fallback),
+        verify=verify,
+        seed=seed,
+        min_coord=min_coord,
     )
 
 
@@ -437,7 +445,14 @@ def cmd_lyapunov(parsed: _Config, out_dir: Path) -> int:
         payload["vertex_constraint_values"] = vertex_constraint_values(
             a, candidate.exponents)
         if parsed.verify is not None:
-            report = verify_along_trajectory(candidate, a, *parsed.verify)
+            start, steps, transient = parsed.verify
+            if start is None:
+                from .sampling import interior_points
+
+                [start] = interior_points(a.m, 1, parsed.seed,
+                                          parsed.min_coord)
+            report = verify_along_trajectory(candidate, a, start, steps,
+                                             transient)
             payload["verify"] = {
                 "verdict": report.verdict.value,
                 "decade_drifts": report.decade_drifts,

@@ -33,6 +33,7 @@ import os
 import struct
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import KernelUnavailable
 
@@ -91,8 +92,8 @@ def _build(lib: Path, include: str) -> str | None:
 
 @functools.cache
 def _compiled():
-    """((run, format_rows, image, log_map, step, stream) or None,
-    reason); builds the extension module on first use."""
+    """(the functions of the extension module (see `_bind`) or None,
+    reason); builds the module on first use."""
     import importlib.machinery
     import importlib.util
     import sysconfig
@@ -142,11 +143,9 @@ def _pow10_table() -> array:
 
 
 def _bind(ext):
-    """The functions of the extension module `ext` in the calling
-    conventions of `_kernel_py.run`, `_kernel_py.format_rows`,
-    `qso._image_py`, `qso._log_map_py`, `qso._step_py` and
-    `sampling._stream_py`; the one-step maps return None where the Python
-    ones must run instead."""
+    """The functions of the extension module `ext`, by name, in the calling
+    conventions of their Python versions (see `_functions`); the one-step
+    maps return None where the Python ones must run instead."""
     c_run, c_format = ext.run, ext.format_rows
 
     def run(m, a, logx0, steps, log_eps, coord_obs, mono_obs, checkpoints,
@@ -213,8 +212,9 @@ def _bind(ext):
         return functools.partial(draw, seed_state(
             seed.to_bytes((seed.bit_length() + 7) // 8, "little")))
 
-    return (run, format_rows, ext.volterra_image, ext.volterra_log_map,
-            ext.volterra_step, stream)
+    return SimpleNamespace(
+        run=run, format_rows=format_rows, image=ext.volterra_image,
+        log_map=ext.volterra_log_map, step=ext.volterra_step, stream=stream)
 
 
 def available_backends() -> tuple[str, ...]:
@@ -232,14 +232,19 @@ def _stream_py(seed):
 
 
 def _functions(name: str):
-    """(run, format_rows, image, log_map, step, stream) of backend
-    `name`."""
+    """The functions of backend `name`, by name: `run` and `format_rows`
+    (in Python `_kernel_py.run` and `_kernel_py.format_rows`), the
+    one-step maps `image`, `log_map` and `step` (`qso._image_py`,
+    `qso._log_map_py` and `qso._step_py`) and the generator `stream`
+    (`sampling._stream_py`)."""
     if name == "python":
         from . import _kernel_py
         from .qso import _image_py, _log_map_py, _step_py
 
-        return (_kernel_py.run, _kernel_py.format_rows, _image_py,
-                _log_map_py, _step_py, _stream_py)
+        return SimpleNamespace(
+            run=_kernel_py.run, format_rows=_kernel_py.format_rows,
+            image=_image_py, log_map=_log_map_py, step=_step_py,
+            stream=_stream_py)
     if name == "compiled":
         functions, reason = _compiled()
         if functions is None:
@@ -252,11 +257,11 @@ def _functions(name: str):
 
 
 def get_kernel(name: str):
-    return _functions(name)[0]
+    return _functions(name).run
 
 
 def get_formatter(name: str):
-    return _functions(name)[1]
+    return _functions(name).format_rows
 
 
 def _select():
@@ -276,7 +281,8 @@ def _select():
     return functions, "compiled", reason
 
 
-# _image, _log_map and _step are the one-step maps that qso binds, and
-# _stream the generator that sampling binds
-(run, format_rows, _image, _log_map, _step, _stream), BACKEND, \
-    BACKEND_REASON = _select()
+_selected, BACKEND, BACKEND_REASON = _select()
+run, format_rows = _selected.run, _selected.format_rows
+# the one-step maps that qso binds, and the generator that sampling binds
+_image, _log_map, _step = _selected.image, _selected.log_map, _selected.step
+_stream = _selected.stream

@@ -417,6 +417,22 @@ class TestKernelChoice:
         assert proc.stdout == ""
         assert not out.exists()
 
+    def test_lyapunov_without_a_check_draws_nothing(self, tmp_path):
+        # an infeasible LP runs no check, so the random start the check
+        # would start from is never drawn and no backend is loaded
+        env = dict(os.environ, VOLQSO_KERNEL="bogus",
+                   PYTHONPATH=str(Path(volqso.__file__).parents[1]))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "volqso.cli", "lyapunov", "--config",
+             write_config(tmp_path, {"matrix": [[0.0] * 3] * 3,
+                                     "starts": {"count": 2, "seed": 1}}),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads((out / "lyapunov.json").read_text())
+        assert report["feasible"] is False and report["verify"] is None
+
 
 class TestDeclaredDimension:
     def test_consistent_m_accepted(self, tmp_path):

@@ -176,41 +176,3 @@ def test_kernel_compiles_without_warnings(tmp_path):
          "-Werror", "-o", str(tmp_path / "_kernel.so"), str(kernel._SOURCE),
          *kernel._LIBS], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-
-
-# Loads a module built from _kernel.c at argv[1] and checks its generator
-# against the Python one on seeds of 1 to 32 words.
-STREAM_CHECK = """\
-import importlib.machinery, importlib.util, random, sys
-from volqso.sampling import _PCG64
-loader = importlib.machinery.ExtensionFileLoader("_kernel", sys.argv[1])
-ext = importlib.util.module_from_spec(
-    importlib.util.spec_from_loader("_kernel", loader))
-loader.exec_module(ext)
-rng = random.Random(128)
-for seed in [0, 1, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1, *(
-        rng.getrandbits(32 * rng.randint(1, 32)) for _ in range(300))]:
-    state = ext.pcg64_seed(seed.to_bytes((seed.bit_length() + 7) // 8,
-                                         "little"))
-    ref = _PCG64(seed)
-    for n in (9, 4):
-        assert ext.pcg64_random(state, n) == ref.random(n), seed
-"""
-
-
-@needs_cc
-def test_portable_128_bit_arithmetic_gives_the_same_stream(tmp_path):
-    # a compiler without unsigned __int128 builds the generator's 128-bit
-    # multiply from 32-bit halves, cleanly and with the same doubles
-    cc = shlex.split(os.environ.get("CC") or DEFAULT_CC)
-    lib = tmp_path / f"_kernel{EXT_SUFFIX}"
-    proc = subprocess.run(
-        [*cc, *kernel._CFLAGS, f"-I{INCLUDE}", "-U__SIZEOF_INT128__",
-         "-Wall", "-Wextra", "-Werror", "-o", str(lib), str(kernel._SOURCE),
-         *kernel._LIBS], capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    env = dict(os.environ, PYTHONPATH=str(Path(volqso.__file__).parents[1]))
-    check = subprocess.run([sys.executable, "-c", STREAM_CHECK, str(lib)],
-                           env=env, capture_output=True, text=True,
-                           timeout=300)
-    assert check.returncode == 0, check.stderr

@@ -459,9 +459,8 @@ def test_one_step_maps_bit_identical(name, cases, min_values):
     # Python one raises or meets a non-finite sum; qso then runs the Python
     # one, so the maps give the same result, or the same error, under
     # either backend
-    index = ["image", "log_map", "step"].index(name) + 2
-    compiled = kernel._functions("compiled")[index]
-    python = kernel._functions("python")[index]
+    compiled = getattr(kernel._functions("compiled"), name)
+    python = getattr(kernel._functions("python"), name)
     values = declined = 0
     for rows, vec in cases():
         want = outcome(python, rows, vec)
@@ -479,10 +478,9 @@ def test_one_step_maps_bit_identical(name, cases, min_values):
 @needs_compiled
 @pytest.mark.parametrize("backend", ["compiled", "python"])
 def test_one_step_errors_keep_type_and_message(monkeypatch, backend):
-    image, log_map, step = kernel._functions(backend)[2:5]
-    monkeypatch.setattr(qso, "_image", image)
-    monkeypatch.setattr(qso, "_log_map", log_map)
-    monkeypatch.setattr(qso, "_step", step)
+    functions = kernel._functions(backend)
+    for name in ("image", "log_map", "step"):
+        monkeypatch.setattr(qso, f"_{name}", getattr(functions, name))
     a = skew3(0.5, -1.0, 1.0)
     for fn in (qso.raw_volterra_image, qso.apply_volterra):
         with pytest.raises(DegenerateFactor, match=r"^step factor -0\.5 at "
@@ -505,7 +503,8 @@ def test_one_step_errors_keep_type_and_message(monkeypatch, backend):
 @needs_compiled
 def test_duck_typed_matrix_takes_the_python_path():
     # list rows are not exact tuples: the compiled maps decline them
-    image, log_map, step = kernel._functions("compiled")[2:5]
+    compiled = kernel._functions("compiled")
+    image, log_map, step = compiled.image, compiled.log_map, compiled.step
     rows = [[0.0, 0.5, -0.25], [-0.5, 0.0, 1.0], [0.25, -1.0, 0.0]]
     duck = types.SimpleNamespace(rows=rows, m=3)
     x = SimplexPoint((0.2, 0.3, 0.5))

@@ -69,7 +69,8 @@ RECORDS = {
                       permutation=(1, 2, 3, 4), canonical_params=PARAMS,
                       invariant=0.5),
     _Config: dict(matrix=A4, runs=(), observables=(), workers=1,
-                  delta_conv=1e-3, delta_osc=5e-2, verify=None),
+                  delta_conv=1e-3, delta_osc=5e-2, verify=None, seed=None,
+                  min_coord=0.01),
     CoordinateObservable: dict(label=1),
     MonomialObservable: dict(exponents=(1.0, -1.0), name="F"),
     TrajectoryConfig: dict(matrix=A4, start=P4, steps=100, epsilon=0.05,
@@ -118,7 +119,8 @@ ALTERNATIVES = {
     _Config: dict(matrix=SkewMatrix.zero(4),
                   runs=(TrajectoryConfig(A4, P4, 10),),
                   observables=(CoordinateObservable(1),), workers=2,
-                  delta_conv=2e-3, delta_osc=0.1, verify=(P4, 1000, 100)),
+                  delta_conv=2e-3, delta_osc=0.1, verify=(P4, 1000, 100),
+                  seed=7, min_coord=0.05),
     CoordinateObservable: dict(label=2),
     MonomialObservable: dict(exponents=(1.0, 1.0), name="G"),
     TrajectoryConfig: dict(matrix=SkewMatrix.zero(4), start=P4B, steps=200,

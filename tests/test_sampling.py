@@ -46,7 +46,7 @@ def stream(backend):
     """The seeded generator of `backend`: seed -> random(n)."""
     if backend not in available_backends():
         pytest.skip("compiled kernel not built")
-    return kernel._functions(backend)[5]
+    return kernel._functions(backend).stream
 
 
 @pytest.mark.parametrize("chunk", range(0, len(SEEDS), 100))
